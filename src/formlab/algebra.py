@@ -24,6 +24,16 @@ _GROUP_OF_ALGEBRA = {"so3": "SO3", "u2": "U2", "u1": "U1"}
 _MATRIX_DIM_OF_GROUP = {"SO3": 3, "U2": 2, "U1": 1}
 
 
+def _identity_matrix(group: str) -> np.ndarray:
+    n = _MATRIX_DIM_OF_GROUP[group]
+    eye = np.eye(n) if group == "SO3" else np.eye(n, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
+
+
+_IDENTITY_MATRIX = {group: _identity_matrix(group) for group in _MATRIX_DIM_OF_GROUP}
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """A concrete matrix Lie algebra with a fixed orthonormal generator basis."""
@@ -110,7 +120,11 @@ class AlgebraElement:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """An orthogonal/unitary matrix, validated at construction."""
+    """An orthogonal/unitary matrix, validated at construction.
+
+    The distance to the identity is measured once here, so is_identity is a
+    comparison.
+    """
 
     group: str
     matrix: np.ndarray
@@ -132,16 +146,18 @@ class GroupElement:
                 raise DomainError("SO3 matrix must have determinant 1")
         else:
             m = np.array(m, dtype=np.complex128)
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(n)))
+        eye = _IDENTITY_MATRIX[self.group]
+        defect = np.abs(m.conj().T @ m - eye).max()
         if defect > UNITARITY_TOL:
             raise DomainError(
                 f"matrix is not in {self.group}: unitarity defect {defect:.3e}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_identity_deviation", float(np.abs(m - eye).max()))
 
-    def is_identity(self, tol: float = IDENTITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(self.matrix.shape[0]))) <= tol)
+    def is_identity(self) -> bool:
+        return self._identity_deviation <= IDENTITY_TOL
 
     def inverse(self) -> GroupElement:
         return GroupElement(self.group, np.ascontiguousarray(self.matrix.conj().T))
@@ -155,11 +171,9 @@ class GroupElement:
 
 
 def identity(group: str) -> GroupElement:
-    n = _MATRIX_DIM_OF_GROUP.get(group)
-    if n is None:
+    if group not in _IDENTITY_MATRIX:
         raise DomainError(f"unknown group {group!r}")
-    mat = np.eye(n) if group == "SO3" else np.eye(n, dtype=np.complex128)
-    return GroupElement(group, mat)
+    return GroupElement(group, _IDENTITY_MATRIX[group])
 
 
 def _levi_civita() -> np.ndarray:

@@ -11,14 +11,16 @@ operations are pure; cochain value arrays are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .algebra import LieAlgebra
 from .errors import DomainError, SolverError
 from .mesh import Chain, CubicalComplex
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_SOLVER_TOL = 1e-10
 
@@ -231,12 +233,16 @@ def free_field_operator(complex: CubicalComplex, degree: int) -> sp.csr_matrix:
     """
     if degree >= complex.d:
         raise DomainError("no free-field operator at top degree")
+    import scipy.sparse as sp
+
     c = complex.coboundary_matrix(degree)
     w = complex.star_factors(degree + 1)
     return (c.T @ sp.diags(w) @ c).tocsr()
 
 
 def _cg_solve(k_mat, b, tol, maxiter):
+    from scipy.sparse.linalg import cg
+
     b_norm = float(np.max(np.abs(b)))
     if b_norm == 0.0:
         return np.zeros_like(b)

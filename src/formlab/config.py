@@ -76,7 +76,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     field_cfg = cfg.get("field", {})
     if not isinstance(field_cfg, dict):
         raise ConfigError("'field' must be an object")
-    field_degree = int(field_cfg.get("degree", 1))
+    field_degree = _parse(int, field_cfg.get("degree", 1), "'field.degree'")
     fiber = _build_fiber(field_cfg.get("fiber", "algebra"), algebra)
     if fiber.kind == "complex_pair" and algebra.name != "u2":
         raise ConfigError("the complex pair fiber needs the u2 scenario algebra")
@@ -88,7 +88,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     for key, value in (cfg.get("tolerances") or {}).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
-        value = float(value)
+        value = _parse(float, value, f"tolerance {key!r}")
         if value <= 0:
             raise ConfigError(f"tolerance {key!r} must be positive")
         tolerances[key] = value
@@ -114,12 +114,21 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         compose_source=cfg.get("compose"),
         checks=cfg.get("checks"),
         tolerances=tolerances,
-        seed=int(cfg.get("seed", 0)),
+        seed=_parse(int, cfg.get("seed", 0), "'seed'"),
         u2_c2_map=u2_map,
         base_dir=Path(base_dir),
     )
     _validate_requests(scenario)
     return scenario
+
+
+def _parse(kind, value, what: str):
+    """int(value) or float(value), with a ConfigError naming `what`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
 
 
 def _build_mesh(spec) -> CubicalComplex:
@@ -199,7 +208,9 @@ def resolve_chain(scenario: Scenario, spec) -> Chain:
         raise ConfigError("this command needs a 'mesh' entry in the config")
     try:
         return named_cycle(scenario.complex, spec)
-    except DomainError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"bad chain spec: missing key {exc}") from exc
+    except (DomainError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad chain spec: {exc}") from exc
 
 
@@ -220,6 +231,8 @@ def _validate_requests(scenario: Scenario) -> None:
         charged = req["charged"]
         if not isinstance(charged, dict) or "support" not in charged:
             raise ConfigError(f"defect request {i}: 'charged' needs a 'support'")
+        _parse(int, req["degree"], f"defect request {i}: 'degree'")
+        _parse(int, charged.get("degree", 0), f"defect request {i}: 'charged.degree'")
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:

@@ -52,25 +52,29 @@ def load_field_csv(cx: CubicalComplex, degree: int, fiber: FiberSpec, path) -> C
         header = next(reader, None)
         if header != _header(cx.d):
             raise ConfigError(f"unexpected CSV header in {path}")
-        for row in reader:
-            if len(row) != len(header):
-                raise ConfigError(f"malformed CSV row in {path}: {row!r}")
-            row_degree = int(row[0])
-            if row_degree != degree:
-                raise ConfigError(
-                    f"CSV row of degree {row_degree} does not match field degree {degree}"
-                )
-            base = tuple(int(b) for b in row[1 : 1 + cx.d])
-            axes = tuple(int(ch) for ch in row[1 + cx.d])
-            comp = int(row[2 + cx.d])
-            re, im = float(row[3 + cx.d]), float(row[4 + cx.d])
-            if not fiber.is_complex and im != 0.0:
-                raise ConfigError("imaginary parts in a CSV for a real fiber")
-            idx = cx.cell_index(degree, base, axes)
-            if not 0 <= comp < fiber.components:
-                raise ConfigError(f"component index {comp} out of range")
-            values[idx, comp] = re + 1j * im if fiber.is_complex else re
-            seen[idx, comp] = True
+        # one try around the whole loop: entering it costs nothing per row
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    raise ConfigError(f"malformed CSV row in {path}: {row!r}")
+                row_degree = int(row[0])
+                if row_degree != degree:
+                    raise ConfigError(
+                        f"CSV row of degree {row_degree} does not match field degree {degree}"
+                    )
+                base = tuple(int(b) for b in row[1 : 1 + cx.d])
+                axes = tuple(int(ch) for ch in row[1 + cx.d])
+                comp = int(row[2 + cx.d])
+                re, im = float(row[3 + cx.d]), float(row[4 + cx.d])
+                if not fiber.is_complex and im != 0.0:
+                    raise ConfigError("imaginary parts in a CSV for a real fiber")
+                idx = cx.cell_index(degree, base, axes)
+                if not 0 <= comp < fiber.components:
+                    raise ConfigError(f"component index {comp} out of range")
+                values[idx, comp] = re + 1j * im if fiber.is_complex else re
+                seen[idx, comp] = True
+        except ValueError as exc:
+            raise ConfigError(f"malformed CSV row in {path}: {row!r} ({exc})") from exc
     if not seen.all():
         raise ConfigError(f"field CSV {path} does not cover every cell and component")
     return Cochain(cx, degree, fiber, values)

@@ -52,12 +52,10 @@ class GradedMorphism:
     def __post_init__(self):
         if self.source not in (0, 1) or self.shift not in (0, 1):
             raise DegreeError("source and shift must be 0 or 1")
-        if self.primitive:
-            if self.g.is_identity():
-                if self.shift != 0:
-                    raise DegreeError("the identity acts degree-preservingly")
-            elif self.shift != 1:
-                raise DegreeError("a primitive non-identity action must shift degree")
+        if self.primitive and self.shift != _generator_shift(self.g):
+            if self.shift:
+                raise DegreeError("the identity acts degree-preservingly")
+            raise DegreeError("a primitive non-identity action must shift degree")
 
     @property
     def target(self) -> int:
@@ -68,26 +66,25 @@ class GradedMorphism:
             self.source == other.source
             and self.shift == other.shift
             and self.g.group == other.g.group
-            and np.max(np.abs(self.g.matrix - other.g.matrix)) <= tol
+            and np.abs(self.g.matrix - other.g.matrix).max() <= tol
         )
+
+
+def _generator_shift(g: GroupElement) -> int:
+    """The one rule for generators: the identity keeps the degree, any other
+    element shifts it."""
+    return 0 if g.is_identity() else 1
 
 
 def primitive_morphism(g: GroupElement, source: int) -> GradedMorphism:
     """The generator morphism of g at the given source degree."""
-    shift = 0 if g.is_identity() else 1
-    return GradedMorphism(g, source, shift, primitive=True)
+    return GradedMorphism(g, source, _generator_shift(g), primitive=True)
 
 
 def identity_morphism(e: GroupElement, degree: int) -> GradedMorphism:
     if not e.is_identity():
         raise DomainError("identity_morphism needs the identity group element")
     return GradedMorphism(e, degree, 0, primitive=True)
-
-
-def _is_primitive_pattern(g: GroupElement, shift: int) -> bool:
-    if g.is_identity():
-        return shift == 0
-    return shift == 1
 
 
 def compose(second: GradedMorphism, first: GradedMorphism) -> GradedMorphism:
@@ -101,13 +98,13 @@ def compose(second: GradedMorphism, first: GradedMorphism) -> GradedMorphism:
         )
     g = second.g @ first.g
     shift = (first.shift + second.shift) % 2
-    return GradedMorphism(g, first.source, shift, primitive=_is_primitive_pattern(g, shift))
+    return GradedMorphism(g, first.source, shift, primitive=shift == _generator_shift(g))
 
 
 def inverse(m: GradedMorphism) -> GradedMorphism:
     """Two-sided inverse: swaps source and target, inverts the element."""
     return GradedMorphism(
-        m.g.inverse(), m.target, m.shift, primitive=_is_primitive_pattern(m.g, m.shift)
+        m.g.inverse(), m.target, m.shift, primitive=m.shift == _generator_shift(m.g)
     )
 
 

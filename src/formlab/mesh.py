@@ -23,11 +23,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, GeometryError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def perm_sign(seq) -> int:
@@ -168,6 +171,9 @@ class CubicalComplex:
         if degree < 1 or degree > self.d:
             raise DomainError(f"no boundary operator for degree {degree}")
         if degree not in self._boundary:
+            # scipy loads on first use, so commands without a mesh never pay for it
+            import scipy.sparse as sp
+
             rows, cols, vals = [], [], []
             for j in range(self.cell_count(degree)):
                 c = self.cell(degree, j)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import formlab
 from formlab import COMPLEX_PAIR, Cochain, CubicalComplex, REAL_SCALAR, algebra_fiber, eom_residual, max_norm, so3, solve_free
 from formlab.cli import main
 from formlab.fieldio import emit_field_csv, load_field_csv
@@ -187,10 +191,59 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
     bad_tol = write_config(tmp_path, base_config(tolerances={"check": -1.0}), "tol.json")
     assert main(["check", bad_tol]) == 2
 
+    # malformed values inside an otherwise valid defect scenario
+    shipped = json.loads((CONFIG_DIR / "so3_defect.json").read_text())
+
+    def defect_variant(name, edit):
+        cfg = json.loads(json.dumps(shipped))
+        edit(cfg)
+        return write_config(tmp_path, cfg, name)
+
+    cx = CubicalComplex(shipped["mesh"]["shape"])
+    csv_path = tmp_path / "field.csv"
+    emit_field_csv(Cochain.zeros(cx, 1, algebra_fiber(so3())), csv_path)
+    rows = csv_path.read_text().splitlines()
+    rows[1] = "x" + rows[1][1:]  # a non-integer degree
+    csv_path.write_text("\n".join(rows) + "\n")
+
+    malformed = [
+        lambda c: c["defects"][0]["support"].pop("axis"),
+        lambda c: c.update(seed="x"),
+        lambda c: c["field"].update(degree="one"),
+        lambda c: c["defects"][0]["move"]["filling"]["items"][0].update(base=["a", 0, 3]),
+        lambda c: c["field"].update(init={"init": "explicit", "csv": "field.csv"}),
+        lambda c: c["defects"][0].update(degree="x"),
+        lambda c: c.update(tolerances={"check": "x"}),
+    ]
+    for n, edit in enumerate(malformed):
+        out = tmp_path / f"malformed{n}.out.json"
+        assert main(["defect", defect_variant(f"malformed{n}.json", edit), "--out", str(out)]) == 2, n
+        assert not out.exists()
+
     capsys.readouterr()  # errors go to stderr, nothing on stdout
     out = tmp_path / "never.json"
     assert main(["check", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
     assert not out.exists()  # no partial report on exit 2
+
+
+def test_compose_starts_without_scipy(tmp_path):
+    # scipy costs about 0.4 s per start-up and compose never needs it
+    script = (
+        "import sys\n"
+        "import formlab.cli\n"
+        "argv = ['compose', sys.argv[1], '--out', sys.argv[2]]\n"
+        "assert formlab.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(formlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "compose.json"
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIG_DIR / "so3_check.json"), str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "[]"
+    assert json.loads(out.read_text())["ok"] is True
 
 
 def test_seed_flag_overrides_config(tmp_path):

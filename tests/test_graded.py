@@ -140,6 +140,23 @@ def test_groupoid_laws_on_quaternion_closure():
     assert groupoid_law_violations(quaternion_elements()) == 0
 
 
+def _accepts_degree_mismatch(second, first):
+    g = second.g @ first.g
+    return GradedMorphism(g, first.source, (first.shift + second.shift) % 2)
+
+
+def _drops_second_shift(second, first):
+    if first.target != second.source:
+        raise DegreeError("degree mismatch")
+    return GradedMorphism(second.g @ first.g, first.source, first.shift)
+
+
+@pytest.mark.parametrize("broken", [_accepts_degree_mismatch, _drops_second_shift])
+def test_groupoid_law_check_catches_broken_compose(monkeypatch, broken):
+    monkeypatch.setattr("formlab.checks.compose", broken)
+    assert groupoid_law_violations(quaternion_elements()) > 0
+
+
 def test_rep_homomorphism(rng):
     for algebra, fiber in [(so3(), algebra_fiber(so3())), (u2(), algebra_fiber(u2())), (u2(), COMPLEX_PAIR)]:
         rep = GroupoidRep(fiber)
