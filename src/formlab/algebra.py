@@ -247,11 +247,10 @@ def adjoint_matrix(g: GroupElement, algebra: LieAlgebra) -> np.ndarray:
     if g.group != algebra.group:
         raise DomainError(f"{g.group} does not act on {algebra.name}")
     gens = algebra.generators
-    gh = g.matrix.conj().T
-    cols = [g.matrix @ t @ gh for t in gens]
-    return np.array(
-        [[np.trace(ta.conj().T @ c).real for c in cols] for ta in gens]
-    )
+    cols = g.matrix @ gens @ g.matrix.conj().T
+    # entry (a, c) is trace(T_a^H Ad_g T_c), as one stacked product
+    gens_h = gens.conj().transpose(0, 2, 1)
+    return np.trace(gens_h[:, None] @ cols[None], axis1=2, axis2=3).real
 
 
 def exponential(x: AlgebraElement) -> GroupElement:

@@ -161,13 +161,37 @@ class CubicalComplex:
             rem %= s
         return Cell(degree, tuple(base), axes)
 
-    def cells(self, degree: int):
-        return [self.cell(degree, i) for i in range(self.cell_count(degree))]
+    def cell_indices(self, degree: int, axes, bases) -> np.ndarray:
+        """Vectorised cell_index: indices of the cells spanning `axes` at the
+        base coordinates given as the columns of a (d, m) integer array."""
+        axes = tuple(axes)
+        try:
+            offset, extents, strides = self._blocks[degree][axes]
+        except KeyError:
+            raise DomainError(f"no degree-{degree} cells with axes {axes}") from None
+        bases = np.asarray(bases, dtype=np.int64)
+        if self.topology == "torus":
+            bases = bases % np.array(self.shape)[:, None]
+        elif ((bases < 0) | (bases >= np.array(extents)[:, None])).any():
+            raise DomainError(f"base coordinates out of range for axes {axes}")
+        return offset + np.array(strides) @ bases
+
+    def block_bases(self, degree: int, axes) -> np.ndarray:
+        """Base coordinates (d, count) of the cells spanning `axes`, in index order."""
+        extents = self._blocks[degree][tuple(axes)][1]
+        return np.indices(extents).reshape(self.d, -1)
 
     # -- incidence ---------------------------------------------------------
 
     def boundary_matrix(self, degree: int) -> sp.csr_matrix:
-        """Integer incidence matrix of shape (n_{p-1}, n_p)."""
+        """Integer incidence matrix of shape (n_{p-1}, n_p).
+
+        Assembled block by block with no per-cell objects: for the cells (v, A)
+        of one axis subset and each a_t in A, the lower faces (v, A \\ a_t) are
+        base . strides in the face block and the upper faces add one stride
+        along a_t (wrapping to 0 on a torus); the signs are +-(-1)^(t-1) as in
+        the module docstring.
+        """
         if degree < 1 or degree > self.d:
             raise DomainError(f"no boundary operator for degree {degree}")
         if degree not in self._boundary:
@@ -175,21 +199,24 @@ class CubicalComplex:
             import scipy.sparse as sp
 
             rows, cols, vals = [], [], []
-            for j in range(self.cell_count(degree)):
-                c = self.cell(degree, j)
-                for t, a in enumerate(c.axes):
-                    sub = tuple(x for x in c.axes if x != a)
+            for axes in self._subsets[degree]:
+                offset = self._blocks[degree][axes][0]
+                base = self.block_bases(degree, axes)
+                n = base.shape[1]
+                block_cols = np.arange(offset, offset + n)
+                for t, a in enumerate(axes):
+                    sub_offset, _, sub_strides = self._blocks[degree - 1][axes[:t] + axes[t + 1 :]]
+                    # the face block is at least as long as this one on every axis
+                    lower = sub_offset + np.array(sub_strides) @ base
+                    step = np.ones(n, dtype=np.int64)
+                    if self.topology == "torus":
+                        step[base[a] == self.shape[a] - 1] = 1 - self.shape[a]
                     sign = -1 if t % 2 else 1
-                    upper = list(c.base)
-                    upper[a] += 1
-                    rows.append(self.cell_index(degree - 1, upper, sub))
-                    cols.append(j)
-                    vals.append(sign)
-                    rows.append(self.cell_index(degree - 1, c.base, sub))
-                    cols.append(j)
-                    vals.append(-sign)
+                    rows += [lower + step * sub_strides[a], lower]
+                    cols += [block_cols, block_cols]
+                    vals += [np.full(n, sign), np.full(n, -sign)]
             mat = sp.coo_matrix(
-                (vals, (rows, cols)),
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(self.cell_count(degree - 1), self.cell_count(degree)),
                 dtype=np.int64,
             )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import formlab
-from formlab import COMPLEX_PAIR, Cochain, CubicalComplex, REAL_SCALAR, algebra_fiber, eom_residual, max_norm, so3, solve_free
+from formlab import COMPLEX_PAIR, Cochain, CubicalComplex, FormlabError, REAL_SCALAR, algebra_fiber, eom_residual, max_norm, so3, solve_free
 from formlab.cli import main
 from formlab.fieldio import emit_field_csv, load_field_csv
 
@@ -278,6 +278,98 @@ def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     cpx = Cochain.random_gaussian(cx, 1, COMPLEX_PAIR, rng)
     emit_field_csv(cpx, path)
     assert np.array_equal(load_field_csv(cx, 1, COMPLEX_PAIR, path).values, cpx.values)
+
+
+def _set_column(col, value, row=1):
+    def edit(rows):
+        fields = rows[row].split(",")
+        fields[col] = value
+        rows[row] = ",".join(fields)
+    return edit
+
+
+def _append_row(col, value):
+    def edit(rows):
+        fields = rows[1].split(",")
+        fields[col] = value
+        rows.append(",".join(fields))
+    return edit
+
+
+# each edit keeps every (cell, component) covered unless coverage is the point,
+# so the rejection comes from the rule named in the case
+_REJECTED_CSV_EDITS = {
+    "short_row": lambda rows: rows.append(rows[1].rsplit(",", 1)[0]),
+    "degree_mismatch": lambda rows: rows.append("2,0,0,0,01,0,0,0"),
+    "axes_3": _append_row(4, "3"),
+    "axes_01_on_degree_1": _append_row(4, "01"),
+    "component_3": _append_row(5, "3"),
+    "imaginary_on_real_fiber": _set_column(7, "1"),
+    "missing_row": lambda rows: rows.pop(5),
+    "header_only": lambda rows: rows.__delitem__(slice(1, None)),
+    "base_1.0": _append_row(2, "1.0"),
+    "blank_line": lambda rows: rows.insert(3, ""),
+    "trailing_blank_line": lambda rows: rows.append(""),
+    "comment_line": lambda rows: rows.insert(3, "# a comment"),
+}
+# torus bases wrap, so only a box has out-of-range bases
+_BOX_REJECTED_CSV_EDITS = {"base_9": _append_row(1, "9"), "base_-1": _append_row(1, "-1")}
+
+
+@pytest.mark.parametrize(
+    "topology,case",
+    [(t, c) for t in ("torus", "box") for c in sorted(_REJECTED_CSV_EDITS)]
+    + [("box", c) for c in _BOX_REJECTED_CSV_EDITS],
+)
+def test_field_csv_rejects_malformed_rows(tmp_path, topology, case):
+    edit = {**_REJECTED_CSV_EDITS, **_BOX_REJECTED_CSV_EDITS}[case]
+    cx = CubicalComplex([3, 3, 3], topology=topology)
+    fiber = algebra_fiber(so3())
+    path = tmp_path / "field.csv"
+    emit_field_csv(Cochain.random_gaussian(cx, 1, fiber, np.random.default_rng(4)), path)
+    rows = path.read_text().splitlines()
+    edit(rows)
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(FormlabError):
+        load_field_csv(cx, 1, fiber, path)
+
+
+@pytest.mark.parametrize("topology", ["torus", "box"])
+def test_field_csv_accepted_variants(tmp_path, topology):
+    cx = CubicalComplex([3, 3, 3], topology=topology)
+    fiber = algebra_fiber(so3())
+    psi = Cochain.random_gaussian(cx, 1, fiber, np.random.default_rng(5))
+    path = tmp_path / "field.csv"
+    emit_field_csv(psi, path)
+    original = path.read_text().splitlines()
+
+    def load(edit):
+        rows = list(original)
+        edit(rows)
+        path.write_text("\n".join(rows) + "\n")
+        return load_field_csv(cx, 1, fiber, path).values
+
+    def dup_before(rows):
+        rows.insert(1, rows[4].rsplit(",", 2)[0] + ",7.5,0")
+
+    def dup_after(rows):
+        rows.append(rows[4].rsplit(",", 2)[0] + ",7.5,0")
+
+    def quoted(rows):
+        fields = rows[2].split(",")
+        fields[4] = f'"{fields[4]}"'
+        fields[6] = f'"{fields[6]}"'
+        rows[2] = ",".join(fields)
+
+    # a duplicated row is accepted and the last one wins
+    assert np.array_equal(load(dup_before), psi.values)
+    expected = psi.values.copy()
+    expected[1, 0] = 7.5  # line 4 holds cell 1, component 0
+    assert np.array_equal(load(dup_after), expected)
+    assert np.array_equal(load(quoted), psi.values)
+    expected = psi.values.copy()
+    expected[0, 1] = np.nan
+    assert np.array_equal(load(_set_column(6, "nan", row=2)), expected, equal_nan=True)
 
 
 def test_solver_dump_reload_preserves_residual(tmp_path, rng):

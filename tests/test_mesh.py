@@ -104,6 +104,35 @@ def test_boundary_squared_is_zero(shape, topology):
         assert product.nnz == 0
 
 
+@pytest.mark.parametrize("topology", ["torus", "box"])
+@pytest.mark.parametrize("shape", [(2,), (3, 2), (2, 3, 4), (3, 3, 3)])
+def test_boundary_matrix_matches_defining_formula(shape, topology):
+    # the module docstring's formula, evaluated cell by cell:
+    # boundary (v, A) = sum_t (-1)^(t-1) [ (v + e_{a_t}, A \ a_t) - (v, A \ a_t) ]
+    cx = CubicalComplex(shape, topology=topology)
+    for p in range(1, cx.d + 1):
+        entries = {}
+        for j in range(cx.cell_count(p)):
+            cell = cx.cell(p, j)
+            for t, a in enumerate(cell.axes):
+                sub = tuple(x for x in cell.axes if x != a)
+                sign = (-1) ** t
+                upper = list(cell.base)
+                upper[a] += 1
+                for face, s in ((upper, sign), (cell.base, -sign)):
+                    key = (cx.cell_index(p - 1, face, sub), j)
+                    entries[key] = entries.get(key, 0) + s
+        keys = sorted(k for k, v in entries.items() if v)
+        indptr = np.zeros(cx.cell_count(p - 1) + 1, dtype=np.int64)
+        np.add.at(indptr, [r + 1 for r, _ in keys], 1)
+        mat = cx.boundary_matrix(p)
+        assert mat.shape == (cx.cell_count(p - 1), cx.cell_count(p))
+        assert mat.dtype == np.int64
+        assert np.array_equal(mat.indptr, np.cumsum(indptr))
+        assert np.array_equal(mat.indices, [c for _, c in keys])
+        assert np.array_equal(mat.data, [entries[k] for k in keys])
+
+
 def test_cell_index_roundtrip():
     cx = CubicalComplex([3, 4], topology="box")
     for p in range(cx.d + 1):
