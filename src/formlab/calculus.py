@@ -2,9 +2,10 @@
 
 Cochains assign a fiber value (real scalar, complex pair, or Lie-algebra
 coefficient vector) to every cell of one degree.  The coboundary is the
-transpose of the integer boundary incidence, the Hodge star is diagonal
-(dual/primal volume ratio times the axis-permutation sign), and the inner
-product weights every cell by star factor times primal volume.  All
+transpose of the integer boundary incidence, applied from the mesh's face
+tables with numpy alone (only the solver loads scipy), the Hodge star is
+diagonal (dual/primal volume ratio times the axis-permutation sign), and the
+inner product weights every cell by star factor times primal volume.  All
 operations are pure; cochain value arrays are read-only.
 """
 
@@ -137,8 +138,17 @@ def d(psi: Cochain) -> Cochain:
     """Coboundary; d(d(psi)) vanishes exactly on integer-valued cochains."""
     if psi.degree >= psi.complex.d:
         raise DomainError("top-degree cochains have no coboundary")
-    mat = psi.complex.coboundary_matrix(psi.degree)
-    return Cochain(psi.complex, psi.degree + 1, psi.fiber, mat @ psi.values)
+    faces, signs = psi.complex.face_table(psi.degree + 1)
+    # one face column at a time, adding sign * value to zeros in the order of
+    # the CSR product with coboundary_matrix, so every number comes out the
+    # same to the bit, signed zeros included (a nan may differ in its unprinted
+    # sign bit, which the compiled product does not fix either); quietly on
+    # inf and nan values, as that product is
+    out = np.zeros((faces.shape[1], psi.values.shape[1]), dtype=psi.values.dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx, sign in zip(faces, signs):
+            out += sign[:, None] * psi.values.take(idx, axis=0)
+    return Cochain(psi.complex, psi.degree + 1, psi.fiber, out)
 
 
 def star(psi: Cochain) -> Cochain:

@@ -145,9 +145,15 @@ def _check_boundary_squared(ctx: _Ctx):
         return None
     worst = 0.0
     for p in range(2, cx.d + 1):
-        prod = cx.boundary_matrix(p - 1) @ cx.boundary_matrix(p)
-        if prod.nnz:
-            worst = max(worst, float(np.max(np.abs(prod.data))))
+        faces, signs = cx.face_table(p)
+        sub_faces, sub_signs = cx.face_table(p - 1)
+        # entry (k, j) of boundary(p-1) . boundary(p): the signed count of the
+        # faces of the faces of p-cell j that are the (p-2)-cell k
+        cells = np.arange(faces.shape[1])
+        keys = (cells * cx.cell_count(p - 2) + sub_faces[:, faces]).ravel()
+        _, entry = np.unique(keys, return_inverse=True)
+        sums = np.bincount(entry.ravel(), weights=(sub_signs[:, faces] * signs).ravel())
+        worst = max(worst, float(np.max(np.abs(sums))))
     return CheckResult("boundary_squared_zero", worst == 0.0, worst, 0.0, 0.0)
 
 

@@ -11,9 +11,10 @@ quoted, integers may carry a sign or surrounding spaces and must fit in 64
 bits, and values are anything numpy parses as a float (including nan and
 inf).  It rejects blank and comment lines, rows of the wrong length or
 degree, axes that name no cell of that degree, component indices out of
-range, base coordinates off a box (a torus wraps them), non-zero imaginary
-parts for a real fiber, and files that leave a (cell, component) pair
-unset.  When a pair appears twice, the later row wins.
+range, base coordinates that name no cell (outside [0, n) on a torus, as
+a torus of another size would write them), non-zero imaginary parts for a
+real fiber, and files that leave a (cell, component) pair unset.  When a
+pair appears twice, the later row wins.
 """
 
 from __future__ import annotations
@@ -122,12 +123,11 @@ def load_field_csv(cx: CubicalComplex, degree: int, fiber: FiberSpec, path) -> C
     np.maximum.at(last_row, idx * fiber.components + comp, np.arange(len(rows)))
     if (last_row < 0).any():
         raise ConfigError(f"field CSV {path} does not cover every cell and component")
-    re = rows["re"][last_row]
     if fiber.is_complex:
-        # the same arithmetic as the scalar re + 1j * im, so an infinite im
-        # gives the same nan real part
-        with np.errstate(invalid="ignore"):
-            values = re + 1j * rows["im"][last_row]
+        # set the parts apart: re + 1j * im would turn an infinite im into a nan re
+        values = np.empty(len(last_row), dtype=np.complex128)
+        values.real = rows["re"][last_row]
+        values.imag = rows["im"][last_row]
     else:
-        values = re
+        values = rows["re"][last_row]
     return Cochain(cx, degree, fiber, values.reshape(n, fiber.components))

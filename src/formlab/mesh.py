@@ -6,6 +6,12 @@ coefficient of -1 means the reversed cell.  Indexing groups cells by axis
 subset (lexicographic) and enumerates base vertices in C order, which makes
 every operator below reproducible bit for bit.
 
+Incidence is held in one form, the face table of each degree (its 2p sorted
+faces and their signs per p-cell, see `CubicalComplex.face_table`); the
+boundary, `calculus.d` and the boundary-squared check work on it with numpy
+alone.  The scipy matrices `boundary_matrix` and `coboundary_matrix` are
+views derived from it for the solver.
+
 Conventions fixed here and relied on elsewhere:
 
 * boundary of a p-cube (v, A), A = (a_1 < ... < a_p):
@@ -114,8 +120,7 @@ class CubicalComplex:
             p: [self._blocks[p][axes][0] for axes in self._subsets[p]]
             for p in range(self.d + 1)
         }
-        self._boundary = {}
-        self._coboundary = {}
+        self._faces = {}
         self._star = {}
 
     # -- cells -------------------------------------------------------------
@@ -163,16 +168,18 @@ class CubicalComplex:
 
     def cell_indices(self, degree: int, axes, bases) -> np.ndarray:
         """Vectorised cell_index: indices of the cells spanning `axes` at the
-        base coordinates given as the columns of a (d, m) integer array."""
+        base coordinates given as the columns of a (d, m) integer array.
+
+        Unlike cell_index it never wraps: a base outside the block's extents
+        is an error on a torus too.
+        """
         axes = tuple(axes)
         try:
             offset, extents, strides = self._blocks[degree][axes]
         except KeyError:
             raise DomainError(f"no degree-{degree} cells with axes {axes}") from None
         bases = np.asarray(bases, dtype=np.int64)
-        if self.topology == "torus":
-            bases = bases % np.array(self.shape)[:, None]
-        elif ((bases < 0) | (bases >= np.array(extents)[:, None])).any():
+        if ((bases < 0) | (bases >= np.array(extents)[:, None])).any():
             raise DomainError(f"base coordinates out of range for axes {axes}")
         return offset + np.array(strides) @ bases
 
@@ -183,52 +190,74 @@ class CubicalComplex:
 
     # -- incidence ---------------------------------------------------------
 
-    def boundary_matrix(self, degree: int) -> sp.csr_matrix:
-        """Integer incidence matrix of shape (n_{p-1}, n_p).
+    def face_table(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """The incidence of the degree-p cells as (faces, signs), each (2p, n_p).
 
-        Assembled block by block with no per-cell objects: for the cells (v, A)
-        of one axis subset and each a_t in A, the lower faces (v, A \\ a_t) are
-        base . strides in the face block and the upper faces add one stride
-        along a_t (wrapping to 0 on a torus); the signs are +-(-1)^(t-1) as in
-        the module docstring.
+        Column j holds the 2p faces of p-cell j in ascending index order and
+        their incidence signs, so faces[t] is the t-th smallest face of every
+        cell.  Built block by block with no per-cell objects: for the cells
+        (v, A) of one axis subset and each a_t in A, the lower face
+        (v, A \\ a_t) is base . strides in the face block and the upper face
+        is one stride further along a_t (wrapping to 0 on a torus); the upper
+        face has sign (-1)^(t-1) and the lower one its negative, as in the
+        module docstring.  The face blocks of A come in the order of
+        decreasing t, so sorting a column only orders each lower/upper pair.
+        Read-only; indices are int32 whenever they fit, signs int8.
         """
         if degree < 1 or degree > self.d:
             raise DomainError(f"no boundary operator for degree {degree}")
-        if degree not in self._boundary:
-            # scipy loads on first use, so commands without a mesh never pay for it
-            import scipy.sparse as sp
-
-            rows, cols, vals = [], [], []
+        if degree not in self._faces:
+            n = self.cell_count(degree)
+            index_dtype = np.int32 if self.cell_count(degree - 1) < 2**31 else np.int64
+            faces = np.empty((2 * degree, n), dtype=index_dtype)
+            signs = np.empty((2 * degree, n), dtype=np.int8)
             for axes in self._subsets[degree]:
                 offset = self._blocks[degree][axes][0]
                 base = self.block_bases(degree, axes)
-                n = base.shape[1]
-                block_cols = np.arange(offset, offset + n)
+                cols = slice(offset, offset + base.shape[1])
                 for t, a in enumerate(axes):
                     sub_offset, _, sub_strides = self._blocks[degree - 1][axes[:t] + axes[t + 1 :]]
                     # the face block is at least as long as this one on every axis
                     lower = sub_offset + np.array(sub_strides) @ base
-                    step = np.ones(n, dtype=np.int64)
+                    upper = lower + sub_strides[a]
                     if self.topology == "torus":
-                        step[base[a] == self.shape[a] - 1] = 1 - self.shape[a]
+                        upper[base[a] == self.shape[a] - 1] -= self.shape[a] * sub_strides[a]
                     sign = -1 if t % 2 else 1
-                    rows += [lower + step * sub_strides[a], lower]
-                    cols += [block_cols, block_cols]
-                    vals += [np.full(n, sign), np.full(n, -sign)]
-            mat = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.cell_count(degree - 1), self.cell_count(degree)),
-                dtype=np.int64,
-            )
-            self._boundary[degree] = mat.tocsr()
-        return self._boundary[degree]
+                    row = 2 * (degree - 1 - t)
+                    faces[row, cols] = np.minimum(lower, upper)
+                    faces[row + 1, cols] = np.maximum(lower, upper)
+                    signs[row, cols] = np.where(upper < lower, sign, -sign)
+                    signs[row + 1, cols] = -signs[row, cols]
+            faces.setflags(write=False)
+            signs.setflags(write=False)
+            self._faces[degree] = (faces, signs)
+        return self._faces[degree]
+
+    def _table_arrays(self, degree: int, dtype) -> tuple:
+        """(data, indices, indptr) of face_table(degree), read cell by cell."""
+        faces, signs = self.face_table(degree)
+        per_cell, n = faces.shape
+        indptr = np.arange(0, n * per_cell + 1, per_cell)
+        return signs.T.astype(dtype).ravel(), faces.T.ravel(), indptr
+
+    def boundary_matrix(self, degree: int) -> sp.csr_matrix:
+        """Integer incidence matrix of shape (n_{p-1}, n_p), derived from the
+        face table (whose columns are this matrix in CSC form)."""
+        # scipy loads on first use: only the solver needs incidence as a matrix
+        import scipy.sparse as sp
+
+        arrays = self._table_arrays(degree, np.int64)
+        shape = (self.cell_count(degree - 1), self.cell_count(degree))
+        return sp.csc_matrix(arrays, shape=shape).tocsr()
 
     def coboundary_matrix(self, degree: int) -> sp.csr_matrix:
-        """Float copy of boundary_matrix(degree+1) transposed: (n_{p+1}, n_p)."""
-        if degree not in self._coboundary:
-            b = self.boundary_matrix(degree + 1)
-            self._coboundary[degree] = b.T.astype(np.float64).tocsr()
-        return self._coboundary[degree]
+        """Float transpose of boundary_matrix(degree+1), (n_{p+1}, n_p): the
+        face table of degree p+1 read as CSR rows."""
+        import scipy.sparse as sp
+
+        arrays = self._table_arrays(degree + 1, np.float64)
+        shape = (self.cell_count(degree + 1), self.cell_count(degree))
+        return sp.csr_matrix(arrays, shape=shape)
 
     # -- metric / duality --------------------------------------------------
 
@@ -332,17 +361,6 @@ class Chain:
             raise DomainError("cannot infer the degree of an empty cell list")
         return cls(complex, degree, coeffs)
 
-    @classmethod
-    def from_vector(cls, complex: CubicalComplex, degree: int, vec) -> Chain:
-        vec = np.asarray(vec)
-        return cls(complex, degree, {int(i): int(vec[i]) for i in np.nonzero(vec)[0]})
-
-    def to_vector(self) -> np.ndarray:
-        vec = np.zeros(self.complex.cell_count(self.degree), dtype=np.int64)
-        for idx, c in self.coeffs.items():
-            vec[idx] = c
-        return vec
-
     def items(self):
         return sorted(self.coeffs.items())
 
@@ -391,8 +409,14 @@ def boundary(chain: Chain) -> Chain:
     """Integer boundary; boundary(boundary(c)) is exactly zero."""
     if chain.degree == 0:
         raise DomainError("0-chains have no boundary")
-    mat = chain.complex.boundary_matrix(chain.degree)
-    return Chain.from_vector(chain.complex, chain.degree - 1, mat @ chain.to_vector())
+    cx = chain.complex
+    faces, signs = cx.face_table(chain.degree)
+    cells = np.fromiter(chain.coeffs, dtype=np.int64, count=len(chain.coeffs))
+    coefs = np.fromiter(chain.coeffs.values(), dtype=np.int64, count=len(chain.coeffs))
+    vec = np.zeros(cx.cell_count(chain.degree - 1), dtype=np.int64)
+    np.add.at(vec, faces[:, cells], signs[:, cells] * coefs)
+    nonzero = np.flatnonzero(vec)
+    return Chain(cx, chain.degree - 1, dict(zip(nonzero.tolist(), vec[nonzero].tolist())))
 
 
 def is_cycle(chain: Chain) -> bool:

@@ -15,6 +15,8 @@ from formlab import (
     is_cycle,
     named_cycle,
 )
+from formlab.checks import run_checks
+from formlab.config import scenario_from_dict
 from formlab.mesh import perm_sign
 
 
@@ -138,6 +140,44 @@ def test_cell_index_roundtrip():
     for p in range(cx.d + 1):
         for i in range(cx.cell_count(p)):
             assert cx.index_of(cx.cell(p, i)) == i
+
+
+@pytest.mark.parametrize("topology", ["torus", "box"])
+@pytest.mark.parametrize("shape", [(2,), (3, 2), (2, 3, 4), (3, 3, 3)])
+def test_boundary_matches_boundary_matrix(shape, topology, rng):
+    # the chain boundary works on the face table; the CSR matrix is the oracle
+    cx = CubicalComplex(shape, topology=topology)
+    for p in range(1, cx.d + 1):
+        n = cx.cell_count(p)
+        for cells in (0, 1, 5, n):
+            chain = random_chain(cx, p, rng, cells=cells)
+            vec = np.zeros(n, dtype=np.int64)
+            vec[list(chain.coeffs)] = list(chain.coeffs.values())
+            expected = cx.boundary_matrix(p) @ vec
+            got = np.zeros(cx.cell_count(p - 1), dtype=np.int64)
+            image = boundary(chain)
+            got[list(image.coeffs)] = list(image.coeffs.values())
+            assert image.degree == p - 1
+            assert np.array_equal(got, expected)
+            assert 0 not in image.coeffs.values()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_boundary_squared_check_catches_a_flipped_sign(monkeypatch, degree):
+    original = CubicalComplex.face_table
+
+    def flipped(self, p):
+        faces, signs = original(self, p)
+        if p == degree:
+            signs = signs.copy()
+            signs[0, 0] *= -1
+        return faces, signs
+
+    monkeypatch.setattr(CubicalComplex, "face_table", flipped)
+    scenario = scenario_from_dict({"mesh": {"shape": [3, 3, 3]}})
+    (result,) = run_checks(scenario, ["boundary_squared_zero"])
+    assert result.lhs > 0
+    assert not result.passed
 
 
 def test_unit_square_boundary_orientation():
