@@ -72,7 +72,6 @@ from .mesh import (
     Cobordism,
     CubicalComplex,
     boundary,
-    build,
     intersection_number,
     is_cycle,
     named_cycle,

@@ -2,26 +2,24 @@
 
 Cochains assign a fiber value (real scalar, complex pair, or Lie-algebra
 coefficient vector) to every cell of one degree.  The coboundary is the
-transpose of the integer boundary incidence, applied from the mesh's face
-tables with numpy alone (only the solver loads scipy), the Hodge star is
+transpose of the integer boundary incidence, applied as signed shift maps on
+the mesh's block grids (`CubicalComplex.add_coboundary`), the Hodge star is
 diagonal (dual/primal volume ratio times the axis-permutation sign), and the
-inner product weights every cell by star factor times primal volume.  All
-operations are pure; cochain value arrays are read-only.
+inner product weights every cell by star factor times primal volume.  The
+free-field solver is a matrix-free conjugate-gradient iteration on the same
+shift maps.  Everything runs on numpy alone; all operations are pure and
+cochain value arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import LieAlgebra
 from .errors import DomainError, SolverError
 from .mesh import Chain, CubicalComplex
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_SOLVER_TOL = 1e-10
 
@@ -136,19 +134,23 @@ class Cochain:
 
 def d(psi: Cochain) -> Cochain:
     """Coboundary; d(d(psi)) vanishes exactly on integer-valued cochains."""
-    if psi.degree >= psi.complex.d:
+    cx = psi.complex
+    if psi.degree >= cx.d:
         raise DomainError("top-degree cochains have no coboundary")
-    faces, signs = psi.complex.face_table(psi.degree + 1)
-    # one face column at a time, adding sign * value to zeros in the order of
-    # the CSR product with coboundary_matrix, so every number comes out the
-    # same to the bit, signed zeros included (a nan may differ in its unprinted
-    # sign bit, which the compiled product does not fix either); quietly on
-    # inf and nan values, as that product is
-    out = np.zeros((faces.shape[1], psi.values.shape[1]), dtype=psi.values.dtype)
+    values = psi.values
+    # quietly on inf and nan values, as the CSR product is
     with np.errstate(invalid="ignore", over="ignore"):
-        for idx, sign in zip(faces, signs):
-            out += sign[:, None] * psi.values.take(idx, axis=0)
-    return Cochain(psi.complex, psi.degree + 1, psi.fiber, out)
+        if psi.fiber.is_complex:
+            # work on (re, im) pairs; the CSR product multiplies each value by
+            # the complex sign ±1+0j, which puts 0 * an infinite or nan part
+            # into the other part as nan, so do the same
+            re, im = values.real, values.imag
+            values = np.stack([re + 0.0 * im, im + 0.0 * re], axis=-1).reshape(len(values), -1)
+        out = np.zeros((cx.cell_count(psi.degree + 1), values.shape[1]))
+        cx.add_coboundary(psi.degree, values.T, out.T)
+    if psi.fiber.is_complex:
+        out = out.view(np.complex128)
+    return Cochain(cx, psi.degree + 1, psi.fiber, out)
 
 
 def star(psi: Cochain) -> Cochain:
@@ -235,41 +237,62 @@ def eom_residual(psi: Cochain) -> Cochain:
     return d(star(d(psi)))
 
 
-def free_field_operator(complex: CubicalComplex, degree: int) -> sp.csr_matrix:
-    """Symmetric positive semi-definite operator of the free equation of motion.
+def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
+    """Conjugate gradients from zero for every row of b at once.
 
-    K = C^T diag(star factors) C with C the degree -> degree+1 coboundary;
-    K psi = 0 is equivalent to d star d psi = 0 on a torus.
+    Each row keeps its own recurrence (alpha, beta and the stop test
+    ||r||_2 <= 1e-13 ||b||_2) and leaves the block once it stops; the rows
+    still running share one operator application per step.  A zero row
+    gives exact zeros.  Raises SolverError for a row in the kernel of K and
+    for any row whose max-norm residual exceeds tol * (1 + max|b|).
     """
-    if degree >= complex.d:
-        raise DomainError("no free-field operator at top degree")
-    import scipy.sparse as sp
-
-    c = complex.coboundary_matrix(degree)
-    w = complex.star_factors(degree + 1)
-    return (c.T @ sp.diags(w) @ c).tocsr()
-
-
-def _cg_solve(k_mat, b, tol, maxiter):
-    from scipy.sparse.linalg import cg
-
-    b_norm = float(np.max(np.abs(b)))
-    if b_norm == 0.0:
-        return np.zeros_like(b)
+    x = np.zeros_like(b)
+    b_norm = np.max(np.abs(b), axis=1)
+    live = np.flatnonzero(b_norm > 0.0)
+    if not live.size:
+        return x
     # the operator is symmetric, so a right-hand side in its kernel cannot be
-    # in its range: fail fast instead of letting cg break down
-    if float(np.max(np.abs(k_mat @ b))) <= 1e-14 * b_norm:
+    # in its range: fail fast instead of letting the iteration break down
+    if np.any(np.max(np.abs(apply_k(b[live])), axis=1) <= 1e-14 * b_norm[live]):
         raise SolverError("incompatible source: it lies in the kernel of the operator")
+    xs, r, p = np.zeros((live.size, b.shape[1])), b[live], None
+    stop = 1e-13 * np.sqrt(np.einsum("ij,ij->i", r, r))
+    steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, info = cg(k_mat, b, rtol=1e-13, atol=0.0, maxiter=maxiter)
-    residual = float(np.max(np.abs(k_mat @ x - b)))
+        for _ in range(maxiter):
+            rho = np.einsum("ij,ij->i", r, r)
+            # a nan residual (breakdown on an incompatible source) never
+            # converges: stop that row too and let the residual test fail it
+            done = ~(np.sqrt(rho) > stop)
+            if done.any():
+                x[live[done]] = xs[done]
+                keep = ~done
+                live, xs, r, rho, stop = live[keep], xs[keep], r[keep], rho[keep], stop[keep]
+                if p is not None:
+                    p, rho_prev = p[keep], rho_prev[keep]
+                if not live.size:
+                    break
+            if p is None:
+                p = r.copy()
+            else:
+                p *= (rho / rho_prev)[:, None]
+                p += r
+            q = apply_k(p)
+            alpha = rho / np.einsum("ij,ij->i", p, q)
+            xs += alpha[:, None] * p
+            r -= alpha[:, None] * q
+            rho_prev = rho
+            steps += 1
+        x[live] = xs
+    residual = np.max(np.abs(apply_k(x) - b), axis=1)
     bound = tol * (1.0 + b_norm)
-    # the comparison is written so that a NaN residual (CG breakdown on an
-    # incompatible source) also fails
-    if not residual <= bound:
+    # written so that a nan residual also fails
+    bad = np.flatnonzero(~(residual <= bound))
+    if bad.size:
+        i = bad[0]
         raise SolverError(
-            f"linear solve did not reach tolerance: residual {residual:.3e} "
-            f"(tolerance {bound:.3e}, cg info {info}); "
+            f"linear solve did not reach tolerance: residual {residual[i]:.3e} "
+            f"(tolerance {bound[i]:.3e}, {steps} iterations); "
             "the source may be incompatible"
         )
     return x
@@ -285,7 +308,7 @@ def solve_free(
     tol: float = DEFAULT_SOLVER_TOL,
     maxiter: int | None = None,
 ) -> Cochain:
-    """Solve the free equation of motion componentwise.
+    """Solve the free equation of motion K psi = rho for all components at once.
 
     Args:
         fixed: optional mapping {cell index or Cell: fiber value} of Dirichlet
@@ -295,10 +318,13 @@ def solve_free(
             component), otherwise SolverError.
         tol: max-norm tolerance on the linear residual.
 
-    Without constraints the conjugate-gradient iteration starts from zero,
-    which fixes the gauge: the solution is orthogonal to the kernel of K.
+    One conjugate-gradient iteration runs over a block with one row per
+    component (two on complex fibers: real and imaginary parts), each row
+    with its own recurrence.  Every row starts from zero, which fixes the
+    gauge: the solution is orthogonal to the kernel of K.
     """
-    k_mat = free_field_operator(complex, degree)
+    if degree >= complex.d:
+        raise DomainError("no free-field operator at top degree")
     n = complex.cell_count(degree)
     comps = fiber.components
     rhs = np.zeros((n, comps), dtype=fiber.dtype)
@@ -316,37 +342,42 @@ def solve_free(
         val = np.asarray(value, dtype=fiber.dtype).reshape(comps)
         fixed_idx.append(idx)
         fixed_vals.append(val)
-    out = np.zeros((n, comps), dtype=fiber.dtype)
+    fixed_idx = np.asarray(fixed_idx, dtype=np.int64)
+    fixed_arr = np.asarray(fixed_vals, dtype=fiber.dtype).reshape(-1, comps)
+    if degree == 0 and not fixed_idx.size:
+        means = np.abs(rhs.sum(axis=0))
+        if np.any(means > tol * n):
+            raise SolverError(
+                "incompatible source: 0-form source must have zero mean per component"
+            )
 
-    if fixed_idx:
-        order = np.argsort(fixed_idx)
-        fixed_idx = np.asarray(fixed_idx, dtype=np.int64)[order]
-        fixed_arr = np.asarray(fixed_vals)[order]
-        free = np.setdiff1d(np.arange(n), fixed_idx)
-        k_ff = k_mat[free][:, free]
-        k_fc = k_mat[free][:, fixed_idx]
-        for comp in range(comps):
-            b = rhs[free, comp] - k_fc @ fixed_arr[:, comp]
-            if fiber.is_complex:
-                re = _cg_solve(k_ff, b.real, tol, maxiter)
-                im = _cg_solve(k_ff, b.imag, tol, maxiter)
-                out[free, comp] = re + 1j * im
-            else:
-                out[free, comp] = _cg_solve(k_ff, b.real, tol, maxiter)
-        out[fixed_idx] = fixed_arr
-    else:
-        if degree == 0:
-            means = np.abs(rhs.sum(axis=0))
-            if np.any(means > tol * n):
-                raise SolverError(
-                    "incompatible source: 0-form source must have zero mean per component"
-                )
-        for comp in range(comps):
-            b = rhs[:, comp]
-            if fiber.is_complex:
-                out[:, comp] = _cg_solve(k_mat, b.real, tol, maxiter) + 1j * _cg_solve(
-                    k_mat, b.imag, tol, maxiter
-                )
-            else:
-                out[:, comp] = _cg_solve(k_mat, b.real, tol, maxiter)
+    def rows(values):
+        parts = (values.real, values.imag) if fiber.is_complex else (values.real,)
+        return np.concatenate([part.T for part in parts])
+
+    w = complex.star_factors(degree + 1)
+
+    def apply_k(x):
+        # K x = d^T(w * d x) for each row of x, with K psi = 0 equivalent to
+        # d star d psi = 0 on a torus; zeroing the fixed rows keeps a block
+        # that is zero there so, which restricts K to the free cells
+        dx = np.zeros((len(x), complex.cell_count(degree + 1)))
+        complex.add_coboundary(degree, x, dx)
+        dx *= w
+        kx = np.zeros_like(x)
+        complex.add_coboundary(degree, dx, kx, transpose=True)
+        kx[:, fixed_idx] = 0.0
+        return kx
+
+    boundary_values = np.zeros((n, comps), dtype=fiber.dtype)
+    boundary_values[fixed_idx] = fixed_arr
+    b = rows(rhs) - apply_k(rows(boundary_values))
+    b[:, fixed_idx] = 0.0
+    x = _lockstep_cg(apply_k, b, tol, maxiter)
+
+    out = np.empty((n, comps), dtype=fiber.dtype)
+    out.real = x[:comps].T
+    if fiber.is_complex:
+        out.imag = x[comps:].T
+    out[fixed_idx] = fixed_arr
     return Cochain(complex, degree, fiber, out)

@@ -23,6 +23,7 @@ from .config import (
     Scenario,
     build_field,
     load_scenario,
+    parse_seed,
     representation_for,
     resolve_chain,
 )
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.config)
         if args.seed is not None:
-            scenario.seed = int(args.seed)
+            scenario.seed = parse_seed(args.seed, "--seed")
         if args.tol is not None:
             if args.tol <= 0:
                 raise ConfigError("--tol must be positive")

@@ -114,7 +114,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         compose_source=cfg.get("compose"),
         checks=cfg.get("checks"),
         tolerances=tolerances,
-        seed=_parse(int, cfg.get("seed", 0), "'seed'"),
+        seed=parse_seed(cfg.get("seed", 0), "'seed'"),
         u2_c2_map=u2_map,
         base_dir=Path(base_dir),
     )
@@ -129,6 +129,14 @@ def _parse(kind, value, what: str):
     except (TypeError, ValueError) as exc:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
+
+
+def parse_seed(value, what: str) -> int:
+    """A random seed: a non-negative integer, as numpy's generators take."""
+    seed = _parse(int, value, what)
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _build_mesh(spec) -> CubicalComplex:
@@ -187,15 +195,18 @@ def _complex_entry(value):
 
 def parse_fiber_value(fiber: FiberSpec, raw) -> np.ndarray:
     """Parse one fiber value from its JSON form."""
-    if fiber.kind == "real_scalar":
-        if isinstance(raw, (list, tuple)):
-            (raw,) = raw
-        return np.array([float(raw)])
-    if fiber.kind == "complex_pair":
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ConfigError(f"complex pair values need two entries, got {raw!r}")
-        return np.array([_complex_entry(v) for v in raw])
-    vals = np.asarray(raw, dtype=np.float64)
+    try:
+        if fiber.kind == "real_scalar":
+            if isinstance(raw, (list, tuple)):
+                (raw,) = raw
+            return np.array([float(raw)])
+        if fiber.kind == "complex_pair":
+            if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+                raise ConfigError(f"complex pair values need two entries, got {raw!r}")
+            return np.array([_complex_entry(v) for v in raw])
+        vals = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad fiber value {raw!r}: {exc}") from exc
     if vals.shape != (fiber.components,):
         raise ConfigError(
             f"algebra values need {fiber.components} coefficients, got {raw!r}"
@@ -254,8 +265,9 @@ def build_field(scenario: Scenario) -> Cochain:
     if kind == "zero":
         return Cochain.zeros(cx, degree, fiber)
     if kind == "random_gaussian":
-        rng = np.random.default_rng(int(init.get("seed", scenario.seed)))
-        return Cochain.random_gaussian(cx, degree, fiber, rng, float(init.get("stddev", 1.0)))
+        seed = parse_seed(init.get("seed", scenario.seed), "'field.init.seed'")
+        stddev = _parse(float, init.get("stddev", 1.0), "'field.init.stddev'")
+        return Cochain.random_gaussian(cx, degree, fiber, np.random.default_rng(seed), stddev)
     if kind == "explicit":
         if "csv" in init:
             from .fieldio import load_field_csv

@@ -60,11 +60,20 @@ def emit_field_csv(psi: Cochain, path) -> None:
                     for base in bases[:, start:stop].T.tolist()
                 ]
                 rows = psi.values[offset + start : offset + stop].tolist()
-                handle.writelines(
-                    f"{prefix}{comp},{v.real:.17g},{v.imag:.17g}\r\n"
-                    for prefix, row in zip(prefixes, rows)
-                    for comp, v in enumerate(row)
-                )
+                if psi.fiber.is_complex:
+                    lines = (
+                        f"{prefix}{comp},{v.real:.17g},{v.imag:.17g}\r\n"
+                        for prefix, row in zip(prefixes, rows)
+                        for comp, v in enumerate(row)
+                    )
+                else:
+                    # a float's imaginary part is always +0.0, printed as 0
+                    lines = (
+                        f"{prefix}{comp},{v:.17g},0\r\n"
+                        for prefix, row in zip(prefixes, rows)
+                        for comp, v in enumerate(row)
+                    )
+                handle.writelines(lines)
             offset += bases.shape[1]
 
 

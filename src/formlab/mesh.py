@@ -6,11 +6,14 @@ coefficient of -1 means the reversed cell.  Indexing groups cells by axis
 subset (lexicographic) and enumerates base vertices in C order, which makes
 every operator below reproducible bit for bit.
 
-Incidence is held in one form, the face table of each degree (its 2p sorted
-faces and their signs per p-cell, see `CubicalComplex.face_table`); the
-boundary, `calculus.d` and the boundary-squared check work on it with numpy
-alone.  The scipy matrices `boundary_matrix` and `coboundary_matrix` are
-views derived from it for the solver.
+Incidence is held as the face table of each degree (its 2p sorted faces
+and their signs per p-cell, see `CubicalComplex.face_table`); the chain
+boundary and the boundary-squared check work on it.  The coboundary of
+cochains, d and its transpose, is applied by `CubicalComplex.add_coboundary`
+as signed shift maps of the block grids, in the table's face order, for
+`calculus.d` and the free-field solver.  Both run on numpy alone.  The scipy
+matrices `boundary_matrix` and `coboundary_matrix` are views of the table
+for the tests and the benchmark's replay.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -26,6 +29,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -121,6 +125,7 @@ class CubicalComplex:
             for p in range(self.d + 1)
         }
         self._faces = {}
+        self._shifts = {}
         self._star = {}
 
     # -- cells -------------------------------------------------------------
@@ -243,7 +248,7 @@ class CubicalComplex:
     def boundary_matrix(self, degree: int) -> sp.csr_matrix:
         """Integer incidence matrix of shape (n_{p-1}, n_p), derived from the
         face table (whose columns are this matrix in CSC form)."""
-        # scipy loads on first use: only the solver needs incidence as a matrix
+        # scipy loads on first use: no command needs incidence as a matrix
         import scipy.sparse as sp
 
         arrays = self._table_arrays(degree, np.int64)
@@ -252,12 +257,81 @@ class CubicalComplex:
 
     def coboundary_matrix(self, degree: int) -> sp.csr_matrix:
         """Float transpose of boundary_matrix(degree+1), (n_{p+1}, n_p): the
-        face table of degree p+1 read as CSR rows."""
+        face table of degree p+1 read as CSR rows.  The reference that the
+        shift maps of add_coboundary are tested against."""
         import scipy.sparse as sp
 
         arrays = self._table_arrays(degree + 1, np.float64)
         shape = (self.cell_count(degree + 1), self.cell_count(degree))
         return sp.csr_matrix(arrays, shape=shape)
+
+    def _shift_terms(self, degree: int) -> tuple:
+        """The coboundary from degree p to p+1 as signed shift maps.
+
+        Each term (A, cell_slice, F, face_slice, add) pairs the cells of block
+        A (a (p+1)-axis subset) picked by cell_slice with their faces in block
+        F = A \\ a_t picked by face_slice, both indexing the block grids;
+        `add` is true where that face's sign is +1.  The lower face (v, F)
+        sits at the same grid place, the upper one a step further along a_t.
+        On a torus the wrap slab (v_{a_t} = n - 1, upper face at base 0) is
+        a term of its own; on a box the face block is one cell longer along
+        a_t.  Per cell, the terms come in face-table row order: decreasing t,
+        lower before upper face except on the wrap slab.
+        """
+        if degree not in self._shifts:
+
+            def along(a, sl):
+                return (Ellipsis,) + (slice(None),) * a + (sl,) + (slice(None),) * (self.d - 1 - a)
+
+            terms = []
+            for axes in self._subsets[degree + 1]:
+                for t in reversed(range(degree + 1)):
+                    a, n = axes[t], self.shape[axes[t]]
+                    up = t % 2 == 0  # the upper face has sign (-1)^t
+                    if self.topology == "torus":
+                        inner, last = slice(0, n - 1), slice(n - 1, n)
+                        pairs = [(inner, inner, not up), (inner, slice(1, n), up),
+                                 (last, slice(0, 1), up), (last, last, not up)]
+                    else:
+                        pairs = [(slice(None), slice(0, n), not up), (slice(None), slice(1, n + 1), up)]
+                    face = axes[:t] + axes[t + 1 :]
+                    terms += [(axes, along(a, c), face, along(a, f), add) for c, f, add in pairs]
+            self._shifts[degree] = tuple(terms)
+        return self._shifts[degree]
+
+    def _grid_views(self, degree: int, arr: np.ndarray) -> dict:
+        """Views of arr's last axis (one entry per degree-p cell) as block grids."""
+        if arr.shape[-1] != self.cell_count(degree):
+            raise DomainError(
+                f"expected {self.cell_count(degree)} degree-{degree} cells on the last axis, "
+                f"got {arr.shape[-1]}"
+            )
+        lead = arr.shape[:-1]
+        # splitting one axis is always a view, so writes reach arr
+        return {
+            axes: arr[..., offset : offset + math.prod(extents)].reshape(lead + extents)
+            for axes, (offset, extents, _) in self._blocks[degree].items()
+        }
+
+    def add_coboundary(self, degree: int, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
+        """Add d x to out in place, or d^T x when transpose is set.
+
+        x and out hold cochains along their last axis: degree p and p+1 for
+        d, p+1 and p for d^T, with any leading axes (fiber components,
+        solver columns).  Each term of `_shift_terms` is one in-place add or
+        subtract of strided block slices, with no gather and no matrix.  The
+        terms run in face-table row order, so adding a real d x to zeros
+        gives the CSR product with coboundary_matrix(p) to the bit.
+        """
+        if not 0 <= degree < self.d:
+            raise DomainError(f"no coboundary from degree {degree} in dimension {self.d}")
+        cells = self._grid_views(degree + 1, x if transpose else out)
+        faces = self._grid_views(degree, out if transpose else x)
+        for axes, cell_slice, face_axes, face_slice, add in self._shift_terms(degree):
+            target, term = cells[axes][cell_slice], faces[face_axes][face_slice]
+            if transpose:
+                target, term = term, target
+            (np.add if add else np.subtract)(target, term, out=target)
 
     # -- metric / duality --------------------------------------------------
 
@@ -318,10 +392,6 @@ class CubicalComplex:
 
     def star_index(self, degree: int) -> np.ndarray:
         return self._star_data(degree)[1]
-
-
-def build(shape, spacing=None, topology: str = "torus") -> CubicalComplex:
-    return CubicalComplex(shape, spacing, topology)
 
 
 class Chain:

@@ -26,9 +26,17 @@ from formlab import (
     u2,
 )
 from formlab.algebra import adjoint_matrix, random_group_element
-from formlab.calculus import free_field_operator
 
 SO3_FIBER = algebra_fiber(so3())
+
+
+def free_field_operator(cx, degree):
+    """The solver's operator as a CSR matrix: K = C^T diag(star factors) C
+    with C the degree -> degree+1 coboundary matrix."""
+    import scipy.sparse as sp
+
+    c = cx.coboundary_matrix(degree)
+    return (c.T @ sp.diags(cx.star_factors(degree + 1)) @ c).tocsr()
 
 
 def integer_cochain(cx, p, rng, fiber=REAL_SCALAR):
@@ -95,6 +103,52 @@ def test_d_matches_coboundary_matrix_bit_for_bit(shape, topology, fiber):
             np.where(np.isnan(got), 0.0, got).view(np.int64),
             np.where(np.isnan(expected), 0.0, expected).view(np.int64),
         )
+
+
+@pytest.mark.parametrize("topology", ["torus", "box"])
+@pytest.mark.parametrize("shape", [(2,), (3,), (3, 2), (2, 3, 4)])
+def test_coboundary_transpose_matches_csr_transpose(shape, topology, rng):
+    # integer values make every sum exact, whatever order the terms come in;
+    # out starts non-zero, as add_coboundary adds to it
+    cx = CubicalComplex(shape, topology=topology)
+    for p in range(cx.d):
+        y = rng.integers(-9, 10, size=(2, cx.cell_count(p + 1))).astype(float)
+        start = rng.integers(-9, 10, size=(2, cx.cell_count(p))).astype(float)
+        out = start.copy()
+        cx.add_coboundary(p, y, out, transpose=True)
+        assert np.array_equal(out, start + (cx.coboundary_matrix(p).T @ y.T).T)
+
+
+def _random_fixed(cx, fiber, rng, count=5):
+    picks = rng.choice(cx.cell_count(1), size=count, replace=False)
+    values = rng.standard_normal((count, fiber.components))
+    if fiber.is_complex:
+        values = values + 1j * rng.standard_normal(values.shape)
+    return dict(zip(picks.tolist(), values))
+
+
+@pytest.mark.parametrize("fiber", [algebra_fiber(so3()), algebra_fiber(u2()), COMPLEX_PAIR], ids=["so3", "u2", "complex_pair"])
+def test_lockstep_solve_matches_independent_solves(fiber, rng):
+    # the rows of one block share only the operator: each real or imaginary
+    # part of each component, solved alone, gives the same values
+    cx = CubicalComplex([4, 4, 3])
+    fixed = _random_fixed(cx, fiber, rng)
+    together = solve_free(cx, fiber, 1, fixed=fixed).values
+    for comp in range(fiber.components):
+        for part in (np.real, np.imag) if fiber.is_complex else (np.real,):
+            alone = solve_free(cx, REAL_SCALAR, 1, fixed={i: part(v[comp]) for i, v in fixed.items()})
+            assert np.max(np.abs(part(together[:, comp]) - alone.values[:, 0])) <= 1e-14
+
+
+def test_lockstep_solve_keeps_a_zero_row_exactly_zero(rng):
+    cx = CubicalComplex([4, 4, 4])
+    fixed = _random_fixed(cx, COMPLEX_PAIR, rng)
+    for v in fixed.values():
+        v[1] = v[1].real  # the imaginary part of component 1 is zero throughout
+    psi = solve_free(cx, COMPLEX_PAIR, 1, fixed=fixed)
+    assert not psi.values[:, 1].imag.view(np.int64).any()  # +0.0 everywhere
+    assert np.max(np.abs(psi.values[:, 1].real)) > 0 and np.max(np.abs(psi.values[:, 0])) > 0
+    assert max_norm(eom_residual(psi)) <= 1e-10
 
 
 def test_d_on_circle_with_wraparound():

@@ -214,11 +214,20 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         lambda c: c["field"].update(init={"init": "explicit", "csv": "field.csv"}),
         lambda c: c["defects"][0].update(degree="x"),
         lambda c: c.update(tolerances={"check": "x"}),
+        lambda c: c["field"]["init"].update(stddev="x"),
+        lambda c: c["field"]["init"].update(seed=[1]),
+        lambda c: c["field"]["init"].update(seed=-1),
+        lambda c: c.update(seed=-1),
+        lambda c: c["field"].update(
+            init={"init": "solve", "fixed": [{"base": [0, 0, 0], "axes": [0], "value": "abc"}]}
+        ),
     ]
     for n, edit in enumerate(malformed):
         out = tmp_path / f"malformed{n}.out.json"
         assert main(["defect", defect_variant(f"malformed{n}.json", edit), "--out", str(out)]) == 2, n
         assert not out.exists()
+
+    assert main(["check", str(CONFIG_DIR / "so3_check.json"), "--seed", "-1"]) == 2
 
     capsys.readouterr()  # errors go to stderr, nothing on stdout
     out = tmp_path / "never.json"
@@ -234,11 +243,13 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         ("check", "u2_check.json"),
         ("defect", "so3_defect.json"),
         ("charges", "u2_charges.json"),
+        ("solve", "solve_so3.json"),
     ],
 )
 def test_command_starts_without_scipy(tmp_path, command, config):
-    # scipy costs about 0.3 s per start-up and only the solver needs it:
-    # incidence, d and the boundary-squared check run on numpy face tables
+    # scipy costs about 0.3 s per start-up and no command needs it: incidence
+    # and the boundary-squared check run on numpy face tables, d and the
+    # solver on shift maps
     script = (
         "import sys\n"
         "import formlab.cli\n"
