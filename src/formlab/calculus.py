@@ -245,15 +245,25 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray
     still running share one operator application per step.  A zero row
     gives exact zeros.  Raises SolverError for a row in the kernel of K and
     for any row whose max-norm residual exceeds tol * (1 + max|b|).
+
+    apply_k(x, out) writes K x into out.  Buffers are reused: each step
+    writes K p into one scratch block of b's shape, used through its leading
+    rows as the block shrinks, and once alpha is known the same rows take
+    the alpha-scaled updates of r and x.  No step allocates a block; only a
+    step where rows leave copies the rows kept.
     """
     x = np.zeros_like(b)
     b_norm = np.max(np.abs(b), axis=1)
     live = np.flatnonzero(b_norm > 0.0)
     if not live.size:
         return x
+    # C order whatever b's layout, as a fresh K p would be: einsum's row sums
+    # depend on the memory layout
+    kx = np.empty(b.shape)
     # the operator is symmetric, so a right-hand side in its kernel cannot be
     # in its range: fail fast instead of letting the iteration break down
-    if np.any(np.max(np.abs(apply_k(b[live])), axis=1) <= 1e-14 * b_norm[live]):
+    kb = apply_k(b[live], kx[: live.size])
+    if np.any(np.max(np.abs(kb), axis=1) <= 1e-14 * b_norm[live]):
         raise SolverError("incompatible source: it lies in the kernel of the operator")
     xs, r, p = np.zeros((live.size, b.shape[1])), b[live], None
     stop = 1e-13 * np.sqrt(np.einsum("ij,ij->i", r, r))
@@ -277,14 +287,14 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray
             else:
                 p *= (rho / rho_prev)[:, None]
                 p += r
-            q = apply_k(p)
-            alpha = rho / np.einsum("ij,ij->i", p, q)
-            xs += alpha[:, None] * p
-            r -= alpha[:, None] * q
+            q = apply_k(p, kx[: live.size])
+            alpha = (rho / np.einsum("ij,ij->i", p, q))[:, None]
+            r -= np.multiply(alpha, q, out=q)
+            xs += np.multiply(alpha, p, out=q)
             rho_prev = rho
             steps += 1
         x[live] = xs
-    residual = np.max(np.abs(apply_k(x) - b), axis=1)
+    residual = np.max(np.abs(apply_k(x, kx) - b), axis=1)
     bound = tol * (1.0 + b_norm)
     # written so that a nan residual also fails
     bad = np.flatnonzero(~(residual <= bound))
@@ -356,22 +366,27 @@ def solve_free(
         return np.concatenate([part.T for part in parts])
 
     w = complex.star_factors(degree + 1)
+    # one row per real part of each component
+    block_rows = comps * (2 if fiber.is_complex else 1)
+    # d x for up to every row, reused by each operator application
+    dx_block = np.empty((block_rows, complex.cell_count(degree + 1)))
 
-    def apply_k(x):
+    def apply_k(x, out):
         # K x = d^T(w * d x) for each row of x, with K psi = 0 equivalent to
         # d star d psi = 0 on a torus; zeroing the fixed rows keeps a block
         # that is zero there so, which restricts K to the free cells
-        dx = np.zeros((len(x), complex.cell_count(degree + 1)))
+        dx = dx_block[: len(x)]
+        dx.fill(0.0)
         complex.add_coboundary(degree, x, dx)
         dx *= w
-        kx = np.zeros_like(x)
-        complex.add_coboundary(degree, dx, kx, transpose=True)
-        kx[:, fixed_idx] = 0.0
-        return kx
+        out.fill(0.0)
+        complex.add_coboundary(degree, dx, out, transpose=True)
+        out[:, fixed_idx] = 0.0
+        return out
 
     boundary_values = np.zeros((n, comps), dtype=fiber.dtype)
     boundary_values[fixed_idx] = fixed_arr
-    b = rows(rhs) - apply_k(rows(boundary_values))
+    b = rows(rhs) - apply_k(rows(boundary_values), np.empty((block_rows, n)))
     b[:, fixed_idx] = 0.0
     x = _lockstep_cg(apply_k, b, tol, maxiter)
 

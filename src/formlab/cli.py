@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import run_checks
 from .config import (
     Scenario,
     build_field,
@@ -31,14 +30,11 @@ from .defect import (
     ChargedOperator,
     DefectMove,
     DefectOperator,
+    FieldStrength,
     apply_defect,
-    charge_eom,
-    charge_trivial,
     conservation_report,
 )
-from .dsl import Diagnostic, compose_word
 from .errors import ConfigError, FormlabError
-from .fieldio import emit_field_csv
 from .mesh import Cobordism, intersection_number
 
 
@@ -73,6 +69,9 @@ def _cmd_solve(scenario: Scenario, args):
     field = build_field(scenario)
     report = conservation_report(field)
     if args.field_csv:
+        # each command imports only the modules it runs, to keep start-up short
+        from .fieldio import emit_field_csv
+
         try:
             emit_field_csv(field, args.field_csv)
         except OSError as exc:
@@ -87,12 +86,11 @@ def _cmd_solve(scenario: Scenario, args):
 
 
 def _cmd_charges(scenario: Scenario, args):
-    field = build_field(scenario)
+    strength = FieldStrength(build_field(scenario))
     results = []
     for i, req in enumerate(scenario.charges):
         support = resolve_chain(scenario, req["support"])
-        fn = charge_eom if req["kind"] == "eom" else charge_trivial
-        value = fn(field, support)
+        value = strength.charge(req["kind"], support)
         results.append(
             {
                 "name": req.get("name", f"charge_{i}"),
@@ -133,6 +131,8 @@ def _cmd_defect(scenario: Scenario, args):
 
 
 def _cmd_compose(scenario: Scenario, args):
+    from .dsl import Diagnostic, compose_word
+
     if scenario.compose_source is None:
         raise ConfigError("the compose command needs a 'compose' expression in the config")
     rep = representation_for(scenario)
@@ -158,6 +158,8 @@ def _cmd_compose(scenario: Scenario, args):
 
 
 def _cmd_check(scenario: Scenario, args):
+    from .checks import run_checks
+
     results = run_checks(scenario)
     checks = [
         {

@@ -71,7 +71,10 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     complex_ = _build_mesh(cfg.get("mesh")) if "mesh" in cfg else None
-    algebra = alg.algebra_by_name(cfg.get("algebra", "so3"))
+    algebra_name = cfg.get("algebra", "so3")
+    if not isinstance(algebra_name, str):
+        raise ConfigError(f"'algebra' must be a name, got {algebra_name!r}")
+    algebra = alg.algebra_by_name(algebra_name)
 
     field_cfg = cfg.get("field", {})
     if not isinstance(field_cfg, dict):
@@ -85,7 +88,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         raise ConfigError("'field.init' must be an object with an 'init' key")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in (cfg.get("tolerances") or {}).items():
+    for key, value in _container(cfg, "tolerances", dict).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
         value = _parse(float, value, f"tolerance {key!r}")
@@ -99,8 +102,15 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         alg.c2_basis_map(u2_map)  # validates shape and invertibility
 
     group_elements = {}
-    for name, spec in (cfg.get("group_elements") or {}).items():
+    for name, spec in _container(cfg, "group_elements", dict).items():
         group_elements[name] = _build_group_element(name, spec, algebra)
+
+    checks = cfg.get("checks")
+    if not (checks is None or checks == "all" or isinstance(checks, list)):
+        raise ConfigError(f"'checks' must be a list of check names or \"all\", got {checks!r}")
+    compose_source = cfg.get("compose")
+    if not (compose_source is None or isinstance(compose_source, str)):
+        raise ConfigError(f"'compose' must be a string, got {compose_source!r}")
 
     scenario = Scenario(
         complex=complex_,
@@ -109,10 +119,10 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         field_degree=field_degree,
         field_init=field_init,
         group_elements=group_elements,
-        charges=list(cfg.get("charges") or []),
-        defects=list(cfg.get("defects") or []),
-        compose_source=cfg.get("compose"),
-        checks=cfg.get("checks"),
+        charges=list(_container(cfg, "charges", list)),
+        defects=list(_container(cfg, "defects", list)),
+        compose_source=compose_source,
+        checks=checks,
         tolerances=tolerances,
         seed=parse_seed(cfg.get("seed", 0), "'seed'"),
         u2_c2_map=u2_map,
@@ -120,6 +130,18 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     )
     _validate_requests(scenario)
     return scenario
+
+
+def _container(cfg: dict, key: str, kind):
+    """cfg[key] when it is a JSON object (kind dict) or array (kind list);
+    an empty one when the key is absent or null."""
+    value = cfg.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
+    return value
 
 
 def _parse(kind, value, what: str):
@@ -218,11 +240,17 @@ def resolve_chain(scenario: Scenario, spec) -> Chain:
     if scenario.complex is None:
         raise ConfigError("this command needs a 'mesh' entry in the config")
     try:
-        return named_cycle(scenario.complex, spec)
+        chain = named_cycle(scenario.complex, spec)
     except KeyError as exc:
         raise ConfigError(f"bad chain spec: missing key {exc}") from exc
     except (DomainError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad chain spec: {exc}") from exc
+    # integer boundaries run in int64 and integrals scale float values, so a
+    # coefficient must be an integer that a float holds exactly
+    big = [c for c in chain.coeffs.values() if abs(c) > 2**53]
+    if big:
+        raise ConfigError(f"bad chain spec: coefficient {big[0]} exceeds 2**53 in magnitude")
+    return chain
 
 
 def _validate_requests(scenario: Scenario) -> None:
@@ -235,7 +263,7 @@ def _validate_requests(scenario: Scenario) -> None:
         for key in ("g", "degree", "support", "move", "charged"):
             if not isinstance(req, dict) or key not in req:
                 raise ConfigError(f"defect request {i}: missing {key!r}")
-        if req["g"] not in scenario.group_elements:
+        if not isinstance(req["g"], str) or req["g"] not in scenario.group_elements:
             raise ConfigError(f"defect request {i}: unknown group element {req['g']!r}")
         if not isinstance(req["move"], dict) or "filling" not in req["move"]:
             raise ConfigError(f"defect request {i}: 'move' needs a 'filling'")
@@ -274,30 +302,37 @@ def build_field(scenario: Scenario) -> Cochain:
 
             return load_field_csv(cx, degree, fiber, scenario.base_dir / init["csv"])
         values = np.zeros((cx.cell_count(degree), fiber.components), dtype=fiber.dtype)
-        for item in init.get("cells", []):
-            idx = _cell_index_from_item(cx, degree, item)
-            values[idx] = parse_fiber_value(fiber, item["value"])
+        for idx, value in _cell_values(cx, degree, fiber, init.get("cells", []), "'cells'"):
+            values[idx] = value
         return Cochain(cx, degree, fiber, values)
     if kind == "solve":
-        fixed = {}
-        for item in init.get("fixed", []):
-            idx = _cell_index_from_item(cx, degree, item)
-            fixed[idx] = parse_fiber_value(fiber, item["value"])
+        fixed = dict(_cell_values(cx, degree, fiber, init.get("fixed", []), "'fixed'"))
         source = None
         if init.get("source") is not None:
             src = init["source"]
             if not isinstance(src, dict) or "cells" not in src:
                 raise ConfigError("solve source must be an object with a 'cells' list")
             vals = np.zeros((cx.cell_count(degree), fiber.components), dtype=fiber.dtype)
-            for item in src["cells"]:
-                idx = _cell_index_from_item(cx, degree, item)
-                vals[idx] = parse_fiber_value(fiber, item["value"])
+            for idx, value in _cell_values(cx, degree, fiber, src["cells"], "source 'cells'"):
+                vals[idx] = value
             source = Cochain(cx, degree, fiber, vals)
         return solve_free(
             cx, fiber, degree, fixed=fixed, source=source,
             tol=scenario.tolerances["solver"],
         )
     raise ConfigError(f"unknown field init {kind!r}")
+
+
+def _cell_values(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what: str):
+    """(cell index, fiber value) for each {"base", "axes", "value"} item of a list."""
+    if not isinstance(items, list):
+        raise ConfigError(f"{what} must be a list of cells, got {items!r}")
+    pairs = []
+    for item in items:
+        if not isinstance(item, dict) or "value" not in item:
+            raise ConfigError(f"{what} items must be objects with a 'value', got {item!r}")
+        pairs.append((_cell_index_from_item(cx, degree, item), parse_fiber_value(fiber, item["value"])))
+    return pairs
 
 
 def _cell_index_from_item(cx: CubicalComplex, degree: int, item) -> int:

@@ -16,20 +16,12 @@ p = q = 1).  Anything else raises GeometryError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import GroupElement
-from .calculus import (
-    Cochain,
-    action,
-    apply_fiber_map,
-    d,
-    eom_residual,
-    integrate,
-    max_norm,
-    star,
-)
+from .calculus import Cochain, apply_fiber_map, d, inner, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
 from .graded import GroupoidRep, compose, primitive_morphism
 from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
@@ -132,20 +124,43 @@ def compose_defect_actions(second, first):
     return compose(primitive_morphism(g2, deg2), primitive_morphism(g1, deg1))
 
 
+class FieldStrength:
+    """The field strength d psi of a field and its Hodge dual star d psi, each
+    computed on first use and then shared by every charge taken from them."""
+
+    def __init__(self, psi: Cochain):
+        self.psi = psi
+
+    @cached_property
+    def dpsi(self) -> Cochain:
+        return d(self.psi)
+
+    @cached_property
+    def star_dpsi(self) -> Cochain:
+        return star(self.dpsi)
+
+    def charge(self, kind: str, support: Chain):
+        """The 'eom' charge (d psi over a 2-chain) or the 'trivial' charge
+        (star d psi over a 1-cycle) of the field."""
+        if kind == "eom":
+            _check_charge_args(self.psi, support, 2)
+            return integrate(self.dpsi, support)
+        _check_charge_args(self.psi, support, 1)
+        if not is_cycle(support):
+            raise DomainError("the trivial charge needs a 1-cycle support")
+        return integrate(self.star_dpsi, support)
+
+
 def charge_eom(psi: Cochain, sigma2: Chain):
     """Charge of the dynamical current: the field strength integrated over a
     2-chain; depends only on the homology class (exactly, for any field)."""
-    _check_charge_args(psi, sigma2, 2)
-    return integrate(d(psi), sigma2)
+    return FieldStrength(psi).charge("eom", sigma2)
 
 
 def charge_trivial(psi: Cochain, sigma1: Chain):
     """Charge of the trivial current: star of the field strength integrated
     over a 1-cycle; homologous supports agree on shell."""
-    _check_charge_args(psi, sigma1, 1)
-    if not is_cycle(sigma1):
-        raise DomainError("the trivial charge needs a 1-cycle support")
-    return integrate(star(d(psi)), sigma1)
+    return FieldStrength(psi).charge("trivial", sigma1)
 
 
 def _check_charge_args(psi: Cochain, sigma: Chain, sigma_degree: int):
@@ -173,22 +188,24 @@ class ConservationReport:
 
 def conservation_report(psi: Cochain, prefactor: float = 1.0) -> ConservationReport:
     """Report d(d psi) and d star d psi max-norms, the action, and sample
-    charges over the coordinate planes and axis loops (3d, 1-form fields)."""
+    charges over the coordinate planes and axis loops (3d, 1-form fields).
+
+    d psi is computed once, and star d psi once on a torus."""
     cx = psi.complex
-    trivial = max_norm(d(d(psi))) if psi.degree + 2 <= cx.d else None
-    # the residual needs the reindexing star, which only exists on tori
-    dynamical = (
-        max_norm(eom_residual(psi))
-        if psi.degree < cx.d and cx.topology == "torus"
-        else None
-    )
-    act = action(psi, prefactor) if psi.degree < cx.d else None
+    if psi.degree >= cx.d:
+        return ConservationReport(None, None, None)
+    strength = FieldStrength(psi)
+    dpsi = strength.dpsi
+    trivial = max_norm(d(dpsi)) if psi.degree + 2 <= cx.d else None
+    # the residual d star d psi needs the reindexing star, which only exists on tori
+    dynamical = max_norm(d(strength.star_dpsi)) if cx.topology == "torus" else None
+    act = prefactor * inner(dpsi, dpsi).real
     charges = {}
     if cx.d == 3 and psi.degree == 1 and cx.topology == "torus":
         for axis in range(3):
             plane = named_cycle(cx, {"kind": "plane", "normal": axis, "offset": 0})
-            charges[f"q_eom_plane_normal{axis}"] = charge_eom(psi, plane)
+            charges[f"q_eom_plane_normal{axis}"] = strength.charge("eom", plane)
             offsets = [0] * (cx.d - 1)
             loop = named_cycle(cx, {"kind": "loop", "axis": axis, "offsets": offsets})
-            charges[f"q_trivial_loop_axis{axis}"] = charge_trivial(psi, loop)
+            charges[f"q_trivial_loop_axis{axis}"] = strength.charge("trivial", loop)
     return ConservationReport(trivial, dynamical, act, charges)

@@ -4,7 +4,12 @@ Columns: degree, base coordinate per axis, the spanned axes as a digit
 string, the fiber component index, and the value as re/im.  Rows are sorted
 by cell index then component; values are printed with 17 significant digits
 so the round trip is bit exact.  The writer streams the rows in chunks of
-cells, so a large field is never held as text in memory.
+cells, so a large field is never held as text in memory.  Each axis-subset
+block has one template for the rows of a cell (per component: the base
+coordinates as %d and the value as %.17g, two of them on complex fibers),
+and each chunk is formatted with that template by a single `%` over the
+chunk's base coordinates and values.  The format is unchanged: the bytes
+are those of formatting each value with f"{v:.17g}".
 
 The reader takes the exact header, then one row per line: fields may be
 quoted, integers may carry a sign or surrounding spaces and must fit in 64
@@ -47,33 +52,27 @@ def _row_dtype(d: int) -> np.dtype:
 def emit_field_csv(psi: Cochain, path) -> None:
     """Write a cochain as CSV; see the module docstring for the layout."""
     cx = psi.complex
+    d, k = cx.d, psi.fiber.components
+    # per row: d base coordinates, then re (and im on complex fibers); a
+    # float's imaginary part is always +0.0, printed as 0
+    im = ",%.17g" if psi.fiber.is_complex else ",0"
+    width = d + 1 + psi.fiber.is_complex
     offset = 0
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(_header(cx.d)) + "\r\n")
+        handle.write(",".join(_header(d)) + "\r\n")
         for axes in cx.axis_subsets(psi.degree):
-            axes_str = "".join(str(a) for a in axes)
+            prefix = f"{psi.degree}," + "%d," * d + "".join(str(a) for a in axes) + ","
+            cell = "".join(f"{prefix}{comp},%.17g{im}\r\n" for comp in range(k))
             bases = cx.block_bases(psi.degree, axes)
             for start in range(0, bases.shape[1], _CHUNK_CELLS):
                 stop = min(start + _CHUNK_CELLS, bases.shape[1])
-                prefixes = [
-                    f"{psi.degree},{','.join(map(str, base))},{axes_str},"
-                    for base in bases[:, start:stop].T.tolist()
-                ]
-                rows = psi.values[offset + start : offset + stop].tolist()
+                values = psi.values[offset + start : offset + stop]
+                args = np.empty((stop - start, k, width), dtype=object)
+                args[:, :, :d] = bases[:, start:stop].T[:, None, :]
+                args[:, :, d] = values.real
                 if psi.fiber.is_complex:
-                    lines = (
-                        f"{prefix}{comp},{v.real:.17g},{v.imag:.17g}\r\n"
-                        for prefix, row in zip(prefixes, rows)
-                        for comp, v in enumerate(row)
-                    )
-                else:
-                    # a float's imaginary part is always +0.0, printed as 0
-                    lines = (
-                        f"{prefix}{comp},{v:.17g},0\r\n"
-                        for prefix, row in zip(prefixes, rows)
-                        for comp, v in enumerate(row)
-                    )
-                handle.writelines(lines)
+                    args[:, :, d + 1] = values.imag
+                handle.write(cell * (stop - start) % tuple(args.ravel().tolist()))
             offset += bases.shape[1]
 
 

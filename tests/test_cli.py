@@ -9,6 +9,7 @@ import pytest
 
 import formlab
 from formlab import COMPLEX_PAIR, Cochain, CubicalComplex, FormlabError, REAL_SCALAR, algebra_fiber, eom_residual, max_norm, so3, solve_free
+from formlab import fieldio
 from formlab.cli import main
 from formlab.fieldio import emit_field_csv, load_field_csv
 
@@ -194,8 +195,8 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
     # malformed values inside an otherwise valid defect scenario
     shipped = json.loads((CONFIG_DIR / "so3_defect.json").read_text())
 
-    def defect_variant(name, edit):
-        cfg = json.loads(json.dumps(shipped))
+    def variant(config, name, edit):
+        cfg = json.loads((CONFIG_DIR / config).read_text())
         edit(cfg)
         return write_config(tmp_path, cfg, name)
 
@@ -224,7 +225,25 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
     ]
     for n, edit in enumerate(malformed):
         out = tmp_path / f"malformed{n}.out.json"
-        assert main(["defect", defect_variant(f"malformed{n}.json", edit), "--out", str(out)]) == 2, n
+        assert main(["defect", variant("so3_defect.json", f"malformed{n}.json", edit), "--out", str(out)]) == 2, n
+        assert not out.exists()
+
+    # wrong JSON types and missing keys where the config is read
+    wrong_types = [
+        ("solve", "solve_so3.json", lambda c: c.update(tolerances=1.5)),
+        ("check", "so3_check.json", lambda c: c.update(tolerances=1.5)),
+        ("check", "so3_check.json", lambda c: c.update(checks=0)),
+        ("compose", "so3_check.json", lambda c: c.update(compose=[1])),
+        ("charges", "u2_charges.json", lambda c: c.update(charges=1.5)),
+        ("solve", "solve_so3.json", lambda c: c["field"]["init"].update(fixed=None)),
+        ("solve", "solve_so3.json", lambda c: c["field"]["init"]["fixed"][0].pop("value")),
+        ("check", "so3_check.json", lambda c: c.update(algebra=[])),
+        ("defect", "so3_defect.json", lambda c: c["defects"][0].update(g=[])),
+        ("defect", "so3_defect.json", lambda c: c["defects"][0]["move"]["filling"]["items"][0].update(coef=10**30)),
+    ]
+    for n, (command, config, edit) in enumerate(wrong_types):
+        out = tmp_path / f"wrong{n}.out.json"
+        assert main([command, variant(config, f"wrong{n}.json", edit), "--out", str(out)]) == 2, n
         assert not out.exists()
 
     assert main(["check", str(CONFIG_DIR / "so3_check.json"), "--seed", "-1"]) == 2
@@ -249,13 +268,14 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
 def test_command_starts_without_scipy(tmp_path, command, config):
     # scipy costs about 0.3 s per start-up and no command needs it: incidence
     # and the boundary-squared check run on numpy face tables, d and the
-    # solver on shift maps
+    # solver on shift maps; nor does a command load the checks or the DSL
+    # unless it runs them
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import formlab.cli\n"
         "argv = [sys.argv[1], sys.argv[2], '--out', sys.argv[3]]\n"
         "assert formlab.cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'formlab'))))\n"
     )
     src = str(Path(formlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -264,7 +284,10 @@ def test_command_starts_without_scipy(tmp_path, command, config):
         [sys.executable, "-c", script, command, str(CONFIG_DIR / config), str(out)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert run.stdout.strip() == "[]"
+    loaded = set(json.loads(run.stdout))
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    unused = {"check": set(), "compose": {"formlab.checks"}}.get(command, {"formlab.checks", "formlab.dsl"})
+    assert not loaded & unused
     assert json.loads(out.read_text())  # a report was written
 
 
@@ -309,6 +332,59 @@ def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     emit_field_csv(cpx.with_values(special), path)
     again = load_field_csv(cx, 1, COMPLEX_PAIR, path).values
     assert np.array_equal(again.view(np.int64), special.view(np.int64))
+
+
+def _per_row_csv(psi):
+    """The field CSV by the row-by-row rule: one f-string per (cell, component)."""
+    cx = psi.complex
+    header = ["degree"] + [f"base{i}" for i in range(cx.d)] + ["axes", "component_index", "re", "im"]
+    lines = [",".join(header) + "\r\n"]
+    offset = 0
+    for axes in cx.axis_subsets(psi.degree):
+        bases = cx.block_bases(psi.degree, axes)
+        for j, base in enumerate(bases.T.tolist()):
+            prefix = f"{psi.degree},{','.join(map(str, base))},{''.join(map(str, axes))},"
+            for comp, v in enumerate(psi.values[offset + j].tolist()):
+                im = f"{v.imag:.17g}" if psi.fiber.is_complex else "0"
+                lines.append(f"{prefix}{comp},{v.real:.17g},{im}\r\n")
+        offset += bases.shape[1]
+    return "".join(lines).encode()
+
+
+_SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 1e300, -1.5]
+
+
+def _sprinkle_special(psi, rng):
+    """psi with about half of its real and imaginary parts set to special values."""
+    values = psi.values.copy()
+    parts = (values.real, values.imag) if psi.fiber.is_complex else (values,)
+    for part in parts:
+        mask = rng.random(part.shape) < 0.5
+        part[mask] = rng.choice(_SPECIAL_VALUES, int(mask.sum()))
+    return psi.with_values(values)
+
+
+@pytest.mark.parametrize("topology", ["torus", "box"])
+def test_field_csv_bytes_match_per_row_rule(tmp_path, rng, topology):
+    path = tmp_path / "field.csv"
+    for shape in ([3], [3, 2], [2, 3, 2]):
+        cx = CubicalComplex(shape, topology=topology)
+        for degree in range(cx.d + 1):
+            for fiber in (REAL_SCALAR, COMPLEX_PAIR, algebra_fiber(so3())):
+                psi = _sprinkle_special(Cochain.random_gaussian(cx, degree, fiber, rng), rng)
+                emit_field_csv(psi, path)
+                assert path.read_bytes() == _per_row_csv(psi), (shape, degree, fiber.kind)
+
+
+def test_field_csv_bytes_across_chunks(tmp_path, rng):
+    # 17^3 = 4913 cells per block, more than one writer chunk of 4096 cells
+    cx = CubicalComplex([17, 17, 17])
+    assert cx.cell_count(1) // 3 > fieldio._CHUNK_CELLS
+    path = tmp_path / "field.csv"
+    for fiber in (algebra_fiber(so3()), COMPLEX_PAIR):
+        psi = _sprinkle_special(Cochain.random_gaussian(cx, 1, fiber, rng), rng)
+        emit_field_csv(psi, path)
+        assert path.read_bytes() == _per_row_csv(psi), fiber.kind
 
 
 def _set_column(col, value, row=1):
