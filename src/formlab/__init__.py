@@ -44,7 +44,6 @@ from .defect import (
     apply_defect,
     charge_eom,
     charge_trivial,
-    compose_defect_actions,
     conservation_report,
 )
 from .errors import (

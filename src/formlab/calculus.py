@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LieAlgebra
-from .errors import DomainError, SolverError
+from .errors import DomainError, GeometryError, SolverError
 from .mesh import Chain, CubicalComplex
 
 DEFAULT_SOLVER_TOL = 1e-10
@@ -156,16 +156,19 @@ def d(psi: Cochain) -> Cochain:
 def star(psi: Cochain) -> Cochain:
     """Diagonal Hodge star onto the complementary degree.
 
-    The value on the dual cell of a p-cell (equal-base complement indexing)
-    is the cell value scaled by the dual/primal volume ratio and by the
-    permutation sign of (axes, complementary axes); with that sign,
-    star(star(psi)) = (-1)^(p(d-p)) psi.
+    The value on the dual cell of a p-cell (its equal-base partner,
+    `CubicalComplex.complement(p, 0)`) is the cell value scaled by the
+    dual/primal volume ratio and by the permutation sign of (axes,
+    complementary axes); with that sign, star(star(psi)) = (-1)^(p(d-p)) psi.
     """
     cx = psi.complex
     p = psi.degree
-    factors = cx.star_factors(p) * cx.star_signs(p)
+    # a box has different primal and complementary cell counts
+    if cx.topology != "torus":
+        raise GeometryError("the Hodge star is only defined on torus meshes")
+    signs, dual = cx.complement(p, 0)
     out = np.empty_like(psi.values)
-    out[cx.star_index(p)] = factors[:, None] * psi.values
+    out[dual] = (cx.star_factors(p) * signs)[:, None] * psi.values
     return Cochain(cx, cx.d - p, psi.fiber, out)
 
 
@@ -294,7 +297,8 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray
             rho_prev = rho
             steps += 1
         x[live] = xs
-    residual = np.max(np.abs(apply_k(x, kx) - b), axis=1)
+        # the residual of a broken-down row is nan too
+        residual = np.max(np.abs(apply_k(x, kx) - b), axis=1)
     bound = tol * (1.0 + b_norm)
     # written so that a nan residual also fails
     bad = np.flatnonzero(~(residual <= bound))
@@ -321,7 +325,7 @@ def solve_free(
     """Solve the free equation of motion K psi = rho for all components at once.
 
     Args:
-        fixed: optional mapping {cell index or Cell: fiber value} of Dirichlet
+        fixed: optional mapping {cell index: fiber value} of Dirichlet
             constraints, reproduced exactly in the output.
         source: optional cochain rho; solves K psi = rho.  rho must be
             orthogonal to the kernel of K (for 0-forms: zero mean per
@@ -348,9 +352,8 @@ def solve_free(
     fixed_idx = []
     fixed_vals = []
     for key, value in (fixed or {}).items():
-        idx = complex.index_of(key) if hasattr(key, "axes") else int(key)
         val = np.asarray(value, dtype=fiber.dtype).reshape(comps)
-        fixed_idx.append(idx)
+        fixed_idx.append(int(key))
         fixed_vals.append(val)
     fixed_idx = np.asarray(fixed_idx, dtype=np.int64)
     fixed_arr = np.asarray(fixed_vals, dtype=fiber.dtype).reshape(-1, comps)

@@ -280,10 +280,7 @@ def _check_charge_homology(ctx: _Ctx):
         return None
     cx = ctx.complex
     tol = ctx.tolerances["check"]
-    patch = Chain.from_cells(
-        cx,
-        [(cx.cell(2, cx.cell_index(2, (i, j, 0), (0, 1))), 1) for i in range(2) for j in range(2)],
-    )
+    patch = Chain(cx, 2, {cx.cell_index(2, (i, j, 0), (0, 1)): 1 for i in range(2) for j in range(2)})
     bump = Chain(cx, 3, {cx.cell_index(3, (0, 0, 0), (0, 1, 2)): 1})
     moved = patch + boundary(bump)
     q0 = np.atleast_1d(charge_eom(ctx.field, patch))

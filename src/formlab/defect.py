@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import GroupElement
 from .calculus import Cochain, apply_fiber_map, d, inner, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
-from .graded import GroupoidRep, compose, primitive_morphism
+from .graded import GroupoidRep
 from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
 
 
@@ -111,17 +111,6 @@ def apply_defect(
     new_field = apply_fiber_map(charged.field, matrix)
     flip = (crossings % 2 == 1) and not defect.g.is_identity()
     return ChargedOperator(charged.support, new_field, charged.degree ^ flip)
-
-
-def compose_defect_actions(second, first):
-    """Compose two defect actions given as (group element, degree) pairs.
-
-    Same-degree non-identity actions do not compose; this delegates to the
-    graded morphism composition and raises DegreeError in that case.
-    """
-    g2, deg2 = second
-    g1, deg1 = first
-    return compose(primitive_morphism(g2, deg2), primitive_morphism(g1, deg1))
 
 
 class FieldStrength:

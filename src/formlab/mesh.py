@@ -6,25 +6,28 @@ coefficient of -1 means the reversed cell.  Indexing groups cells by axis
 subset (lexicographic) and enumerates base vertices in C order, which makes
 every operator below reproducible bit for bit.
 
-Incidence is held as the face table of each degree (its 2p sorted faces
-and their signs per p-cell, see `CubicalComplex.face_table`); the chain
-boundary and the boundary-squared check work on it.  The coboundary of
-cochains, d and its transpose, is applied by `CubicalComplex.add_coboundary`
-as signed shift maps of the block grids, in the table's face order, for
-`calculus.d` and the free-field solver.  Both run on numpy alone.  The scipy
-matrices `boundary_matrix` and `coboundary_matrix` are views of the table
-for the tests and the benchmark's replay.
+Each convention is written once.  The boundary is written as the signed
+shift maps of the block grids (`CubicalComplex._shift_terms`): the
+coboundary of cochains, d and its transpose, applies them directly
+(`add_coboundary`, for `calculus.d` and the free-field solver), and the
+face table of each degree (`face_table`, for the chain boundary and the
+boundary-squared check) and the scipy matrices `boundary_matrix` and
+`coboundary_matrix` (for the tests and the benchmark's replay) are those
+same maps applied to grids of cell indices.  The complement is written as
+`complement(p, back)`, which serves the Hodge star (back 0) and the
+intersection pairing (back 1).  Only the scipy matrices need scipy.
 
 Conventions fixed here and relied on elsewhere:
 
 * boundary of a p-cube (v, A), A = (a_1 < ... < a_p):
       sum_t (-1)^(t-1) [ (v + e_{a_t}, A \\ a_t) - (v, A \\ a_t) ]
   which satisfies boundary . boundary = 0 exactly over the integers.
-* a p-cell (v, A) and the complementary (d-p)-cell at base
-  (v - 1 on the axes outside A) cross transversally exactly once; the
-  crossing sign is the permutation sign of (A, complement of A).  This is
-  the convention under which the intersection pairing is adjoint to the
-  boundary, hence homology invariant.
+* the complement of a p-cell (v, A) is the (d-p)-cell
+  (v - back on the axes outside A, comp A), signed by the permutation sign
+  of (A, comp A).  With back 1 the two cells cross transversally exactly
+  once with that sign: this is the convention under which the
+  intersection pairing is adjoint to the boundary, hence homology
+  invariant.  With back 0 it is the equal-base dual cell of the Hodge star.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GeometryError
+from .errors import ConfigError, DomainError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -126,7 +129,7 @@ class CubicalComplex:
         }
         self._faces = {}
         self._shifts = {}
-        self._star = {}
+        self._complement = {}
 
     # -- cells -------------------------------------------------------------
 
@@ -195,75 +198,65 @@ class CubicalComplex:
 
     # -- incidence ---------------------------------------------------------
 
+    def _incidence(self, degree: int) -> tuple:
+        """The boundary of the degree-p cells as (faces, cells, signs) triples.
+
+        Each term of `_shift_terms(p - 1)` applied to grids of cell indices
+        gives one triple per cell it covers, so the triples come in term
+        order.  Indices are int32 whenever they fit, signs int8.
+        """
+        if degree < 1 or degree > self.d:
+            raise DomainError(f"no boundary operator for degree {degree}")
+
+        def index_grids(q):
+            n = self.cell_count(q)
+            return self._grid_views(q, np.arange(n, dtype=np.int32 if n < 2**31 else np.int64))
+
+        cell_grids, face_grids = index_grids(degree), index_grids(degree - 1)
+        faces, cells, signs = [], [], []
+        for axes, cell_slice, face_axes, face_slice, add in self._shift_terms(degree - 1):
+            cells.append(cell_grids[axes][cell_slice].ravel())
+            faces.append(face_grids[face_axes][face_slice].ravel())
+            signs.append(np.full(cells[-1].size, 1 if add else -1, dtype=np.int8))
+        return np.concatenate(faces), np.concatenate(cells), np.concatenate(signs)
+
     def face_table(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         """The incidence of the degree-p cells as (faces, signs), each (2p, n_p).
 
         Column j holds the 2p faces of p-cell j in ascending index order and
         their incidence signs, so faces[t] is the t-th smallest face of every
-        cell.  Built block by block with no per-cell objects: for the cells
-        (v, A) of one axis subset and each a_t in A, the lower face
-        (v, A \\ a_t) is base . strides in the face block and the upper face
-        is one stride further along a_t (wrapping to 0 on a torus); the upper
-        face has sign (-1)^(t-1) and the lower one its negative, as in the
-        module docstring.  The face blocks of A come in the order of
-        decreasing t, so sorting a column only orders each lower/upper pair.
-        Read-only; indices are int32 whenever they fit, signs int8.
+        cell: the triples of `_incidence` sorted stably by cell, since the
+        shift terms visit each cell's faces in that order.  Read-only.
         """
-        if degree < 1 or degree > self.d:
-            raise DomainError(f"no boundary operator for degree {degree}")
         if degree not in self._faces:
-            n = self.cell_count(degree)
-            index_dtype = np.int32 if self.cell_count(degree - 1) < 2**31 else np.int64
-            faces = np.empty((2 * degree, n), dtype=index_dtype)
-            signs = np.empty((2 * degree, n), dtype=np.int8)
-            for axes in self._subsets[degree]:
-                offset = self._blocks[degree][axes][0]
-                base = self.block_bases(degree, axes)
-                cols = slice(offset, offset + base.shape[1])
-                for t, a in enumerate(axes):
-                    sub_offset, _, sub_strides = self._blocks[degree - 1][axes[:t] + axes[t + 1 :]]
-                    # the face block is at least as long as this one on every axis
-                    lower = sub_offset + np.array(sub_strides) @ base
-                    upper = lower + sub_strides[a]
-                    if self.topology == "torus":
-                        upper[base[a] == self.shape[a] - 1] -= self.shape[a] * sub_strides[a]
-                    sign = -1 if t % 2 else 1
-                    row = 2 * (degree - 1 - t)
-                    faces[row, cols] = np.minimum(lower, upper)
-                    faces[row + 1, cols] = np.maximum(lower, upper)
-                    signs[row, cols] = np.where(upper < lower, sign, -sign)
-                    signs[row + 1, cols] = -signs[row, cols]
-            faces.setflags(write=False)
-            signs.setflags(write=False)
-            self._faces[degree] = (faces, signs)
+            faces, cells, signs = self._incidence(degree)
+            order = np.argsort(cells, kind="stable")
+            table = tuple(
+                np.ascontiguousarray(a[order].reshape(-1, 2 * degree).T) for a in (faces, signs)
+            )
+            for a in table:
+                a.setflags(write=False)
+            self._faces[degree] = table
         return self._faces[degree]
 
-    def _table_arrays(self, degree: int, dtype) -> tuple:
-        """(data, indices, indptr) of face_table(degree), read cell by cell."""
-        faces, signs = self.face_table(degree)
-        per_cell, n = faces.shape
-        indptr = np.arange(0, n * per_cell + 1, per_cell)
-        return signs.T.astype(dtype).ravel(), faces.T.ravel(), indptr
-
     def boundary_matrix(self, degree: int) -> sp.csr_matrix:
-        """Integer incidence matrix of shape (n_{p-1}, n_p), derived from the
-        face table (whose columns are this matrix in CSC form)."""
+        """Integer incidence matrix of shape (n_{p-1}, n_p), built from the
+        triples of `_incidence`."""
         # scipy loads on first use: no command needs incidence as a matrix
         import scipy.sparse as sp
 
-        arrays = self._table_arrays(degree, np.int64)
+        faces, cells, signs = self._incidence(degree)
         shape = (self.cell_count(degree - 1), self.cell_count(degree))
-        return sp.csc_matrix(arrays, shape=shape).tocsr()
+        return sp.csr_matrix((signs.astype(np.int64), (faces, cells)), shape=shape)
 
     def coboundary_matrix(self, degree: int) -> sp.csr_matrix:
-        """Float transpose of boundary_matrix(degree+1), (n_{p+1}, n_p): the
-        face table of degree p+1 read as CSR rows.  The reference that the
-        shift maps of add_coboundary are tested against."""
+        """Float transpose of boundary_matrix(degree+1), (n_{p+1}, n_p).  The
+        reference that the shift maps of add_coboundary are tested against."""
         import scipy.sparse as sp
 
-        arrays = self._table_arrays(degree + 1, np.float64)
+        faces, cells, signs = self._incidence(degree + 1)
         shape = (self.cell_count(degree + 1), self.cell_count(degree))
-        return sp.csr_matrix(arrays, shape=shape)
+        return sp.csr_matrix((signs.astype(np.float64), (cells, faces)), shape=shape)
 
     def _shift_terms(self, degree: int) -> tuple:
         """The coboundary from degree p to p+1 as signed shift maps.
@@ -275,8 +268,9 @@ class CubicalComplex:
         sits at the same grid place, the upper one a step further along a_t.
         On a torus the wrap slab (v_{a_t} = n - 1, upper face at base 0) is
         a term of its own; on a box the face block is one cell longer along
-        a_t.  Per cell, the terms come in face-table row order: decreasing t,
-        lower before upper face except on the wrap slab.
+        a_t.  Per cell, the terms come in ascending face index order, which
+        face_table relies on: decreasing t, lower before upper face except on
+        the wrap slab.
         """
         if degree not in self._shifts:
 
@@ -362,36 +356,35 @@ class CubicalComplex:
             factors[offset : offset + count] = f
         return factors
 
-    def _star_data(self, degree: int):
-        """(signs, dual index map) of the reindexing part of the Hodge star.
+    def complement(self, degree: int, back: int) -> tuple[np.ndarray, np.ndarray]:
+        """The signed complement map of the degree-p cells as (signs, partner).
 
-        The dual of a p-cell (v, A) is indexed as the (d-p)-cell (v, comp A);
-        the sign is the permutation sign of (A, comp A).  Torus only, since a
-        box has different primal and complementary cell counts.
+        The partner of the p-cell (v, A) is the (d-p)-cell (v - back on the
+        axes outside A, comp A), wrapped on a torus and -1 where a box has no
+        such cell; its sign is the permutation sign of (A, comp A).  back=0
+        is the equal-base dual of the Hodge star, back=1 the cell that (v, A)
+        crosses in the intersection pairing.  Read-only; signs int8.
         """
-        if self.topology != "torus":
-            raise GeometryError("the Hodge star is only defined on torus meshes")
-        if degree not in self._star:
+        if (degree, back) not in self._complement:
             n = self.cell_count(degree)
-            signs = np.empty(n, dtype=np.int64)
-            dual = np.empty(n, dtype=np.int64)
+            signs = np.empty(n, dtype=np.int8)
+            partner = np.empty(n, dtype=np.int64)
             for axes in self._subsets[degree]:
-                offset, extents, _ = self._blocks[degree][axes]
-                count = int(np.prod(extents))
+                offset = self._blocks[degree][axes][0]
                 comp = tuple(i for i in range(self.d) if i not in axes)
-                s = perm_sign(list(axes) + list(comp))
-                dual_offset = self._blocks[self.d - degree][comp][0]
-                idx = np.arange(offset, offset + count)
-                signs[idx] = s
-                dual[idx] = np.arange(dual_offset, dual_offset + count)
-            self._star[degree] = (signs, dual)
-        return self._star[degree]
-
-    def star_signs(self, degree: int) -> np.ndarray:
-        return self._star_data(degree)[0]
-
-    def star_index(self, degree: int) -> np.ndarray:
-        return self._star_data(degree)[1]
+                comp_offset, extents, strides = self._blocks[self.d - degree][comp]
+                base = self.block_bases(degree, axes)
+                base[list(comp)] -= back
+                if self.topology == "torus":
+                    base %= np.array(self.shape)[:, None]
+                inside = ((base >= 0) & (base < np.array(extents)[:, None])).all(axis=0)
+                cols = slice(offset, offset + base.shape[1])
+                signs[cols] = perm_sign(axes + comp)
+                partner[cols] = np.where(inside, comp_offset + np.array(strides) @ base, -1)
+            signs.setflags(write=False)
+            partner.setflags(write=False)
+            self._complement[degree, back] = (signs, partner)
+        return self._complement[degree, back]
 
 
 class Chain:
@@ -539,14 +532,11 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
         for i, off in zip(others, offsets):
             if not 0 <= int(off) < complex.shape[i]:
                 raise ConfigError(f"loop offset {off} out of range on axis {i}")
-        coeffs = {}
-        for k in range(complex.shape[axis]):
-            base = [0] * complex.d
-            base[axis] = k
-            for i, off in zip(others, offsets):
-                base[i] = int(off)
-            coeffs[complex.cell_index(1, base, (axis,))] = 1
-        return Chain(complex, 1, coeffs)
+        bases = np.zeros((complex.d, complex.shape[axis]), dtype=np.int64)
+        bases[axis] = np.arange(complex.shape[axis])
+        bases[others] = np.array([int(off) for off in offsets], dtype=np.int64)[:, None]
+        cells = complex.cell_indices(1, (axis,), bases)
+        return Chain(complex, 1, dict.fromkeys(cells.tolist(), 1))
     if kind == "plane":
         normal = int(spec["normal"])
         if not 0 <= normal < complex.d:
@@ -555,15 +545,11 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
         if not 0 <= offset < complex.shape[normal]:
             raise ConfigError(f"plane offset {offset} out of range")
         axes = tuple(i for i in range(complex.d) if i != normal)
-        ranges = [
-            range(complex.shape[i]) if i != normal else (offset,)
-            for i in range(complex.d)
-        ]
-        coeffs = {
-            complex.cell_index(complex.d - 1, base, axes): 1
-            for base in product(*ranges)
-        }
-        return Chain(complex, complex.d - 1, coeffs)
+        extents = [1 if i == normal else n for i, n in enumerate(complex.shape)]
+        bases = np.indices(extents).reshape(complex.d, -1)
+        bases[normal] = offset
+        cells = complex.cell_indices(complex.d - 1, axes, bases)
+        return Chain(complex, complex.d - 1, dict.fromkeys(cells.tolist(), 1))
     if kind == "cells":
         items = spec.get("items")
         if not items:
@@ -579,7 +565,9 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
 def intersection_number(a: Chain, b: Chain) -> int:
     """Signed count of transversal crossings of complementary-degree chains.
 
-    Bilinear; vanishes when one argument is a boundary and the other a cycle.
+    Each p-cell of a crosses its `CubicalComplex.complement(p, 1)` partner
+    once, with the sign given there.  Bilinear; vanishes when one argument
+    is a boundary and the other a cycle.
     """
     if a.complex is not b.complex:
         raise DomainError("chains must live on the same complex")
@@ -588,17 +576,10 @@ def intersection_number(a: Chain, b: Chain) -> int:
         raise DomainError(
             f"degrees must be complementary: {a.degree} + {b.degree} != {cx.d}"
         )
-    total = 0
-    for idx, ca in a.coeffs.items():
-        cell = cx.cell(a.degree, idx)
-        comp = tuple(i for i in range(cx.d) if i not in cell.axes)
-        partner = list(cell.base)
-        for i in comp:
-            partner[i] -= 1
-        if cx.topology == "box" and any(partner[i] < 0 for i in comp):
-            continue
-        pidx = cx.cell_index(b.degree, partner, comp)
-        cb = b.coeffs.get(pidx, 0)
-        if cb:
-            total += ca * cb * perm_sign(list(cell.axes) + list(comp))
-    return total
+    signs, partner = cx.complement(a.degree, 1)
+    cells = np.fromiter(a.coeffs, dtype=np.int64, count=len(a.coeffs))
+    partners = partner[cells]
+    hit = np.isin(partners, np.fromiter(b.coeffs, dtype=np.int64, count=len(b.coeffs)))
+    crossings = zip(cells[hit].tolist(), partners[hit].tolist(), signs[cells[hit]].tolist())
+    # Python ints: coefficients reach 2**53, so an int64 product can overflow
+    return sum(a.coeffs[i] * b.coeffs[j] * s for i, j, s in crossings)

@@ -202,8 +202,7 @@ def test_star_factors_unit_metric(torus444):
     # values move by the index bijection, up to the orientation sign
     psi = Cochain.random_gaussian(torus444, 1, REAL_SCALAR, np.random.default_rng(5))
     starred = star(psi)
-    idx = torus444.star_index(1)
-    signs = torus444.star_signs(1)
+    signs, idx = torus444.complement(1, 0)
     assert np.array_equal(starred.values[idx], signs[:, None] * psi.values)
 
 

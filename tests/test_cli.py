@@ -291,6 +291,31 @@ def test_command_starts_without_scipy(tmp_path, command, config):
     assert json.loads(out.read_text())  # a report was written
 
 
+def test_failed_solve_prints_only_the_error(tmp_path):
+    # a one-edge source with nothing fixed is incompatible: the iteration
+    # breaks down into nan, and no numpy warning may reach stderr
+    cfg = json.loads((CONFIG_DIR / "solve_so3.json").read_text())
+    cfg["mesh"]["shape"] = [4, 4, 4]
+    cfg["field"]["init"]["fixed"] = []
+    cfg["field"]["init"]["source"] = {"cells": [{"base": [1, 1, 1], "axes": [0], "value": [1, 0, 0]}]}
+    src = str(Path(formlab.__file__).resolve().parent.parent)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTHONWARNINGS="default",
+    )
+    out = tmp_path / "report.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "formlab", "solve", write_config(tmp_path, cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error: linear solve did not reach tolerance")
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = base_config()
     cfg["field"] = {"degree": 1, "fiber": "algebra", "init": {"init": "random_gaussian", "seed": 9}}

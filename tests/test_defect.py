@@ -19,7 +19,6 @@ from formlab import (
     boundary,
     charge_eom,
     charge_trivial,
-    compose_defect_actions,
     conservation_report,
     d,
     eom_residual,
@@ -274,24 +273,6 @@ def test_complex_pair_defect(rng, torus444):
     out = apply_defect(defect, op, move, rep)
     assert out.degree == 1
     assert np.max(np.abs(out.observable - u.matrix @ op.observable)) <= 1e-12
-
-
-def test_compose_defect_actions(rng):
-    g = so3_rotation(0, np.pi / 2)
-    h = so3_rotation(2, np.pi / 2)
-    m = compose_defect_actions((g, 1), (h, 0))
-    assert (m.source, m.target) == (0, 0)
-    with pytest.raises(DegreeError):
-        compose_defect_actions((g, 0), (h, 0))
-    ad = adjoint_matrix
-    lhs = ad(g, so3()) @ ad(h, so3())
-    rhs = ad(h, so3()) @ ad(g, so3())
-    assert np.linalg.norm(lhs - rhs, 2) > 0.1
-    assert np.linalg.norm(
-        ad(compose_defect_actions((g, 1), (h, 0)).g, so3())
-        - ad(compose_defect_actions((h, 1), (g, 0)).g, so3()),
-        2,
-    ) > 0.1
 
 
 def test_conservation_report_on_box_mesh():

@@ -134,6 +134,7 @@ def test_noncommutativity_witness():
     gh = compose(primitive_morphism(g, 1), primitive_morphism(h, 0))
     hg = compose(primitive_morphism(h, 1), primitive_morphism(g, 0))
     assert np.linalg.norm(gh.g.matrix - hg.g.matrix, 2) > 0.1
+    assert np.linalg.norm(adjoint_matrix(gh.g, so3()) - adjoint_matrix(hg.g, so3()), 2) > 0.1
 
 
 def test_groupoid_laws_on_quaternion_closure():

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -234,6 +234,28 @@ def test_named_cycles():
     assert not is_cycle(single)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (4, 4, 4)])
+def test_named_cycles_match_per_cell_construction(shape):
+    cx = CubicalComplex(shape)
+    for axis in range(cx.d):
+        others = [i for i in range(cx.d) if i != axis]
+        for offsets in np.ndindex(*[shape[i] for i in others]):
+            expected = {}
+            for k in range(shape[axis]):
+                base = [0] * cx.d
+                base[axis] = k
+                for i, off in zip(others, offsets):
+                    base[i] = off
+                expected[cx.cell_index(1, base, (axis,))] = 1
+            spec = {"kind": "loop", "axis": axis, "offsets": list(offsets)}
+            assert named_cycle(cx, spec) == Chain(cx, 1, expected)
+        for offset in range(shape[axis]):
+            ranges = [(offset,) if i == axis else range(n) for i, n in enumerate(shape)]
+            expected = {cx.cell_index(cx.d - 1, base, tuple(others)): 1 for base in product(*ranges)}
+            spec = {"kind": "plane", "normal": axis, "offset": offset}
+            assert named_cycle(cx, spec) == Chain(cx, cx.d - 1, expected)
+
+
 def test_named_cycle_rejects_bad_specs():
     cx = CubicalComplex([4, 4, 4])
     with pytest.raises(ConfigError):
@@ -270,6 +292,51 @@ def test_intersection_matches_geometric_oracle(rng):
                 a = random_chain(cx, p, rng)
                 b = random_chain(cx, cx.d - p, rng)
                 assert intersection_number(a, b) == geometric_intersection(a, b)
+
+
+def crossing_rule_intersection(a, b):
+    """The module docstring's crossing rule, cell by cell: the p-cell (v, A)
+    crosses the complementary cell based at v - 1 on the axes outside A, if
+    the mesh has that cell, with the permutation sign of (A, comp A)."""
+    cx = a.complex
+    total = 0
+    for ia, ca in a.coeffs.items():
+        cell = cx.cell(a.degree, ia)
+        comp = tuple(i for i in range(cx.d) if i not in cell.axes)
+        base = [v - 1 if i in comp else v for i, v in enumerate(cell.base)]
+        try:
+            ib = cx.cell_index(b.degree, base, comp)  # range-checked on a box
+        except DomainError:
+            continue
+        total += ca * b.coeffs.get(ib, 0) * perm_sign(cell.axes + comp)
+    return total
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 4)])
+def test_intersection_on_a_box_matches_crossing_rule(shape, rng):
+    cx = CubicalComplex(shape, topology="box")
+    for p in range(cx.d + 1):
+        q = cx.d - p
+        everywhere = random_chain(cx, q, rng, cells=cx.cell_count(q))
+        if p < cx.d:
+            # cells on a lower face: their crossing partner lies outside the box
+            all_cells = [cx.cell(p, j) for j in range(cx.cell_count(p))]
+            lower = [
+                j for j, cell in enumerate(all_cells)
+                if any(cell.base[i] == 0 for i in range(cx.d) if i not in cell.axes)
+            ]
+            assert lower
+            on_faces = Chain(cx, p, {j: 1 for j in lower})
+            assert intersection_number(on_faces, everywhere) == 0
+            assert crossing_rule_intersection(on_faces, everywhere) == 0
+        for cells in (1, 4, cx.cell_count(p)):
+            for _ in range(10):
+                a = random_chain(cx, p, rng, cells=cells)
+                for b in (random_chain(cx, q, rng, cells=cells), everywhere):
+                    assert intersection_number(a, b) == crossing_rule_intersection(a, b)
+                # coefficients up to 2**53 are allowed: products must not wrap
+                big = intersection_number(2**53 * a, -(2**53) * everywhere)
+                assert big == -(2**106) * crossing_rule_intersection(a, everywhere)
 
 
 def test_intersection_is_bilinear(rng):
