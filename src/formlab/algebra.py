@@ -50,10 +50,6 @@ class LieAlgebra:
         return self.generators.shape[0]
 
     @property
-    def matrix_dim(self) -> int:
-        return self.generators.shape[1]
-
-    @property
     def group(self) -> str:
         return _GROUP_OF_ALGEBRA[self.name]
 

@@ -175,7 +175,9 @@ def star(psi: Cochain) -> Cochain:
 def integrate(psi: Cochain, chain: Chain):
     """Pair a cochain with a chain: sum of coefficient * value over cells.
 
-    Returns a float for real scalar fibers, else a component vector.
+    The terms are added left to right from +0.0 in cell order, as a loop
+    would (np.sum's pairwise order rounds differently).  Returns a float for
+    real scalar fibers, else a component vector.
     """
     if chain.complex is not psi.complex:
         raise DomainError("cochain and chain must live on the same complex")
@@ -183,9 +185,8 @@ def integrate(psi: Cochain, chain: Chain):
         raise DomainError(
             f"degree mismatch: cochain degree {psi.degree}, chain degree {chain.degree}"
         )
-    acc = psi.fiber.zero_value()
-    for idx, coef in chain.items():
-        acc = acc + coef * psi.values[idx]
+    terms = chain.coefs[:, None] * psi.values[chain.cells]
+    acc = np.add.accumulate(np.vstack([psi.fiber.zero_value(), terms]))[-1]
     if psi.fiber.kind == "real_scalar":
         return float(acc[0])
     return acc

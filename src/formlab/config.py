@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra as alg
 from .calculus import COMPLEX_PAIR, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, solve_free
-from .errors import ConfigError, DomainError, FormlabError
+from .errors import ConfigError, DomainError, FormlabError, parse_number
 from .graded import GroupoidRep
 from .mesh import Chain, CubicalComplex, named_cycle
 
@@ -79,7 +79,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     field_cfg = cfg.get("field", {})
     if not isinstance(field_cfg, dict):
         raise ConfigError("'field' must be an object")
-    field_degree = _parse(int, field_cfg.get("degree", 1), "'field.degree'")
+    field_degree = parse_number(int, field_cfg.get("degree", 1), "'field.degree'")
     fiber = _build_fiber(field_cfg.get("fiber", "algebra"), algebra)
     if fiber.kind == "complex_pair" and algebra.name != "u2":
         raise ConfigError("the complex pair fiber needs the u2 scenario algebra")
@@ -91,7 +91,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     for key, value in _container(cfg, "tolerances", dict).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
-        value = _parse(float, value, f"tolerance {key!r}")
+        value = parse_number(float, value, f"tolerance {key!r}")
         if value <= 0:
             raise ConfigError(f"tolerance {key!r} must be positive")
         tolerances[key] = value
@@ -144,18 +144,9 @@ def _container(cfg: dict, key: str, kind):
     return value
 
 
-def _parse(kind, value, what: str):
-    """int(value) or float(value), with a ConfigError naming `what`."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
-
-
 def parse_seed(value, what: str) -> int:
     """A random seed: a non-negative integer, as numpy's generators take."""
-    seed = _parse(int, value, what)
+    seed = parse_number(int, value, what)
     if seed < 0:
         raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
     return seed
@@ -165,9 +156,8 @@ def _build_mesh(spec) -> CubicalComplex:
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ConfigError("'mesh' must be an object with a 'shape' key")
     try:
-        return CubicalComplex(
-            spec["shape"], spec.get("spacing"), spec.get("topology", "torus")
-        )
+        shape = [parse_number(int, n, "'mesh.shape'") for n in spec["shape"]]
+        return CubicalComplex(shape, spec.get("spacing"), spec.get("topology", "torus"))
     except FormlabError:
         raise
     except (TypeError, ValueError) as exc:
@@ -247,8 +237,8 @@ def resolve_chain(scenario: Scenario, spec) -> Chain:
         raise ConfigError(f"bad chain spec: {exc}") from exc
     # integer boundaries run in int64 and integrals scale float values, so a
     # coefficient must be an integer that a float holds exactly
-    big = [c for c in chain.coeffs.values() if abs(c) > 2**53]
-    if big:
+    big = chain.coefs[np.abs(chain.coefs) > 2**53]
+    if big.size:
         raise ConfigError(f"bad chain spec: coefficient {big[0]} exceeds 2**53 in magnitude")
     return chain
 
@@ -270,8 +260,8 @@ def _validate_requests(scenario: Scenario) -> None:
         charged = req["charged"]
         if not isinstance(charged, dict) or "support" not in charged:
             raise ConfigError(f"defect request {i}: 'charged' needs a 'support'")
-        _parse(int, req["degree"], f"defect request {i}: 'degree'")
-        _parse(int, charged.get("degree", 0), f"defect request {i}: 'charged.degree'")
+        parse_number(int, req["degree"], f"defect request {i}: 'degree'")
+        parse_number(int, charged.get("degree", 0), f"defect request {i}: 'charged.degree'")
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:
@@ -294,7 +284,7 @@ def build_field(scenario: Scenario) -> Cochain:
         return Cochain.zeros(cx, degree, fiber)
     if kind == "random_gaussian":
         seed = parse_seed(init.get("seed", scenario.seed), "'field.init.seed'")
-        stddev = _parse(float, init.get("stddev", 1.0), "'field.init.stddev'")
+        stddev = parse_number(float, init.get("stddev", 1.0), "'field.init.stddev'")
         return Cochain.random_gaussian(cx, degree, fiber, np.random.default_rng(seed), stddev)
     if kind == "explicit":
         if "csv" in init:
@@ -337,10 +327,8 @@ def _cell_values(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what:
 
 def _cell_index_from_item(cx: CubicalComplex, degree: int, item) -> int:
     try:
-        base = tuple(int(b) for b in item["base"])
-        axes = tuple(int(a) for a in item["axes"])
+        base = [parse_number(int, b, "cell 'base'") for b in item["base"]]
+        axes = [parse_number(int, a, "cell 'axes'") for a in item["axes"]]
         return cx.cell_index(degree, base, axes)
-    except FormlabError as exc:
-        raise ConfigError(f"bad cell reference {item!r}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (FormlabError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad cell reference {item!r}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for config numbers."""
 
 
 class FormlabError(Exception):
@@ -25,3 +25,16 @@ class GeometryError(FormlabError):
 
 class SolverError(FormlabError):
     """The linear solver failed to converge or the source is incompatible."""
+
+
+def parse_number(kind, value, what: str):
+    """int(value) or float(value), with a ConfigError naming `what`.  An int
+    may be an integral float or a numeric string, never a fractional float."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return number

@@ -17,6 +17,10 @@ same maps applied to grids of cell indices.  The complement is written as
 `complement(p, back)`, which serves the Hodge star (back 0) and the
 intersection pairing (back 1).  Only the scipy matrices need scipy.
 
+A chain is a sparse integer vector: read-only int64 arrays of its distinct
+cell indices, ascending, and of their nonzero coefficients.  The boundary,
+the intersection pairing and `calculus.integrate` read those arrays.
+
 Conventions fixed here and relied on elsewhere:
 
 * boundary of a p-cube (v, A), A = (a_1 < ... < a_p):
@@ -40,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, parse_number
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -64,15 +68,12 @@ class Cell:
     degree: int
     base: tuple
     axes: tuple
-    orientation: int = 1
 
     def __post_init__(self):
         if tuple(sorted(set(self.axes))) != tuple(self.axes):
             raise DomainError(f"cell axes must be strictly increasing, got {self.axes}")
         if len(self.axes) != self.degree:
             raise DomainError("cell degree must equal the number of spanned axes")
-        if self.orientation not in (1, -1):
-            raise DomainError("orientation must be +1 or -1")
 
 
 class CubicalComplex:
@@ -147,6 +148,8 @@ class CubicalComplex:
             offset, extents, strides = self._blocks[degree][axes]
         except KeyError:
             raise DomainError(f"no degree-{degree} cells with axes {axes}") from None
+        if len(base) != self.d:
+            raise DomainError(f"a cell base needs {self.d} coordinates, got {len(base)}")
         idx = offset
         for i, (b, n, s) in enumerate(zip(base, extents, strides)):
             b = int(b)
@@ -156,9 +159,6 @@ class CubicalComplex:
                 raise DomainError(f"base coordinate {b} out of range on axis {i}")
             idx += b * s
         return idx
-
-    def index_of(self, cell: Cell) -> int:
-        return self.cell_index(cell.degree, cell.base, cell.axes)
 
     def cell(self, degree: int, index: int) -> Cell:
         if not 0 <= index < self.cell_count(degree):
@@ -388,68 +388,62 @@ class CubicalComplex:
 
 
 class Chain:
-    """An integer-weighted formal sum of cells of one degree."""
+    """An integer-weighted formal sum of cells of one degree, given as a
+    {cell index: coefficient} dict or as `cells` and `coefs` sequences, in
+    which repeated cells add up.  Held in normal form (module docstring); a
+    coefficient outside +-(2**63 - 1) is a DomainError, so negation never wraps.
+    """
 
-    __slots__ = ("complex", "degree", "coeffs")
+    __slots__ = ("complex", "degree", "cells", "coefs")
 
-    def __init__(self, complex: CubicalComplex, degree: int, coeffs=None):
+    def __init__(self, complex: CubicalComplex, degree: int, coeffs=None, *, cells=(), coefs=()):
         if not 0 <= degree <= complex.d:
             raise DomainError(f"no chains of degree {degree} in dimension {complex.d}")
+        if coeffs:
+            cells, coefs = list(coeffs), list(coeffs.values())
+        try:
+            cells = np.asarray(cells, dtype=np.int64).ravel()
+            bad = cells[(cells < 0) | (cells >= complex.cell_count(degree))]
+            if bad.size:
+                raise DomainError(f"cell index {bad[0]} out of range for degree {degree}")
+            order = np.argsort(cells, kind="stable")
+            cells, coefs = cells[order], np.asarray(coefs, dtype=np.int64).ravel()[order]
+            starts = np.flatnonzero(np.diff(cells, prepend=-1))
+            if starts.size < cells.size:
+                # Python-int sums, so that a sum past int64 raises
+                cells = cells[starts]
+                coefs = np.add.reduceat(coefs.astype(object), starts).astype(np.int64)
+            if (coefs == -(2**63)).any():
+                raise OverflowError
+        except OverflowError:
+            raise DomainError("chain cells and coefficients must lie within +-(2**63 - 1)") from None
+        nonzero = coefs != 0
         self.complex = complex
         self.degree = degree
-        clean = {}
-        n = complex.cell_count(degree)
-        for idx, c in (coeffs or {}).items():
-            idx = int(idx)
-            c = int(c)
-            if not 0 <= idx < n:
-                raise DomainError(f"cell index {idx} out of range for degree {degree}")
-            if c:
-                clean[idx] = clean.get(idx, 0) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def from_cells(cls, complex: CubicalComplex, items) -> Chain:
-        """Build a chain from (Cell, coefficient) pairs (all of one degree)."""
-        coeffs = {}
-        degree = None
-        for cell, coef in items:
-            if degree is None:
-                degree = cell.degree
-            elif cell.degree != degree:
-                raise DomainError("all cells of a chain must share one degree")
-            idx = complex.index_of(cell)
-            coeffs[idx] = coeffs.get(idx, 0) + int(coef) * cell.orientation
-        if degree is None:
-            raise DomainError("cannot infer the degree of an empty cell list")
-        return cls(complex, degree, coeffs)
-
-    def items(self):
-        return sorted(self.coeffs.items())
+        self.cells, self.coefs = cells[nonzero], coefs[nonzero]
+        self.cells.setflags(write=False)
+        self.coefs.setflags(write=False)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.cells.size)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Chain)
             and self.complex is other.complex
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.cells, other.cells)
+            and np.array_equal(self.coefs, other.coefs)
         )
-
-    def __hash__(self):
-        return hash((id(self.complex), self.degree, tuple(self.items())))
 
     def _binop(self, other, sign):
         if not isinstance(other, Chain):
             return NotImplemented
         if other.complex is not self.complex or other.degree != self.degree:
             raise DomainError("chains must live on the same complex and degree")
-        coeffs = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            coeffs[idx] = coeffs.get(idx, 0) + sign * c
-        return Chain(self.complex, self.degree, coeffs)
+        cells = np.concatenate([self.cells, other.cells])
+        coefs = np.concatenate([self.coefs, sign * other.coefs])
+        return Chain(self.complex, self.degree, cells=cells, coefs=coefs)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -457,29 +451,21 @@ class Chain:
     def __sub__(self, other):
         return self._binop(other, -1)
 
-    def __neg__(self):
-        return Chain(self.complex, self.degree, {k: -v for k, v in self.coeffs.items()})
-
     def __rmul__(self, scalar: int):
-        scalar = int(scalar)
-        return Chain(self.complex, self.degree, {k: scalar * v for k, v in self.coeffs.items()})
+        coefs = int(scalar) * self.coefs.astype(object)
+        return Chain(self.complex, self.degree, cells=self.cells, coefs=coefs)
 
     def __repr__(self):
-        return f"Chain(degree={self.degree}, cells={len(self.coeffs)})"
+        return f"Chain(degree={self.degree}, cells={self.cells.size})"
 
 
 def boundary(chain: Chain) -> Chain:
     """Integer boundary; boundary(boundary(c)) is exactly zero."""
     if chain.degree == 0:
         raise DomainError("0-chains have no boundary")
-    cx = chain.complex
-    faces, signs = cx.face_table(chain.degree)
-    cells = np.fromiter(chain.coeffs, dtype=np.int64, count=len(chain.coeffs))
-    coefs = np.fromiter(chain.coeffs.values(), dtype=np.int64, count=len(chain.coeffs))
-    vec = np.zeros(cx.cell_count(chain.degree - 1), dtype=np.int64)
-    np.add.at(vec, faces[:, cells], signs[:, cells] * coefs)
-    nonzero = np.flatnonzero(vec)
-    return Chain(cx, chain.degree - 1, dict(zip(nonzero.tolist(), vec[nonzero].tolist())))
+    faces, signs = chain.complex.face_table(chain.degree)
+    coefs = signs[:, chain.cells] * chain.coefs
+    return Chain(chain.complex, chain.degree - 1, cells=faces[:, chain.cells], coefs=coefs)
 
 
 def is_cycle(chain: Chain) -> bool:
@@ -514,34 +500,35 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
       {"kind": "plane", "normal": n, "offset": o}
       {"kind": "cells", "items": [{"degree": p, "base": [..], "axes": [..], "coef": c}]}
 
-    Loop and plane specs produce cycles on torus topology.
+    Loop and plane specs produce cycles on torus topology.  Every number of
+    a spec is an integer under `errors.parse_number`.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"chain spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
     if kind == "loop":
-        axis = int(spec["axis"])
+        axis = parse_number(int, spec["axis"], "loop 'axis'")
         if not 0 <= axis < complex.d:
             raise ConfigError(f"loop axis {axis} out of range")
-        offsets = list(spec["offsets"])
+        offsets = [parse_number(int, off, "loop 'offsets'") for off in spec["offsets"]]
         others = [i for i in range(complex.d) if i != axis]
         if len(offsets) != len(others):
             raise ConfigError(
                 f"loop offsets must give the {len(others)} transverse coordinates"
             )
         for i, off in zip(others, offsets):
-            if not 0 <= int(off) < complex.shape[i]:
+            if not 0 <= off < complex.shape[i]:
                 raise ConfigError(f"loop offset {off} out of range on axis {i}")
         bases = np.zeros((complex.d, complex.shape[axis]), dtype=np.int64)
         bases[axis] = np.arange(complex.shape[axis])
-        bases[others] = np.array([int(off) for off in offsets], dtype=np.int64)[:, None]
+        bases[others] = np.array(offsets, dtype=np.int64)[:, None]
         cells = complex.cell_indices(1, (axis,), bases)
-        return Chain(complex, 1, dict.fromkeys(cells.tolist(), 1))
+        return Chain(complex, 1, cells=cells, coefs=np.ones_like(cells))
     if kind == "plane":
-        normal = int(spec["normal"])
+        normal = parse_number(int, spec["normal"], "plane 'normal'")
         if not 0 <= normal < complex.d:
             raise ConfigError(f"plane normal {normal} out of range")
-        offset = int(spec["offset"])
+        offset = parse_number(int, spec["offset"], "plane 'offset'")
         if not 0 <= offset < complex.shape[normal]:
             raise ConfigError(f"plane offset {offset} out of range")
         axes = tuple(i for i in range(complex.d) if i != normal)
@@ -549,16 +536,21 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
         bases = np.indices(extents).reshape(complex.d, -1)
         bases[normal] = offset
         cells = complex.cell_indices(complex.d - 1, axes, bases)
-        return Chain(complex, complex.d - 1, dict.fromkeys(cells.tolist(), 1))
+        return Chain(complex, complex.d - 1, cells=cells, coefs=np.ones_like(cells))
     if kind == "cells":
         items = spec.get("items")
         if not items:
             raise ConfigError("cells spec needs a non-empty 'items' list")
-        cells = []
+        degree = parse_number(int, items[0]["degree"], "chain item 'degree'")
+        cells, coefs = [], []
         for item in items:
-            cell = Cell(int(item["degree"]), tuple(item["base"]), tuple(item["axes"]))
-            cells.append((cell, int(item.get("coef", 1))))
-        return Chain.from_cells(complex, cells)
+            if parse_number(int, item["degree"], "chain item 'degree'") != degree:
+                raise DomainError("all cells of a chain must share one degree")
+            base = [parse_number(int, b, "chain item 'base'") for b in item["base"]]
+            axes = [parse_number(int, a, "chain item 'axes'") for a in item["axes"]]
+            cells.append(complex.cell_index(degree, base, axes))
+            coefs.append(parse_number(int, item.get("coef", 1), "chain item 'coef'"))
+        return Chain(complex, degree, cells=cells, coefs=coefs)
     raise ConfigError(f"unknown chain spec kind {kind!r}")
 
 
@@ -577,9 +569,9 @@ def intersection_number(a: Chain, b: Chain) -> int:
             f"degrees must be complementary: {a.degree} + {b.degree} != {cx.d}"
         )
     signs, partner = cx.complement(a.degree, 1)
-    cells = np.fromiter(a.coeffs, dtype=np.int64, count=len(a.coeffs))
-    partners = partner[cells]
-    hit = np.isin(partners, np.fromiter(b.coeffs, dtype=np.int64, count=len(b.coeffs)))
-    crossings = zip(cells[hit].tolist(), partners[hit].tolist(), signs[cells[hit]].tolist())
+    partners = partner[a.cells]
+    hit = np.isin(partners, b.cells)
+    at = np.searchsorted(b.cells, partners[hit])
+    crossings = zip(a.coefs[hit].tolist(), b.coefs[at].tolist(), signs[a.cells[hit]].tolist())
     # Python ints: coefficients reach 2**53, so an int64 product can overflow
-    return sum(a.coeffs[i] * b.coeffs[j] * s for i, j, s in crossings)
+    return sum(i * j * s for i, j, s in crossings)

@@ -162,10 +162,10 @@ def test_pairing_ad_invariance(rng):
 def test_exponential_identities(rng):
     for algebra in ALGEBRAS:
         e = exponential(algebra.zero())
-        assert np.max(np.abs(e.matrix - np.eye(algebra.matrix_dim))) == 0.0
+        assert np.max(np.abs(e.matrix - np.eye(algebra.generators.shape[1]))) == 0.0
         x = random_element(algebra, rng)
         prod = exponential(x) @ exponential(-x)
-        assert np.max(np.abs(prod.matrix - np.eye(algebra.matrix_dim))) <= 1e-12
+        assert np.max(np.abs(prod.matrix - np.eye(algebra.generators.shape[1]))) <= 1e-12
 
 
 def test_exponential_matches_closed_form_rotations():
@@ -185,7 +185,7 @@ def test_group_closure_under_products(rng):
             g = random_group_element(algebra, rng)
             h = random_group_element(algebra, rng)
             gh = g @ h
-            n = algebra.matrix_dim
+            n = algebra.generators.shape[1]
             assert np.max(np.abs(gh.matrix.conj().T @ gh.matrix - np.eye(n))) <= 1e-11
 
 

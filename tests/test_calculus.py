@@ -239,10 +239,57 @@ def test_integrate_constant_over_loop(torus444):
     loop = named_cycle(torus444, {"kind": "loop", "axis": 1, "offsets": [0, 2]})
     vals = np.zeros((torus444.cell_count(1), 3))
     v = np.array([0.5, -1.0, 2.0])
-    for idx in loop.coeffs:
-        vals[idx] = v
+    vals[loop.cells] = v
     psi = Cochain(torus444, 1, SO3_FIBER, vals)
     assert np.allclose(integrate(psi, loop), 4 * v, atol=0)
+
+
+def loop_integral(psi, chain):
+    # the reference: one term at a time, left to right from +0.0
+    acc = psi.fiber.zero_value()
+    for idx, coef in zip(chain.cells.tolist(), chain.coefs.tolist()):
+        acc = acc + coef * psi.values[idx]
+    return acc
+
+
+def float_bits(value):
+    """The bits of each float part, every NaN as one NaN: IEEE 754 leaves the
+    sign and payload of a NaN result open, and numpy's complex add loops pick
+    the NaN of different operands."""
+    parts = np.asarray(value).reshape(-1).view(np.float64)
+    return np.where(np.isnan(parts), np.nan, parts).view(np.int64)
+
+
+@pytest.mark.parametrize("fiber", [REAL_SCALAR, COMPLEX_PAIR, SO3_FIBER], ids=["real", "complex_pair", "so3"])
+def test_integrate_matches_the_left_to_right_loop_bit_for_bit(fiber, rng, torus444):
+    cx = torus444
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.5e-308])
+    for p in range(cx.d + 1):
+        n = cx.cell_count(p)
+        for trial in range(40):
+            # magnitudes spread over many decades, so the summation order shows
+            parts = [
+                rng.standard_normal((n, fiber.components)) * 10.0 ** rng.integers(-20, 20, (n, fiber.components))
+                for _ in range(2 if fiber.is_complex else 1)
+            ]
+            for part in parts:
+                spots = rng.random(part.shape) < 0.05
+                part[spots] = rng.choice(specials, size=int(spots.sum()))
+            if trial % 10 == 0:
+                parts = [np.full_like(part, -0.0) for part in parts]
+            values = np.zeros((n, fiber.components), dtype=fiber.dtype)
+            values.real = parts[0]
+            if fiber.is_complex:
+                values.imag = parts[1]
+            psi = Cochain(cx, p, fiber, values)
+            cells = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            top = 2**53 if trial % 4 == 0 else 4
+            coefs = rng.integers(-top, top + 1, size=cells.size)
+            chain = Chain(cx, p, cells=cells, coefs=coefs)
+            with np.errstate(all="ignore"):  # inf * 0 and overflow are part of the test
+                got = np.asarray(integrate(psi, chain), dtype=fiber.dtype)
+                expected = loop_integral(psi, chain)
+            assert np.array_equal(float_bits(got), float_bits(expected))
 
 
 def test_discrete_stokes(rng, torus444):

@@ -241,6 +241,35 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         ("defect", "so3_defect.json", lambda c: c["defects"][0].update(g=[])),
         ("defect", "so3_defect.json", lambda c: c["defects"][0]["move"]["filling"]["items"][0].update(coef=10**30)),
     ]
+    # a cell base needs one coordinate per axis, and a fractional number
+    # where an integer belongs is an error, not truncated
+    def filling_item(c):
+        return c["defects"][0]["move"]["filling"]["items"][0]
+
+    def solve_fixed(c):
+        return c["field"]["init"]["fixed"][0]
+
+    def explicit(base):
+        return {"init": "explicit", "cells": [{"base": base, "axes": [0], "value": [1, 0, 0]}]}
+
+    wrong_types += [
+        ("defect", "so3_defect.json", lambda c: filling_item(c).update(base=[0, 0])),
+        ("defect", "so3_defect.json", lambda c: filling_item(c).update(base=[0, 0, 3, 9])),
+        ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(base=[0, 0])),
+        ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(base=[0, 0, 3, 9])),
+        ("solve", "solve_so3.json", lambda c: c["field"].update(init=explicit([0, 0]))),
+        ("solve", "solve_so3.json", lambda c: c["field"].update(init=explicit([0, 0, 3, 9]))),
+        ("defect", "so3_defect.json", lambda c: filling_item(c).update(coef=1.7)),
+        ("defect", "so3_defect.json", lambda c: filling_item(c).update(base=[0.5, 0, 3])),
+        ("defect", "so3_defect.json", lambda c: c["defects"][0]["support"].update(offsets=[0.5, 3])),
+        ("defect", "so3_defect.json", lambda c: c["defects"][0].update(degree=0.5)),
+        ("defect", "so3_defect.json", lambda c: c["field"].update(degree=1.5)),
+        ("defect", "so3_defect.json", lambda c: c.update(seed=2.5)),
+        ("defect", "so3_defect.json", lambda c: c.update(seed=float("inf"))),  # JSON Infinity
+        ("defect", "so3_defect.json", lambda c: c["field"]["init"].update(seed=5.5)),
+        ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(base=[0.5, 0, 0])),
+        ("solve", "solve_so3.json", lambda c: c["mesh"].update(shape=[6.5, 6, 6])),
+    ]
     for n, (command, config, edit) in enumerate(wrong_types):
         out = tmp_path / f"wrong{n}.out.json"
         assert main([command, variant(config, f"wrong{n}.json", edit), "--out", str(out)]) == 2, n

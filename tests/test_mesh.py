@@ -51,9 +51,9 @@ def geometric_intersection(a, b):
         return 0.0 < t < 1.0
 
     total = 0
-    for ia, ca in a.coeffs.items():
+    for ia, ca in zip(a.cells.tolist(), a.coefs.tolist()):
         cell_a = cx.cell(a.degree, ia)
-        for ib, cb in b.coeffs.items():
+        for ib, cb in zip(b.cells.tolist(), b.coefs.tolist()):
             cell_b = cx.cell(b.degree, ib)
             if set(cell_a.axes) & set(cell_b.axes):
                 continue
@@ -139,7 +139,8 @@ def test_cell_index_roundtrip():
     cx = CubicalComplex([3, 4], topology="box")
     for p in range(cx.d + 1):
         for i in range(cx.cell_count(p)):
-            assert cx.index_of(cx.cell(p, i)) == i
+            c = cx.cell(p, i)
+            assert cx.cell_index(c.degree, c.base, c.axes) == i
 
 
 @pytest.mark.parametrize("topology", ["torus", "box"])
@@ -152,14 +153,14 @@ def test_boundary_matches_boundary_matrix(shape, topology, rng):
         for cells in (0, 1, 5, n):
             chain = random_chain(cx, p, rng, cells=cells)
             vec = np.zeros(n, dtype=np.int64)
-            vec[list(chain.coeffs)] = list(chain.coeffs.values())
+            vec[chain.cells] = chain.coefs
             expected = cx.boundary_matrix(p) @ vec
             got = np.zeros(cx.cell_count(p - 1), dtype=np.int64)
             image = boundary(chain)
-            got[list(image.coeffs)] = list(image.coeffs.values())
+            got[image.cells] = image.coefs
             assert image.degree == p - 1
             assert np.array_equal(got, expected)
-            assert 0 not in image.coeffs.values()
+            assert 0 not in image.coefs
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -200,7 +201,7 @@ def test_unit_square_boundary_orientation():
 def test_wraparound_loop_is_a_cycle():
     cx = CubicalComplex([4, 4, 4])
     loop = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
-    assert len(loop.coeffs) == 4
+    assert len(loop.cells) == 4
     assert not boundary(loop)
 
 
@@ -224,9 +225,9 @@ def test_is_cycle_cases(rng):
 def test_named_cycles():
     cx = CubicalComplex([4, 4, 4])
     loop = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
-    assert len(loop.coeffs) == 4 and is_cycle(loop)
+    assert len(loop.cells) == 4 and is_cycle(loop)
     plane = named_cycle(cx, {"kind": "plane", "normal": 2, "offset": 1})
-    assert len(plane.coeffs) == 16 and is_cycle(plane)
+    assert len(plane.cells) == 16 and is_cycle(plane)
     single = named_cycle(
         cx,
         {"kind": "cells", "items": [{"degree": 2, "base": [0, 0, 0], "axes": [0, 1], "coef": 1}]},
@@ -300,7 +301,8 @@ def crossing_rule_intersection(a, b):
     the mesh has that cell, with the permutation sign of (A, comp A)."""
     cx = a.complex
     total = 0
-    for ia, ca in a.coeffs.items():
+    coeffs_b = dict(zip(b.cells.tolist(), b.coefs.tolist()))
+    for ia, ca in zip(a.cells.tolist(), a.coefs.tolist()):
         cell = cx.cell(a.degree, ia)
         comp = tuple(i for i in range(cx.d) if i not in cell.axes)
         base = [v - 1 if i in comp else v for i, v in enumerate(cell.base)]
@@ -308,7 +310,7 @@ def crossing_rule_intersection(a, b):
             ib = cx.cell_index(b.degree, base, comp)  # range-checked on a box
         except DomainError:
             continue
-        total += ca * b.coeffs.get(ib, 0) * perm_sign(cell.axes + comp)
+        total += ca * coeffs_b.get(ib, 0) * perm_sign(cell.axes + comp)
     return total
 
 
@@ -425,3 +427,42 @@ def test_torus_base_reduction():
     box = CubicalComplex([3, 3], topology="box")
     with pytest.raises(DomainError):
         box.cell_index(0, (4, 0), ())
+    for base in ((1,), (1, 2, 0)):  # one coordinate per axis, no more, no fewer
+        with pytest.raises(DomainError):
+            cx.cell_index(1, base, (0,))
+
+
+def test_chain_normal_form():
+    cx = CubicalComplex([3, 3])
+    chain = Chain(cx, 1, cells=[5, 2, 5, 7, 2, 0], coefs=[1, 4, 2, 3, -4, 0])
+    assert chain.cells.tolist() == [5, 7]  # sorted, distinct, repeats added up
+    assert chain.coefs.tolist() == [3, 3]  # zero sums dropped
+    assert chain == Chain(cx, 1, {7: 3, 5: 3})
+    for arr in (chain.cells, chain.coefs):
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError):
+            arr[0] = 1  # read-only
+    empty = chain - chain
+    assert not empty and empty.cells.size == 0 and empty.coefs.size == 0
+    assert empty == Chain(cx, 1, {})
+    spec = {"kind": "cells", "items": [{"degree": 1, "base": [0, 0], "axes": [0], "coef": c} for c in (1, 2)]}
+    assert named_cycle(cx, spec) == Chain(cx, 1, {0: 3})
+    for cells in ([18], [-1], [2**63]):
+        with pytest.raises(DomainError):
+            Chain(cx, 1, cells=cells, coefs=[1])
+    # coefficients within +-(2**63 - 1), as given and after +, - and *
+    top = 2**63 - 1
+    assert (-1 * Chain(cx, 1, {0: top})).coefs.tolist() == [-top]
+    big = Chain(cx, 1, {0: 2**62})
+    overflows = [
+        lambda: big + big,
+        lambda: big - (-1 * big),
+        lambda: 2 * big,
+        lambda: -(2**62) * Chain(cx, 1, {0: 3}),
+        lambda: Chain(cx, 1, {0: 2**63}),
+        lambda: Chain(cx, 1, {0: -(2**63)}),
+        lambda: Chain(cx, 1, cells=[0] * 4, coefs=[2**62] * 4),  # 2**64 wraps to 0 in int64
+    ]
+    for make in overflows:
+        with pytest.raises(DomainError):
+            make()
