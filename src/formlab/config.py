@@ -42,7 +42,6 @@ class Scenario:
     checks: list | None
     tolerances: dict
     seed: int
-    u2_c2_map: np.ndarray | None = None
     base_dir: Path = field(default_factory=Path)
 
 
@@ -64,7 +63,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         raise ConfigError("the config root must be a JSON object")
     known = {
         "mesh", "algebra", "field", "group_elements", "charges", "defects",
-        "compose", "checks", "tolerances", "seed", "u2_c2_map",
+        "compose", "checks", "tolerances", "seed",
     }
     unknown = set(cfg) - known
     if unknown:
@@ -92,14 +91,9 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
         value = parse_number(float, value, f"tolerance {key!r}")
-        if value <= 0:
+        if not value > 0:  # NaN fails too
             raise ConfigError(f"tolerance {key!r} must be positive")
         tolerances[key] = value
-
-    u2_map = None
-    if cfg.get("u2_c2_map") is not None:
-        u2_map = np.asarray(cfg["u2_c2_map"], dtype=np.float64)
-        alg.c2_basis_map(u2_map)  # validates shape and invertibility
 
     group_elements = {}
     for name, spec in _container(cfg, "group_elements", dict).items():
@@ -125,7 +119,6 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         checks=checks,
         tolerances=tolerances,
         seed=parse_seed(cfg.get("seed", 0), "'seed'"),
-        u2_c2_map=u2_map,
         base_dir=Path(base_dir),
     )
     _validate_requests(scenario)
@@ -153,15 +146,9 @@ def parse_seed(value, what: str) -> int:
 
 
 def _build_mesh(spec) -> CubicalComplex:
-    if not isinstance(spec, dict) or "shape" not in spec:
-        raise ConfigError("'mesh' must be an object with a 'shape' key")
-    try:
-        shape = [parse_number(int, n, "'mesh.shape'") for n in spec["shape"]]
-        return CubicalComplex(shape, spec.get("spacing"), spec.get("topology", "torus"))
-    except FormlabError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mesh spec: {exc}") from exc
+    if not isinstance(spec, dict) or not isinstance(spec.get("shape"), list):
+        raise ConfigError("'mesh' must be an object with a 'shape' list")
+    return CubicalComplex(spec["shape"], spec.get("spacing"), spec.get("topology", "torus"))
 
 
 def _build_fiber(name, algebra: alg.LieAlgebra) -> FiberSpec:
@@ -288,6 +275,8 @@ def build_field(scenario: Scenario) -> Cochain:
         return Cochain.random_gaussian(cx, degree, fiber, np.random.default_rng(seed), stddev)
     if kind == "explicit":
         if "csv" in init:
+            if not isinstance(init["csv"], str):
+                raise ConfigError(f"'field.init.csv' must be a file name, got {init['csv']!r}")
             from .fieldio import load_field_csv
 
             return load_field_csv(cx, degree, fiber, scenario.base_dir / init["csv"])

@@ -28,13 +28,13 @@ class SolverError(FormlabError):
 
 
 def parse_number(kind, value, what: str):
-    """int(value) or float(value), with a ConfigError naming `what`.  An int
-    may be an integral float or a numeric string, never a fractional float."""
+    """int(value) or float(value), with a ConfigError naming `what`.  A
+    boolean is no number; an int may be an integral float or a numeric string."""
+    noun = "an integer" if kind is int else "a number"
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
-    if kind is int and isinstance(value, float) and number != value:
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and number != value):
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
     return number

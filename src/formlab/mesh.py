@@ -37,6 +37,7 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -80,7 +81,7 @@ class CubicalComplex:
     """A cubical mesh on a flat torus or box with a diagonal metric."""
 
     def __init__(self, shape, spacing=None, topology: str = "torus"):
-        shape = tuple(int(n) for n in shape)
+        shape = tuple(parse_number(int, n, "a shape entry") for n in shape)
         if len(shape) not in (1, 2, 3):
             raise ConfigError(f"dimension must be 1, 2 or 3, got {len(shape)}")
         if any(n < 2 for n in shape):
@@ -88,12 +89,12 @@ class CubicalComplex:
         if spacing is None:
             spacing = (1.0,) * len(shape)
         elif np.isscalar(spacing):
-            spacing = (float(spacing),) * len(shape)
+            spacing = (parse_number(float, spacing, "the spacing"),) * len(shape)
         else:
-            spacing = tuple(float(h) for h in spacing)
+            spacing = tuple(parse_number(float, h, "a spacing entry") for h in spacing)
         if len(spacing) != len(shape):
             raise ConfigError("spacing must have one entry per axis")
-        if any(h <= 0 for h in spacing):
+        if not all(h > 0 for h in spacing):  # NaN fails too
             raise ConfigError(f"spacing entries must be positive, got {spacing}")
         if topology not in ("torus", "box"):
             raise ConfigError(f"topology must be 'torus' or 'box', got {topology!r}")
@@ -452,6 +453,8 @@ class Chain:
         return self._binop(other, -1)
 
     def __rmul__(self, scalar: int):
+        if not isinstance(scalar, numbers.Integral):
+            return NotImplemented  # a float is not truncated
         coefs = int(scalar) * self.coefs.astype(object)
         return Chain(self.complex, self.degree, cells=self.cells, coefs=coefs)
 

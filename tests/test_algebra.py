@@ -17,7 +17,7 @@ from formlab import (
     u2_from_c2,
     u2_to_c2,
 )
-from formlab.algebra import random_element, random_group_element
+from formlab.algebra import GroupElement, random_element, random_group_element
 
 ALGEBRAS = [so3(), u2(), u1()]
 
@@ -179,7 +179,8 @@ def test_exponential_matches_closed_form_rotations():
 
 
 def test_group_closure_under_products(rng):
-    # products of exponentials stay in the group (constructor validates)
+    # products of exponentials stay in the group (products are not
+    # re-validated, so the drift is measured here)
     for algebra in ALGEBRAS:
         for _ in range(50):
             g = random_group_element(algebra, rng)
@@ -187,6 +188,21 @@ def test_group_closure_under_products(rng):
             gh = g @ h
             n = algebra.generators.shape[1]
             assert np.max(np.abs(gh.matrix.conj().T @ gh.matrix - np.eye(n))) <= 1e-11
+
+
+@pytest.mark.parametrize("group", ["SO3", "U2", "U1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), 1e200])
+def test_group_element_rejects_non_finite_and_huge_entries(group, bad):
+    n = {"SO3": 3, "U2": 2, "U1": 1}[group]
+    m = np.eye(n, dtype=np.complex128)
+    m[-1, -1] = bad
+    with pytest.raises(DomainError):
+        GroupElement(group, m)
+
+
+def test_exponential_of_huge_coefficients_is_rejected():
+    with pytest.raises(DomainError):
+        exponential(so3().element([1e300, 0.0, 0.0]))
 
 
 def test_adjoint_matrix_is_homomorphism(rng):

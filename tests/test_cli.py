@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,15 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         ("defect", "so3_defect.json", lambda c: c["field"]["init"].update(seed=5.5)),
         ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(base=[0.5, 0, 0])),
         ("solve", "solve_so3.json", lambda c: c["mesh"].update(shape=[6.5, 6, 6])),
+        ("solve", "solve_so3.json", lambda c: c["mesh"].update(shape="444")),
+        ("solve", "solve_so3.json", lambda c: c["field"].update(init={"init": "explicit", "csv": 5})),
+        # a JSON boolean is not a number, and a NaN tolerance is not positive
+        ("defect", "so3_defect.json", lambda c: filling_item(c).update(coef=True)),
+        ("defect", "so3_defect.json", lambda c: c.update(seed=False)),
+        ("check", "so3_check.json", lambda c: c.update(tolerances={"check": float("nan")})),
+        # the u(2) <-> C^2 map is a library argument, not a config key
+        ("charges", "u2_charges.json", lambda c: c.update(u2_c2_map="garbage")),
+        ("charges", "u2_charges.json", lambda c: c.update(u2_c2_map=np.eye(4).tolist())),
     ]
     for n, (command, config, edit) in enumerate(wrong_types):
         out = tmp_path / f"wrong{n}.out.json"
@@ -281,6 +291,33 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
     out = tmp_path / "never.json"
     assert main(["check", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
     assert not out.exists()  # no partial report on exit 2
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "config,name,spec",
+    [
+        ("so3_check.json", "g", {"type": "matrix", "rows": [[1, 0, 0], [0, 1, 0], [0, 0, NAN]]}),
+        ("so3_check.json", "g", {"type": "matrix", "rows": [[2, 0, 0], [0, 1, 0], [0, 0, 0.5]]}),
+        ("so3_check.json", "g", {"type": "exp", "coeffs": [1e300, 0, 0]}),
+        ("u2_check.json", "v", {"type": "matrix", "rows": [[[0, 1], [0, 0]], [[0, 0], [NAN, 0]]]}),
+        ("u2_check.json", "v", {"type": "matrix", "rows": [[2, 0], [0, 0.5]]}),
+        ("u2_check.json", "v", {"type": "matrix", "rows": [[1e200, 0], [0, 1]]}),
+    ],
+)
+def test_bad_group_element_exits_two_without_warnings(tmp_path, capsys, config, name, spec):
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg["group_elements"][name] = spec
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compose", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not caught
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad group element {name!r}") and "Warning" not in err
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from formlab import (
     so3_rotation,
     u2,
 )
-from formlab.algebra import adjoint_matrix, random_element, random_group_element
+from formlab.algebra import GroupElement, adjoint_matrix, random_element, random_group_element
 from formlab.checks import groupoid_law_violations, quaternion_elements
 
 SO3_REP = GroupoidRep(algebra_fiber(so3()))
@@ -135,6 +135,28 @@ def test_noncommutativity_witness():
     hg = compose(primitive_morphism(h, 1), primitive_morphism(g, 0))
     assert np.linalg.norm(gh.g.matrix - hg.g.matrix, 2) > 0.1
     assert np.linalg.norm(adjoint_matrix(gh.g, so3()) - adjoint_matrix(hg.g, so3()), 2) > 0.1
+
+
+def test_products_inverses_and_identity_are_not_revalidated(monkeypatch):
+    g, h = so3_rotation(0, 0.7), so3_rotation(2, 1.1)
+    a, b = primitive_morphism(g, 0), primitive_morphism(h, 1)
+    checked = []
+    validate = GroupElement.__post_init__
+
+    def counting(self):
+        checked.append(self.group)
+        validate(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    GroupElement("SO3", g.matrix)
+    assert checked == ["SO3"]  # the public constructor still validates
+    checked.clear()
+    e = identity("SO3")
+    ba = compose(b, a)
+    compose(inverse(ba), ba)
+    compose(identity_morphism(e, ba.target), ba)
+    g.inverse() @ h
+    assert checked == []
 
 
 def test_groupoid_laws_on_quaternion_closure():

@@ -419,6 +419,13 @@ def test_cell_and_chain_validation():
         CubicalComplex([1, 4])
     with pytest.raises(ConfigError):
         CubicalComplex([4, 4], spacing=[1.0, -2.0])
+    for shape in ([3.7, 3], [3, True]):  # not truncated or read as 1
+        with pytest.raises(ConfigError):
+            CubicalComplex(shape)
+    for spacing in ([1.0, float("nan")], [1.0, True], "x", [[1.0], 1.0]):
+        with pytest.raises(ConfigError):
+            CubicalComplex([4, 4], spacing=spacing)
+    assert CubicalComplex([3.0, np.int64(4)]).shape == (3, 4)
 
 
 def test_torus_base_reduction():
@@ -466,3 +473,8 @@ def test_chain_normal_form():
     for make in overflows:
         with pytest.raises(DomainError):
             make()
+    # a scalar multiple takes an integer, never a truncated float
+    assert (np.int64(3) * chain).coefs.tolist() == [9, 9]
+    for scalar in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            scalar * chain
