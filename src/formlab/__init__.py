@@ -17,8 +17,6 @@ from .algebra import (
     so3_rotation,
     u1,
     u2,
-    u2_from_c2,
-    u2_to_c2,
 )
 from .calculus import (
     COMPLEX_PAIR,
@@ -56,11 +54,8 @@ from .errors import (
 )
 from .graded import (
     GradedMorphism,
-    GradedValue,
     GroupoidRep,
-    act,
     compose,
-    identity_morphism,
     inverse,
     primitive_morphism,
     represent,

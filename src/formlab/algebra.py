@@ -283,41 +283,6 @@ def so3_rotation(axis: int, angle: float) -> GroupElement:
     return exponential(so3().element(coeffs))
 
 
-def c2_basis_map(basis_map) -> np.ndarray:
-    if basis_map is None:
-        return np.eye(4)
-    m = np.asarray(basis_map, dtype=np.float64)
-    if m.shape != (4, 4):
-        raise ConfigError(f"u(2) <-> C^2 map must be 4x4, got {m.shape}")
-    if abs(np.linalg.det(m)) < 1e-12:
-        raise ConfigError("u(2) <-> C^2 map is not invertible")
-    return m
-
-
-def u2_from_c2(v, basis_map=None) -> AlgebraElement:
-    """Identify a pair of complex numbers with a u(2) element.
-
-    The real vector (Re v1, Im v1, Re v2, Im v2) is sent through the
-    configured invertible 4x4 map (identity by default) to a coefficient
-    vector over the u(2) generators.
-    """
-    m = c2_basis_map(basis_map)
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (2,):
-        raise DomainError(f"expected a pair of complex numbers, got shape {v.shape}")
-    r = np.array([v[0].real, v[0].imag, v[1].real, v[1].imag])
-    return u2().element(m @ r)
-
-
-def u2_to_c2(x: AlgebraElement, basis_map=None) -> np.ndarray:
-    """Inverse of u2_from_c2."""
-    if x.algebra.name != "u2":
-        raise DomainError("u2_to_c2 expects a u(2) element")
-    m = c2_basis_map(basis_map)
-    r = np.linalg.solve(m, x.coeffs)
-    return np.array([r[0] + 1j * r[1], r[2] + 1j * r[3]])
-
-
 def random_element(algebra: LieAlgebra, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
     return algebra.element(scale * rng.standard_normal(algebra.dim))
 

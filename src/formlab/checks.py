@@ -35,7 +35,14 @@ from .defect import (
     charge_trivial,
 )
 from .errors import ConfigError, DegreeError
-from .graded import GradedMorphism, compose, inverse, primitive_morphism, represent
+from .graded import (
+    GradedMorphism,
+    compose,
+    generator_shift,
+    inverse,
+    primitive_morphism,
+    represent,
+)
 from .mesh import Chain, Cobordism, boundary, named_cycle
 from .dsl import Diagnostic, parse, typecheck
 
@@ -58,37 +65,33 @@ def quaternion_elements() -> list:
     return [alg.GroupElement("U2", s * u) for u in units for s in (1, -1)]
 
 
-def groupoid_law_violations(elements, tol: float = 1e-12) -> int:
+def groupoid_law_violations(elements) -> int:
     """Count groupoid-law failures over the closure of the given elements.
 
     The morphisms are every (element, source degree, shift).  The real
     compose and inverse check identity neutrality and two-sided inverses on
     each morphism.  compose then runs once on every ordered pair: a pair must
     compose exactly when its degrees line up, and each composite must match
-    (within tol) a morphism of the closure, whose index goes into a
-    composition table.  Associativity over all composable triples is then an
+    a morphism of the closure, whose index goes into a composition table.  Associativity over all composable triples is then an
     integer comparison of table lookups.
     """
     group = elements[0].group
     e = alg.identity(group)
     morphisms = [
-        GradedMorphism(g, s, sh, primitive=(sh == 1) != g.is_identity())
+        GradedMorphism(g, s, sh, primitive=sh == generator_shift(g))
         for g in elements
         for s in (0, 1)
         for sh in (0, 1)
     ]
     violations = 0
     for m in morphisms:
-        left = compose(GradedMorphism(e, m.target, 0, primitive=True), m)
-        right = compose(m, GradedMorphism(e, m.source, 0, primitive=True))
-        if not (left.matches(m, tol) and right.matches(m, tol)):
+        id_source, id_target = primitive_morphism(e, m.source), primitive_morphism(e, m.target)
+        if not (compose(id_target, m).matches(m) and compose(m, id_source).matches(m)):
             violations += 1
         inv = inverse(m)
-        idm = compose(inv, m)
-        if not idm.matches(GradedMorphism(e, m.source, 0, primitive=True), tol):
+        if not compose(inv, m).matches(id_source):
             violations += 1
-        idm2 = compose(m, inv)
-        if not idm2.matches(GradedMorphism(e, m.target, 0, primitive=True), tol):
+        if not compose(m, inv).matches(id_target):
             violations += 1
     # after[a][b] is the index of "b after a", None where it is undefined
     after = [[None] * len(morphisms) for _ in morphisms]
@@ -104,7 +107,7 @@ def groupoid_law_violations(elements, tol: float = 1e-12) -> int:
             if not defined:
                 violations += 1
                 continue
-            index = next((k for k, m in enumerate(morphisms) if ba.matches(m, tol)), None)
+            index = next((k for k, m in enumerate(morphisms) if ba.matches(m)), None)
             if index is None:
                 violations += 1  # the composite left the closure
             after[ia][ib] = index

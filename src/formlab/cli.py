@@ -23,6 +23,7 @@ from .config import (
     build_field,
     load_scenario,
     parse_seed,
+    parse_tolerance,
     representation_for,
     resolve_chain,
 )
@@ -110,10 +111,8 @@ def _cmd_defect(scenario: Scenario, args):
         support = resolve_chain(scenario, req["support"])
         filling = resolve_chain(scenario, req["move"]["filling"])
         charged_support = resolve_chain(scenario, req["charged"]["support"])
-        charged = ChargedOperator(
-            charged_support, field, int(req["charged"].get("degree", req["degree"]))
-        )
-        defect = DefectOperator(g, int(req["degree"]), support)
+        charged = ChargedOperator(charged_support, field, req["charged"]["degree"])
+        defect = DefectOperator(g, req["degree"], support)
         move = DefectMove(defect, Cobordism(scenario.complex, filling, support))
         crossings = intersection_number(charged.support, filling)
         outcome = apply_defect(defect, charged, move, rep)
@@ -207,9 +206,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             scenario.seed = parse_seed(args.seed, "--seed")
         if args.tol is not None:
-            if args.tol <= 0:
-                raise ConfigError("--tol must be positive")
-            scenario.tolerances["check"] = float(args.tol)
+            scenario.tolerances["check"] = parse_tolerance(args.tol, "--tol")
         code, report = _COMMANDS[args.command](scenario, args)
         if args.command != "compose":
             report["provenance"] = _provenance(args.config, scenario)

@@ -90,10 +90,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     for key, value in _container(cfg, "tolerances", dict).items():
         if key not in tolerances:
             raise ConfigError(f"unknown tolerance {key!r}")
-        value = parse_number(float, value, f"tolerance {key!r}")
-        if not value > 0:  # NaN fails too
-            raise ConfigError(f"tolerance {key!r} must be positive")
-        tolerances[key] = value
+        tolerances[key] = parse_tolerance(value, f"tolerance {key!r}")
 
     group_elements = {}
     for name, spec in _container(cfg, "group_elements", dict).items():
@@ -145,6 +142,14 @@ def parse_seed(value, what: str) -> int:
     return seed
 
 
+def parse_tolerance(value, what: str) -> float:
+    """A tolerance: a positive number (NaN is not positive)."""
+    tol = parse_number(float, value, what)
+    if not tol > 0:
+        raise ConfigError(f"{what} must be positive")
+    return tol
+
+
 def _build_mesh(spec) -> CubicalComplex:
     if not isinstance(spec, dict) or not isinstance(spec.get("shape"), list):
         raise ConfigError("'mesh' must be an object with a 'shape' list")
@@ -172,10 +177,12 @@ def _build_group_element(name, spec, algebra: alg.LieAlgebra) -> alg.GroupElemen
                     f"group element {name!r} uses algebra {source.name!r} but the "
                     f"scenario algebra is {algebra.name!r}"
                 )
-            return alg.exponential(source.element(np.asarray(spec["coeffs"], dtype=np.float64)))
+            return alg.exponential(source.element(_numbers(spec["coeffs"], "'coeffs'")))
         if spec["type"] == "matrix":
             rows = spec["rows"]
-            matrix = np.array([[_complex_entry(v) for v in row] for row in rows])
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ConfigError(f"'rows' must be a list of lists, got {rows!r}")
+            matrix = np.array([[_complex_entry(v, "matrix entry") for v in row] for row in rows])
             return alg.GroupElement(algebra.group, matrix)
     except FormlabError as exc:
         raise ConfigError(f"bad group element {name!r}: {exc}") from exc
@@ -184,28 +191,32 @@ def _build_group_element(name, spec, algebra: alg.LieAlgebra) -> alg.GroupElemen
     raise ConfigError(f"group element {name!r}: unknown type {spec['type']!r}")
 
 
-def _complex_entry(value):
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"matrix entries must be numbers or [re, im] pairs, got {value!r}")
+def _numbers(raw, what: str) -> np.ndarray:
+    """A JSON list of numbers as a float64 array."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {raw!r}")
+    return np.array([parse_number(float, v, what) for v in raw], dtype=np.float64)
+
+
+def _complex_entry(value, what: str) -> complex:
+    """A number, or an [re, im] pair of numbers, as a complex number."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(parse_number(float, value[0], what), parse_number(float, value[1], what))
+    return complex(parse_number(float, value, what))
 
 
 def parse_fiber_value(fiber: FiberSpec, raw) -> np.ndarray:
     """Parse one fiber value from its JSON form."""
-    try:
-        if fiber.kind == "real_scalar":
-            if isinstance(raw, (list, tuple)):
-                (raw,) = raw
-            return np.array([float(raw)])
-        if fiber.kind == "complex_pair":
-            if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-                raise ConfigError(f"complex pair values need two entries, got {raw!r}")
-            return np.array([_complex_entry(v) for v in raw])
-        vals = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fiber value {raw!r}: {exc}") from exc
+    what = "fiber value"
+    if fiber.kind == "real_scalar":
+        if isinstance(raw, list) and len(raw) == 1:
+            (raw,) = raw
+        return np.array([parse_number(float, raw, what)])
+    if fiber.kind == "complex_pair":
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ConfigError(f"complex pair values need two entries, got {raw!r}")
+        return np.array([_complex_entry(v, what) for v in raw])
+    vals = _numbers(raw, what)
     if vals.shape != (fiber.components,):
         raise ConfigError(
             f"algebra values need {fiber.components} coefficients, got {raw!r}"
@@ -247,8 +258,11 @@ def _validate_requests(scenario: Scenario) -> None:
         charged = req["charged"]
         if not isinstance(charged, dict) or "support" not in charged:
             raise ConfigError(f"defect request {i}: 'charged' needs a 'support'")
-        parse_number(int, req["degree"], f"defect request {i}: 'degree'")
-        parse_number(int, charged.get("degree", 0), f"defect request {i}: 'charged.degree'")
+        # parsed once here; the charged degree defaults to the defect's
+        req["degree"] = parse_number(int, req["degree"], f"defect request {i}: 'degree'")
+        charged["degree"] = parse_number(
+            int, charged.get("degree", req["degree"]), f"defect request {i}: 'charged.degree'"
+        )
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import GroupElement
 from .calculus import Cochain, apply_fiber_map, d, inner, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
-from .graded import GroupoidRep
+from .graded import GroupoidRep, generator_shift
 from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
 
 
@@ -109,7 +109,7 @@ def apply_defect(
         return charged
     matrix = np.linalg.matrix_power(rep.matrix(defect.g), crossings)
     new_field = apply_fiber_map(charged.field, matrix)
-    flip = (crossings % 2 == 1) and not defect.g.is_identity()
+    flip = crossings % 2 * generator_shift(defect.g)
     return ChargedOperator(charged.support, new_field, charged.degree ^ flip)
 
 

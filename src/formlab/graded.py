@@ -1,11 +1,13 @@
-"""Degree-tagged fibers and degree-alternating group actions.
+"""Degree-tagged morphisms: degree-alternating group actions.
 
-Fiber values carry a Z/2 degree.  A non-identity group element acts through
+A fiber value carries a Z/2 degree; the degree-tagged value itself is
+defect.ChargedOperator.  A non-identity group element acts through
 degree-shifting maps (even fiber to odd and back); only the identity acts
-degree-preservingly.  Two actions compose only when the target degree of the
-first matches the source degree of the second, so same-degree non-identity
-actions never compose: that constraint is what lets a non-abelian group act
-through topological operators.  Violations raise DegreeError.
+degree-preservingly.  generator_shift is that rule, written once.  Two
+actions compose only when the target degree of the first matches the source
+degree of the second, so same-degree non-identity actions never compose:
+that constraint is what lets a non-abelian group act through topological
+operators.  Violations raise DegreeError.
 
 Morphisms form a two-object groupoid: objects are the two degrees, a
 morphism is (group element, source degree, degree shift), composition
@@ -24,20 +26,8 @@ from .calculus import FiberSpec
 from .errors import DegreeError, DomainError
 
 
-@dataclass(frozen=True, eq=False)
-class GradedValue:
-    """A fiber value tagged with a Z/2 degree; the value itself is untouched
-    by the tag."""
-
-    degree: int
-    value: np.ndarray
-
-    def __post_init__(self):
-        if self.degree not in (0, 1):
-            raise DegreeError(f"degree must be 0 or 1, got {self.degree}")
-        value = np.asarray(self.value)
-        value.setflags(write=False)
-        object.__setattr__(self, "value", value)
+# two group elements whose matrices agree entrywise within this are one morphism
+MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +42,7 @@ class GradedMorphism:
     def __post_init__(self):
         if self.source not in (0, 1) or self.shift not in (0, 1):
             raise DegreeError("source and shift must be 0 or 1")
-        if self.primitive and self.shift != _generator_shift(self.g):
+        if self.primitive and self.shift != generator_shift(self.g):
             if self.shift:
                 raise DegreeError("the identity acts degree-preservingly")
             raise DegreeError("a primitive non-identity action must shift degree")
@@ -61,30 +51,25 @@ class GradedMorphism:
     def target(self) -> int:
         return (self.source + self.shift) % 2
 
-    def matches(self, other: GradedMorphism, tol: float = 1e-12) -> bool:
+    def matches(self, other: GradedMorphism) -> bool:
         return (
             self.source == other.source
             and self.shift == other.shift
             and self.g.group == other.g.group
-            and np.abs(self.g.matrix - other.g.matrix).max() <= tol
+            and np.abs(self.g.matrix - other.g.matrix).max() <= MATCH_TOL
         )
 
 
-def _generator_shift(g: GroupElement) -> int:
+def generator_shift(g: GroupElement) -> int:
     """The one rule for generators: the identity keeps the degree, any other
     element shifts it."""
     return 0 if g.is_identity() else 1
 
 
 def primitive_morphism(g: GroupElement, source: int) -> GradedMorphism:
-    """The generator morphism of g at the given source degree."""
-    return GradedMorphism(g, source, _generator_shift(g), primitive=True)
-
-
-def identity_morphism(e: GroupElement, degree: int) -> GradedMorphism:
-    if not e.is_identity():
-        raise DomainError("identity_morphism needs the identity group element")
-    return GradedMorphism(e, degree, 0, primitive=True)
+    """The generator morphism of g at the given source degree; for the
+    identity element, the identity morphism of that degree."""
+    return GradedMorphism(g, source, generator_shift(g), primitive=True)
 
 
 def compose(second: GradedMorphism, first: GradedMorphism) -> GradedMorphism:
@@ -98,13 +83,13 @@ def compose(second: GradedMorphism, first: GradedMorphism) -> GradedMorphism:
         )
     g = second.g @ first.g
     shift = (first.shift + second.shift) % 2
-    return GradedMorphism(g, first.source, shift, primitive=shift == _generator_shift(g))
+    return GradedMorphism(g, first.source, shift, primitive=shift == generator_shift(g))
 
 
 def inverse(m: GradedMorphism) -> GradedMorphism:
     """Two-sided inverse: swaps source and target, inverts the element."""
     return GradedMorphism(
-        m.g.inverse(), m.target, m.shift, primitive=m.shift == _generator_shift(m.g)
+        m.g.inverse(), m.target, m.shift, primitive=m.shift == generator_shift(m.g)
     )
 
 
@@ -137,15 +122,6 @@ class RepresentedMorphism:
     matrix: np.ndarray
     source: int
     target: int
-
-
-def act(m: GradedMorphism, x: GradedValue, rep: GroupoidRep) -> GradedValue:
-    """Apply a morphism to a graded value; the degree tags must line up."""
-    if x.degree != m.source:
-        raise DegreeError(
-            f"a degree-{m.source} action cannot act on a degree-{x.degree} value"
-        )
-    return GradedValue(m.target, rep.matrix(m.g) @ x.value)
 
 
 def represent(m: GradedMorphism, rep: GroupoidRep) -> RepresentedMorphism:

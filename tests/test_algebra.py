@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from formlab import (
-    ConfigError,
     DomainError,
     adjoint,
     adjoint_matrix,
@@ -14,8 +13,6 @@ from formlab import (
     so3_rotation,
     u1,
     u2,
-    u2_from_c2,
-    u2_to_c2,
 )
 from formlab.algebra import GroupElement, random_element, random_group_element
 
@@ -213,28 +210,3 @@ def test_adjoint_matrix_is_homomorphism(rng):
             lhs = adjoint_matrix(g @ h, algebra)
             rhs = adjoint_matrix(g, algebra) @ adjoint_matrix(h, algebra)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_u2_c2_identification_roundtrip():
-    zero = u2_from_c2([0, 0])
-    assert zero.norm() == 0.0
-    v = np.array([0.3 - 1.2j, 0.8 + 0.5j])
-    assert np.array_equal(u2_to_c2(u2_from_c2(v)), v)
-    # identity convention: coefficients are the flattened real parts
-    x = u2_from_c2([1, 0])
-    assert np.array_equal(x.coeffs, [1.0, 0.0, 0.0, 0.0])
-
-
-def test_u2_c2_with_configured_map():
-    m = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]], dtype=float)
-    v = np.array([0.5 + 2j, -1.0 + 0.25j])
-    x = u2_from_c2(v, basis_map=m)
-    # oracle: apply the configured matrix to (Re v1, Im v1, Re v2, Im v2)
-    expected = m @ np.array([0.5, 2.0, -1.0, 0.25])
-    assert np.array_equal(x.coeffs, expected)
-    assert np.max(np.abs(u2_to_c2(x, basis_map=m) - v)) <= 1e-13
-
-
-def test_u2_c2_rejects_singular_map():
-    with pytest.raises(ConfigError):
-        u2_from_c2([1, 0], basis_map=np.zeros((4, 4)))

@@ -141,6 +141,21 @@ def test_defect_command_matches_direct_api(tmp_path, capsys):
     assert clear["observable_before"] == clear["observable_after"]
 
 
+def test_defect_degrees_are_parsed_once(tmp_path, capsys):
+    from formlab.config import load_scenario
+
+    cfg = json.loads((CONFIG_DIR / "so3_defect.json").read_text())
+    req = cfg["defects"][0]
+    req["degree"] = "1"  # a numeric string counts as its number
+    del req["charged"]["degree"]  # defaults to the defect's degree
+    path = write_config(tmp_path, cfg)
+    parsed = load_scenario(path).defects[0]
+    assert (parsed["degree"], parsed["charged"]["degree"]) == (1, 1)
+    assert main(["defect", path]) == 0
+    crossing = json.loads(capsys.readouterr().out)["results"][0]
+    assert (crossing["degree_before"], crossing["degree_after"]) == (1, 0)
+
+
 def test_solve_command_reports_residuals(tmp_path, capsys):
     code = main(["solve", str(CONFIG_DIR / "solve_so3.json")])
     assert code == 0
@@ -276,6 +291,24 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         ("defect", "so3_defect.json", lambda c: filling_item(c).update(coef=True)),
         ("defect", "so3_defect.json", lambda c: c.update(seed=False)),
         ("check", "so3_check.json", lambda c: c.update(tolerances={"check": float("nan")})),
+        # every config float follows the same rule: matrix entries, exp
+        # coefficients and fiber values of each kind
+        ("compose", "so3_check.json", lambda c: c["group_elements"].update(
+            g={"type": "matrix", "rows": [[True, 0, 0], [0, True, 0], [0, 0, True]]})),
+        ("compose", "so3_check.json", lambda c: c["group_elements"].update(
+            g={"type": "exp", "coeffs": [True, 0, 0]})),
+        ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(value=[True, 0, 0])),
+        ("solve", "u2_charges.json", lambda c: c["field"].update(init={
+            "init": "explicit",
+            "cells": [{"base": [0, 0, 0], "axes": [0], "value": [[True, 0], [0, 0]]}],
+        })),
+        ("solve", "solve_so3.json", lambda c: c["field"].update(fiber="real_scalar", init={
+            "init": "solve", "fixed": [{"base": [0, 0, 0], "axes": [0], "value": True}],
+        })),
+        # an integer past the float range is a config error, not an OverflowError
+        ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(value=[10**400, 0, 0])),
+        ("compose", "so3_check.json", lambda c: c["group_elements"].update(
+            g={"type": "matrix", "rows": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]})),
         # the u(2) <-> C^2 map is a library argument, not a config key
         ("charges", "u2_charges.json", lambda c: c.update(u2_c2_map="garbage")),
         ("charges", "u2_charges.json", lambda c: c.update(u2_c2_map=np.eye(4).tolist())),
@@ -286,6 +319,10 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         assert not out.exists()
 
     assert main(["check", str(CONFIG_DIR / "so3_check.json"), "--seed", "-1"]) == 2
+    for tol in ("nan", "-1"):
+        out = tmp_path / f"tol{tol}.out.json"
+        assert main(["check", str(CONFIG_DIR / "so3_check.json"), "--tol", tol, "--out", str(out)]) == 2
+        assert not out.exists()
 
     capsys.readouterr()  # errors go to stderr, nothing on stdout
     out = tmp_path / "never.json"

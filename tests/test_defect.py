@@ -227,6 +227,8 @@ def test_degree_mismatch_raises(rng, torus444):
     defect, move = crossing_move(torus444, g, 1)
     with pytest.raises(DegreeError):
         apply_defect(defect, op, move, SO3_REP)
+    with pytest.raises(DegreeError):
+        ChargedOperator(op.support, psi, 2)  # a degree is 0 or 1
 
 
 def test_unsupported_geometry_raises(rng, torus444):

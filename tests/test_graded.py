@@ -6,14 +6,11 @@ from formlab import (
     DegreeError,
     DomainError,
     GradedMorphism,
-    GradedValue,
     GroupoidRep,
     REAL_SCALAR,
-    act,
     algebra_fiber,
     compose,
     identity,
-    identity_morphism,
     inverse,
     primitive_morphism,
     represent,
@@ -21,32 +18,10 @@ from formlab import (
     so3_rotation,
     u2,
 )
-from formlab.algebra import GroupElement, adjoint_matrix, random_element, random_group_element
+from formlab.algebra import GroupElement, adjoint_matrix, random_group_element
 from formlab.checks import groupoid_law_violations, quaternion_elements
 
 SO3_REP = GroupoidRep(algebra_fiber(so3()))
-
-
-def test_identity_acts_trivially(rng):
-    e = identity("SO3")
-    v = GradedValue(0, rng.standard_normal(3))
-    out = act(identity_morphism(e, 0), v, SO3_REP)
-    assert out.degree == 0
-    assert np.allclose(out.value, v.value, atol=1e-14)
-
-
-def test_action_shifts_degree_and_applies_adjoint(rng):
-    g = random_group_element(so3(), rng)
-    v = rng.standard_normal(3)
-    out = act(primitive_morphism(g, 0), GradedValue(0, v), SO3_REP)
-    assert out.degree == 1
-    assert np.allclose(out.value, adjoint_matrix(g, so3()) @ v, atol=1e-14)
-
-
-def test_action_rejects_wrong_source_degree(rng):
-    g = random_group_element(so3(), rng)
-    with pytest.raises(DegreeError):
-        act(primitive_morphism(g, 0), GradedValue(1, rng.standard_normal(3)), SO3_REP)
 
 
 def test_compose_alternating_pairs(rng):
@@ -72,23 +47,21 @@ def test_identity_composes_with_everything(rng):
     e = identity("SO3")
     g = random_group_element(so3(), rng)
     m = primitive_morphism(g, 0)
-    assert compose(identity_morphism(e, 1), m).matches(m)
-    assert compose(m, identity_morphism(e, 0)).matches(m)
+    assert compose(primitive_morphism(e, 1), m).matches(m)
+    assert compose(m, primitive_morphism(e, 0)).matches(m)
 
 
 def test_inverse_laws(rng):
     e = identity("SO3")
-    assert inverse(identity_morphism(e, 0)).matches(identity_morphism(e, 0))
+    assert inverse(primitive_morphism(e, 0)).matches(primitive_morphism(e, 0))
     g = random_group_element(so3(), rng)
     m = primitive_morphism(g, 0)
     inv = inverse(m)
     assert (inv.source, inv.target) == (1, 0)
-    assert compose(inv, m).matches(identity_morphism(e, 0))
-    assert compose(m, inv).matches(identity_morphism(e, 1))
-    v = GradedValue(0, rng.standard_normal(3))
-    back = act(inv, act(m, v, SO3_REP), SO3_REP)
-    assert back.degree == 0
-    assert np.max(np.abs(back.value - v.value)) <= 1e-12
+    assert compose(inv, m).matches(primitive_morphism(e, 0))
+    assert compose(m, inv).matches(primitive_morphism(e, 1))
+    round_trip = represent(inv, SO3_REP).matrix @ represent(m, SO3_REP).matrix
+    assert np.max(np.abs(round_trip - np.eye(3))) <= 1e-12
 
 
 def test_primitive_rejects_identity_with_shift():
@@ -114,7 +87,7 @@ def test_composite_with_identity_element_and_odd_shift_is_not_primitive(rng):
 
 def test_represent_identity_and_functoriality(rng):
     e = identity("SO3")
-    rm = represent(identity_morphism(e, 1), SO3_REP)
+    rm = represent(primitive_morphism(e, 1), SO3_REP)
     assert (rm.source, rm.target) == (1, 1)
     assert np.allclose(rm.matrix, np.eye(3), atol=1e-14)
     for _ in range(200):
@@ -154,7 +127,7 @@ def test_products_inverses_and_identity_are_not_revalidated(monkeypatch):
     e = identity("SO3")
     ba = compose(b, a)
     compose(inverse(ba), ba)
-    compose(identity_morphism(e, ba.target), ba)
+    compose(primitive_morphism(e, ba.target), ba)
     g.inverse() @ h
     assert checked == []
 
@@ -193,11 +166,6 @@ def test_rep_homomorphism(rng):
 def test_rep_rejects_scalar_fiber():
     with pytest.raises(DomainError):
         GroupoidRep(REAL_SCALAR)
-
-
-def test_graded_value_validation(rng):
-    with pytest.raises(DegreeError):
-        GradedValue(2, rng.standard_normal(3))
 
 
 def test_degree_bookkeeping_fuzz(rng):
