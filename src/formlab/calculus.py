@@ -7,8 +7,13 @@ the mesh's block grids (`CubicalComplex.add_coboundary`), the Hodge star is
 diagonal (dual/primal volume ratio times the axis-permutation sign), and the
 inner product weights every cell by star factor times primal volume.  The
 free-field solver is a matrix-free conjugate-gradient iteration on the same
-shift maps.  Everything runs on numpy alone; all operations are pure and
-cochain value arrays are read-only.
+shift maps.  On a torus it is preconditioned by the operator's
+pseudo-inverse, which is block-circulant and applied in closed form by FFTs
+(`_torus_preconditioner`), and stops in about 2k + 1 steps for k fixed
+cells; a box runs plain conjugate gradients.  Either way the solution is
+the one orthogonal to the operator's kernel.  Everything runs on numpy
+alone (`numpy.fft` loads on the first torus solve); all operations are
+pure and cochain value arrays are read-only.
 """
 
 from __future__ import annotations
@@ -241,7 +246,7 @@ def eom_residual(psi: Cochain) -> Cochain:
     return d(star(d(psi)))
 
 
-def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
+def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m=None) -> np.ndarray:
     """Conjugate gradients from zero for every row of b at once.
 
     Each row keeps its own recurrence (alpha, beta and the stop test
@@ -250,11 +255,14 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray
     gives exact zeros.  Raises SolverError for a row in the kernel of K and
     for any row whose max-norm residual exceeds tol * (1 + max|b|).
 
-    apply_k(x, out) writes K x into out.  Buffers are reused: each step
-    writes K p into one scratch block of b's shape, used through its leading
-    rows as the block shrinks, and once alpha is known the same rows take
-    the alpha-scaled updates of r and x.  No step allocates a block; only a
-    step where rows leave copies the rows kept.
+    apply_k(x, out) writes K x into out.  apply_m(r, scratch, out), when
+    given, writes M r into out for a symmetric positive semidefinite
+    preconditioner M, free to use scratch; the stop test stays on the
+    unpreconditioned residual r.  Buffers are reused: each step writes K p
+    into one scratch block of b's shape (and M r into a second), used
+    through its leading rows as the block shrinks, and once alpha is known
+    the same rows take the alpha-scaled updates of r and x.  No step
+    allocates a block; only a step where rows leave copies the rows kept.
     """
     x = np.zeros_like(b)
     b_norm = np.max(np.abs(b), axis=1)
@@ -264,6 +272,7 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray
     # C order whatever b's layout, as a fresh K p would be: einsum's row sums
     # depend on the memory layout
     kx = np.empty(b.shape)
+    mr = None if apply_m is None else np.empty(b.shape)
     # the operator is symmetric, so a right-hand side in its kernel cannot be
     # in its range: fail fast instead of letting the iteration break down
     kb = apply_k(b[live], kx[: live.size])
@@ -286,11 +295,15 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray
                     p, rho_prev = p[keep], rho_prev[keep]
                 if not live.size:
                     break
+            z = r
+            if apply_m is not None:
+                z = apply_m(r, kx[: live.size], mr[: live.size])
+                rho = np.einsum("ij,ij->i", r, z)
             if p is None:
-                p = r.copy()
+                p = z.copy()
             else:
                 p *= (rho / rho_prev)[:, None]
-                p += r
+                p += z
             q = apply_k(p, kx[: live.size])
             alpha = (rho / np.einsum("ij,ij->i", p, q))[:, None]
             r -= np.multiply(alpha, q, out=q)
@@ -311,6 +324,77 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray
             "the source may be incompatible"
         )
     return x
+
+
+def _torus_preconditioner(cx: CubicalComplex, degree: int, laplacian, fixed_idx):
+    """apply_m(r, scratch, out) for M = E_f K^+ E_f on a torus, or None.
+
+    E_f zeroes the fixed rows, and K^+ is the pseudo-inverse of the
+    free-field operator K = d^T W d (W the star factors of degree p+1).
+    On a torus K is block-circulant.  With w the star factors of degree p,
+    A = w^-1 K is the metric Laplacian delta d; as delta d + d delta is the
+    scalar Laplacian on a flat torus and d d = 0, A^2 = Delta A at each
+    wavevector xi, where Delta = sum_a 4 sin^2(xi_a / 2) / h_a^2.  So
+    w^-1 K w^-1 G, with the Fourier multiplier G = 1 / Delta^2 (0 at
+    xi = 0), satisfies K M K = K and M K M = M.  Where w is one number on
+    all blocks (p = 0 or equal spacings) it is K^+ itself.  Otherwise it is
+    wrapped on both sides in P = d^T d G_1, with G_1 = 1 / Delta at unit
+    spacing: the orthogonal projector onto range(d^T) = range(K), which
+    makes the product symmetric with K's range, hence K^+.  With K^+, PCG
+    from zero keeps the solution orthogonal to the kernel that plain CG
+    returns.
+
+    laplacian(x, out, weights) writes d^T(weights * d x) into out, with W
+    as the default weights.  Each row and each block is transformed on its
+    own, so that a row's result never depends on the rows beside it.  None
+    when the spacings are so extreme that G over- or underflows.
+    """
+    shape, d = cx.shape, cx.d
+    # 4 sin^2(xi_a / 2) along each axis of the rfftn grid (the last axis
+    # halved), shaped to broadcast over all d axes
+    waves = []
+    for a, n in enumerate(shape):
+        k = np.arange(n // 2 + 1 if a == d - 1 else n)
+        waves.append((2 * np.sin(np.pi * k / n)).reshape((-1,) + (1,) * (d - 1 - a)) ** 2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = 1.0 / sum(lam / np.square(h) for lam, h in zip(waves, np.array(cx.spacing))) ** 2
+    g.flat[0] = 0.0
+    if not (np.isfinite(g).all() and (g.flat[1:] > 0).all()):
+        return None
+    scale = 1.0 / cx.star_factors(degree)
+    axes = tuple(range(d))
+
+    def fourier(x, multiplier):
+        # on a torus each block of a row is one grid of the mesh's shape, so
+        # a C-ordered block of rows is a view of (rows * blocks) grids
+        for grid in x.reshape(-1, *shape):
+            grid[...] = np.fft.irfftn(np.fft.rfftn(grid) * multiplier, s=shape, axes=axes)
+
+    project = not np.all(scale == scale[0])
+    if project:
+        with np.errstate(divide="ignore"):
+            g1 = 1.0 / sum(waves)
+        g1.flat[0] = 0.0
+
+    def apply_m(r, scratch, out):
+        np.copyto(scratch, r)
+        scratch[:, fixed_idx] = 0.0
+        if project:
+            # P G = d^T d G_1 G on the right
+            fourier(scratch, g * g1)
+            np.copyto(scratch, laplacian(scratch, out, 1.0))
+        else:
+            fourier(scratch, g)
+        scratch *= scale
+        laplacian(scratch, out)
+        out *= scale
+        if project:
+            fourier(out, g1)
+            np.copyto(out, laplacian(out, scratch, 1.0))
+        out[:, fixed_idx] = 0.0
+        return out
+
+    return apply_m
 
 
 def solve_free(
@@ -336,7 +420,9 @@ def solve_free(
     One conjugate-gradient iteration runs over a block with one row per
     component (two on complex fibers: real and imaginary parts), each row
     with its own recurrence.  Every row starts from zero, which fixes the
-    gauge: the solution is orthogonal to the kernel of K.
+    gauge: the solution is orthogonal to the kernel of K.  On a torus the
+    iteration is preconditioned by `_torus_preconditioner`, which keeps that
+    solution.
     """
     if degree >= complex.d:
         raise DomainError("no free-field operator at top degree")
@@ -375,16 +461,21 @@ def solve_free(
     # d x for up to every row, reused by each operator application
     dx_block = np.empty((block_rows, complex.cell_count(degree + 1)))
 
-    def apply_k(x, out):
-        # K x = d^T(w * d x) for each row of x, with K psi = 0 equivalent to
-        # d star d psi = 0 on a torus; zeroing the fixed rows keeps a block
-        # that is zero there so, which restricts K to the free cells
+    def laplacian(x, out, weights=w):
+        # d^T(weights * d x) for each row of x
         dx = dx_block[: len(x)]
         dx.fill(0.0)
         complex.add_coboundary(degree, x, dx)
-        dx *= w
+        dx *= weights
         out.fill(0.0)
         complex.add_coboundary(degree, dx, out, transpose=True)
+        return out
+
+    def apply_k(x, out):
+        # K x = d^T(w * d x), with K psi = 0 equivalent to d star d psi = 0
+        # on a torus; zeroing the fixed rows keeps a block that is zero there
+        # so, which restricts K to the free cells
+        laplacian(x, out)
         out[:, fixed_idx] = 0.0
         return out
 
@@ -392,7 +483,10 @@ def solve_free(
     boundary_values[fixed_idx] = fixed_arr
     b = rows(rhs) - apply_k(rows(boundary_values), np.empty((block_rows, n)))
     b[:, fixed_idx] = 0.0
-    x = _lockstep_cg(apply_k, b, tol, maxiter)
+    apply_m = None
+    if complex.topology == "torus":
+        apply_m = _torus_preconditioner(complex, degree, laplacian, fixed_idx)
+    x = _lockstep_cg(apply_k, b, tol, maxiter, apply_m)
 
     out = np.empty((n, comps), dtype=fiber.dtype)
     out.real = x[:comps].T

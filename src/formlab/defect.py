@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import GroupElement
 from .calculus import Cochain, apply_fiber_map, d, inner, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
-from .graded import GroupoidRep, generator_shift
+from .graded import GroupoidRep, generator_shift, is_degree
 from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
 
 
@@ -37,7 +37,7 @@ class ChargedOperator:
     observable: object = None
 
     def __post_init__(self):
-        if self.degree not in (0, 1):
+        if not is_degree(self.degree):
             raise DegreeError(f"charged-operator degree must be 0 or 1, got {self.degree}")
         if self.field.complex is not self.support.complex:
             raise DomainError("field and support must live on the same complex")
@@ -57,7 +57,7 @@ class DefectOperator:
     support: Chain
 
     def __post_init__(self):
-        if self.degree not in (0, 1):
+        if not is_degree(self.degree):
             raise DegreeError(f"defect degree must be 0 or 1, got {self.degree}")
         if not is_cycle(self.support):
             raise DomainError("defect supports must be cycles")

@@ -30,6 +30,12 @@ from .errors import DegreeError, DomainError
 MATCH_TOL = 1e-12
 
 
+def is_degree(value) -> bool:
+    """A Z/2 degree is the integer 0 or 1; a boolean is not one, though
+    True in (0, 1) holds."""
+    return not isinstance(value, (bool, np.bool_)) and value in (0, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class GradedMorphism:
     """A degree-tagged group action: source degree, parity shift, element."""
@@ -40,7 +46,7 @@ class GradedMorphism:
     primitive: bool = False
 
     def __post_init__(self):
-        if self.source not in (0, 1) or self.shift not in (0, 1):
+        if not (is_degree(self.source) and is_degree(self.shift)):
             raise DegreeError("source and shift must be 0 or 1")
         if self.primitive and self.shift != generator_shift(self.g):
             if self.shift:

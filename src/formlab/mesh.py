@@ -105,6 +105,13 @@ class CubicalComplex:
         self._subsets = {
             p: tuple(combinations(range(self.d), p)) for p in range(self.d + 1)
         }
+        # an infinite spacing, or one whose products over- or underflow,
+        # would turn the star, the action and the solver into inf and nan
+        if not all(0 < x < math.inf for p in self._subsets for m in self._metric(p) for x in m):
+            raise ConfigError(
+                f"spacing {spacing} gives a cell volume or star factor that is not "
+                "a finite positive number"
+            )
         # per degree: extents, C-order strides and index offset of each subset block
         self._blocks = {}
         self._counts = {}
@@ -330,32 +337,35 @@ class CubicalComplex:
 
     # -- metric / duality --------------------------------------------------
 
-    def primal_volumes(self, degree: int) -> np.ndarray:
-        vols = np.empty(self.cell_count(degree))
+    def _metric(self, degree: int) -> list:
+        """(primal volume, star factor) of each axis subset of degree p."""
+        metric = []
         for axes in self._subsets[degree]:
-            offset, extents, _ = self._blocks[degree][axes]
-            n = int(np.prod(extents))
             v = 1.0
             for a in axes:
                 v *= self.spacing[a]
-            vols[offset : offset + n] = v
-        return vols
+            f = 1.0
+            for b in range(self.d):
+                if b not in axes:
+                    f *= self.spacing[b]
+            for a in axes:
+                f /= self.spacing[a]
+            metric.append((v, f))
+        return metric
+
+    def _per_cell(self, degree: int, values) -> np.ndarray:
+        out = np.empty(self.cell_count(degree))
+        for axes, value in zip(self._subsets[degree], values):
+            offset, extents, _ = self._blocks[degree][axes]
+            out[offset : offset + math.prod(extents)] = value
+        return out
+
+    def primal_volumes(self, degree: int) -> np.ndarray:
+        return self._per_cell(degree, [v for v, _ in self._metric(degree)])
 
     def star_factors(self, degree: int) -> np.ndarray:
         """Dual/primal volume ratio per cell (defined on any topology)."""
-        n = self.cell_count(degree)
-        factors = np.empty(n)
-        for axes in self._subsets[degree]:
-            offset, extents, _ = self._blocks[degree][axes]
-            count = int(np.prod(extents))
-            comp = tuple(i for i in range(self.d) if i not in axes)
-            f = 1.0
-            for b in comp:
-                f *= self.spacing[b]
-            for a in axes:
-                f /= self.spacing[a]
-            factors[offset : offset + count] = f
-        return factors
+        return self._per_cell(degree, [f for _, f in self._metric(degree)])
 
     def complement(self, degree: int, back: int) -> tuple[np.ndarray, np.ndarray]:
         """The signed complement map of the degree-p cells as (signs, partner).

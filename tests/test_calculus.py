@@ -25,6 +25,7 @@ from formlab import (
     star,
     u2,
 )
+from formlab import calculus
 from formlab.algebra import adjoint_matrix, random_group_element
 
 SO3_FIBER = algebra_fiber(so3())
@@ -119,12 +120,16 @@ def test_coboundary_transpose_matches_csr_transpose(shape, topology, rng):
         assert np.array_equal(out, start + (cx.coboundary_matrix(p).T @ y.T).T)
 
 
-def _random_fixed(cx, fiber, rng, count=5):
-    picks = rng.choice(cx.cell_count(1), size=count, replace=False)
+def _random_values(fiber, count, rng):
     values = rng.standard_normal((count, fiber.components))
     if fiber.is_complex:
         values = values + 1j * rng.standard_normal(values.shape)
-    return dict(zip(picks.tolist(), values))
+    return values
+
+
+def _random_fixed(cx, fiber, rng, count=5, degree=1):
+    picks = rng.choice(cx.cell_count(degree), size=count, replace=False)
+    return dict(zip(picks.tolist(), _random_values(fiber, count, rng)))
 
 
 @pytest.mark.parametrize("fiber", [algebra_fiber(so3()), algebra_fiber(u2()), COMPLEX_PAIR], ids=["so3", "u2", "complex_pair"])
@@ -170,6 +175,128 @@ def test_lockstep_rows_leaving_at_different_steps_match_independent_solves(rng):
             source=Cochain(cx, 0, REAL_SCALAR, src[:, comp]),
         ).values[:, 0]
         assert np.array_equal(alone.view(np.int64), together[:, comp].view(np.int64)), comp
+
+
+# -- the torus preconditioner -------------------------------------------------
+
+# unequal spacings per axis, where the closed form needs its projector, and
+# one torus with equal spacings, where it does not
+PRECONDITIONED_TORI = [
+    ((9,), (0.7,)),
+    ((7, 5), (1.0, 0.5)),
+    ((4, 3, 5), (1.0, 0.5, 2.0)),
+    ((6, 5, 4), (0.5, 0.5, 0.5)),
+    ((4, 6, 5), (0.8, 1.3, 1.1)),
+]
+
+
+def _operator_and_preconditioner(cx, p):
+    """Dense K and the solver's M with no fixed cells, which is K^+; the
+    preconditioner runs on the CSR operator, not on the solver's shift maps."""
+    c = cx.coboundary_matrix(p)
+
+    def laplacian(x, out, weights=cx.star_factors(p + 1)):
+        out[:] = (c.T @ (np.reshape(weights, (-1, 1)) * (c @ x.T))).T
+        return out
+
+    apply_m = calculus._torus_preconditioner(cx, p, laplacian, np.empty(0, dtype=np.int64))
+    n = cx.cell_count(p)
+    m = apply_m(np.eye(n), np.empty((n, n)), np.empty((n, n)))  # row i is M e_i
+    return free_field_operator(cx, p).toarray(), m
+
+
+@pytest.mark.parametrize("shape,spacing", PRECONDITIONED_TORI)
+def test_torus_preconditioner_is_the_pseudo_inverse(shape, spacing):
+    cx = CubicalComplex(shape, spacing=spacing)
+    for p in range(cx.d):
+        k, m = _operator_and_preconditioner(cx, p)
+        k_scale, m_scale = np.abs(k).max(), np.abs(m).max()
+        # the four Penrose conditions, which make M the pseudo-inverse K^+;
+        # symmetric M and K M keep PCG on the minimum-norm solution
+        assert np.abs(k @ m @ k - k).max() <= 1e-12 * k_scale, p
+        assert np.abs(m @ k @ m - m).max() <= 1e-12 * m_scale, p
+        assert np.abs(m - m.T).max() <= 1e-12 * m_scale, p
+        assert np.abs(k @ m - (k @ m).T).max() <= 1e-12, p
+
+
+def test_torus_preconditioner_steps_aside_when_its_multiplier_overflows():
+    # 1 / Delta^2 overflows at a spacing of 1e155, though every volume and
+    # star factor is finite: the solve then runs plain CG
+    cx = CubicalComplex([8], spacing=1e155)
+    assert calculus._torus_preconditioner(cx, 0, None, np.empty(0, dtype=np.int64)) is None
+
+
+def _fixed_and_source(cx, fiber, p, rng):
+    """Three fixed cells and a source K phi, which every restriction of K
+    to free cells can match."""
+    fixed = _random_fixed(cx, fiber, rng, 3, p)
+    phi = _random_values(fiber, cx.cell_count(p), rng)
+    k = free_field_operator(cx, p)
+    rho = k @ phi.real + (1j * (k @ phi.imag) if fiber.is_complex else 0)
+    return fixed, Cochain(cx, p, fiber, rho)
+
+
+@pytest.mark.parametrize("shape,spacing", [((12,), (0.7,)), ((7, 5), (1.0, 0.5)), ((4, 3, 5), (1.0, 0.5, 2.0)), ((4, 3, 5), None)])
+@pytest.mark.parametrize("fiber", [REAL_SCALAR, COMPLEX_PAIR, SO3_FIBER], ids=["real", "complex_pair", "so3"])
+def test_preconditioned_solve_matches_plain_cg(shape, spacing, fiber, rng, monkeypatch):
+    cx = CubicalComplex(shape, spacing=spacing)
+    for p in range(cx.d):
+        fixed, source = _fixed_and_source(cx, fiber, p, rng)
+        for kwargs in ({"fixed": fixed}, {"fixed": fixed, "source": source}):
+            preconditioned = solve_free(cx, fiber, p, **kwargs).values
+            with monkeypatch.context() as m:
+                m.setattr(calculus, "_torus_preconditioner", lambda *args: None)
+                plain = solve_free(cx, fiber, p, **kwargs).values
+            assert np.max(np.abs(preconditioned - plain)) <= 1e-12 * (1 + np.max(np.abs(plain))), p
+
+
+def test_box_solve_runs_plain_cg(rng, monkeypatch):
+    # a box has no circulant structure, so it keeps the unpreconditioned
+    # iteration, operation for operation
+    passed = []
+    solve = calculus._lockstep_cg
+
+    def spy(*args):
+        passed.append(args[4:])
+        return solve(*args)
+
+    monkeypatch.setattr(calculus, "_lockstep_cg", spy)
+    monkeypatch.setattr(calculus, "_torus_preconditioner", None)  # never called
+    cx = CubicalComplex([4, 3, 5], topology="box")
+    for p in range(3):
+        psi = solve_free(cx, COMPLEX_PAIR, p, fixed=_random_fixed(cx, COMPLEX_PAIR, rng, 3, p))
+        assert max_norm(psi) > 0
+    assert passed == [(None,)] * 3
+
+
+def test_torus_solve_steps_stay_within_twice_the_fixed_cells(rng, monkeypatch):
+    # With M = E_f K^+ E_f, M K_ff is the identity plus a term of rank at
+    # most 2k on range(K_ff), for k fixed cells, so in exact arithmetic PCG
+    # stops within 2k + 1 steps.  The stop test asks for a relative residual
+    # of 1e-13, near rounding, and where two eigenvalues nearly coincide
+    # (for p = 0 with one fixed vertex: 1 and 1 - 1/N on N vertices) that
+    # costs one more step, so the bound allows one step of slack.  Each step
+    # applies M once; the count is the slowest row's.
+    steps = []
+    solve = calculus._lockstep_cg
+
+    def counting(apply_k, b, tol, maxiter, apply_m):
+        def counted(r, scratch, out):
+            steps[-1] += 1
+            return apply_m(r, scratch, out)
+
+        steps.append(0)
+        return solve(apply_k, b, tol, maxiter, counted)
+
+    monkeypatch.setattr(calculus, "_lockstep_cg", counting)
+    cases = [((16,), None, 0), ((9, 7), (1.0, 0.5), 0), ((9, 7), None, 1), ((10, 9, 8), (0.5, 1.5, 1.0), 0)]
+    cases += [((10, 9, 8), spacing, p) for spacing in (None, 0.5) for p in (1, 2)]
+    for shape, spacing, p in cases:
+        cx = CubicalComplex(shape, spacing=spacing)
+        for k in (1, 4, 10):
+            for fiber in (SO3_FIBER, COMPLEX_PAIR):
+                solve_free(cx, fiber, p, fixed=_random_fixed(cx, fiber, rng, k, p))
+                assert 0 < steps[-1] <= 2 * k + 2, (shape, spacing, p, k, fiber.kind, steps[-1])
 
 
 def test_d_on_circle_with_wraparound():

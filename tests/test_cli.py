@@ -305,6 +305,11 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         ("solve", "solve_so3.json", lambda c: c["field"].update(fiber="real_scalar", init={
             "init": "solve", "fixed": [{"base": [0, 0, 0], "axes": [0], "value": True}],
         })),
+        # a spacing must give finite positive cell volumes and star factors
+        ("solve", "solve_so3.json", lambda c: c["mesh"].update(spacing=float("inf"))),
+        ("check", "solve_so3.json", lambda c: c["mesh"].update(spacing=float("inf"))),
+        ("solve", "solve_so3.json", lambda c: c["mesh"].update(spacing=[1, 1, float("inf")])),
+        ("check", "solve_so3.json", lambda c: c["mesh"].update(spacing=[1, 1, float("inf")])),
         # an integer past the float range is a config error, not an OverflowError
         ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(value=[10**400, 0, 0])),
         ("compose", "so3_check.json", lambda c: c["group_elements"].update(
@@ -372,13 +377,14 @@ def test_command_starts_without_scipy(tmp_path, command, config):
     # scipy costs about 0.3 s per start-up and no command needs it: incidence
     # and the boundary-squared check run on numpy face tables, d and the
     # solver on shift maps; nor does a command load the checks or the DSL
-    # unless it runs them
+    # unless it runs them, or numpy.fft unless it solves
     script = (
         "import json, sys\n"
         "import formlab.cli\n"
         "argv = [sys.argv[1], sys.argv[2], '--out', sys.argv[3]]\n"
         "assert formlab.cli.main(argv) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'formlab'))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'formlab')\n"
+        "                        or m.startswith('numpy.fft'))))\n"
     )
     src = str(Path(formlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -391,6 +397,9 @@ def test_command_starts_without_scipy(tmp_path, command, config):
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     unused = {"check": set(), "compose": {"formlab.checks"}}.get(command, {"formlab.checks", "formlab.dsl"})
     assert not loaded & unused
+    # only the torus solve transforms; numpy loads numpy.fft lazily from 2.0 on
+    if command != "solve" and int(np.__version__.split(".")[0]) >= 2:
+        assert not {m for m in loaded if m.startswith("numpy.fft")}
     assert json.loads(out.read_text())  # a report was written
 
 

@@ -229,6 +229,10 @@ def test_degree_mismatch_raises(rng, torus444):
         apply_defect(defect, op, move, SO3_REP)
     with pytest.raises(DegreeError):
         ChargedOperator(op.support, psi, 2)  # a degree is 0 or 1
+    with pytest.raises(DegreeError):
+        ChargedOperator(op.support, psi, True)  # ... and not a boolean
+    with pytest.raises(DegreeError):
+        DefectOperator(g, True, defect.support)
 
 
 def test_unsupported_geometry_raises(rng, torus444):

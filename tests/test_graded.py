@@ -68,6 +68,10 @@ def test_primitive_rejects_identity_with_shift():
     e = identity("SO3")
     with pytest.raises(DegreeError):
         GradedMorphism(e, 0, 1, primitive=True)
+    # a boolean is not a degree, though True in (0, 1) holds
+    for source, shift in ((True, 0), (0, True), (np.False_, 0)):
+        with pytest.raises(DegreeError):
+            GradedMorphism(e, source, shift)
 
 
 def test_composite_with_identity_element_and_odd_shift_is_not_primitive(rng):

@@ -425,6 +425,12 @@ def test_cell_and_chain_validation():
     for spacing in ([1.0, float("nan")], [1.0, True], "x", [[1.0], 1.0]):
         with pytest.raises(ConfigError):
             CubicalComplex([4, 4], spacing=spacing)
+    # every cell volume and star factor must be finite and positive: an
+    # infinite spacing, a product that overflows (1e200^3) or one that
+    # underflows to zero (1e-200^3) is an error
+    for spacing in (float("inf"), [1.0, 1.0, float("inf")], 1e200, 1e-200, [1e160, 1e-160, 1.0]):
+        with pytest.raises(ConfigError):
+            CubicalComplex([4, 4, 4], spacing=spacing)
     assert CubicalComplex([3.0, np.int64(4)]).shape == (3, 4)
 
 
