@@ -9,6 +9,7 @@ Coefficient vectors are always real; for u(2) the basis is anti-hermitian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,7 +43,15 @@ class LieAlgebra:
     field: str  # "real" | "complex" matrix entries
 
     def __post_init__(self):
-        self.generators.setflags(write=False)
+        gens = self.generators
+        gens.setflags(write=False)
+        dim, n, _ = gens.shape
+        # element multiplies coefficients into the flat table; _expand and
+        # adjoint_matrix pair with the conjugate-transposed one
+        object.__setattr__(self, "_flat", gens.reshape(dim, n * n))
+        gens_h = np.ascontiguousarray(gens.conj().transpose(0, 2, 1))
+        gens_h.setflags(write=False)
+        object.__setattr__(self, "_gens_h", gens_h)
 
     @property
     def dim(self) -> int:
@@ -58,7 +67,8 @@ class LieAlgebra:
             raise DomainError(
                 f"{self.name} expects {self.dim} coefficients, got shape {coeffs.shape}"
             )
-        matrix = np.tensordot(coeffs, self.generators, axes=1)
+        # the product np.tensordot(coeffs, generators, axes=1) forms
+        matrix = np.dot(coeffs.reshape(1, -1), self._flat).reshape(self.generators.shape[1:])
         return AlgebraElement(self, coeffs, matrix)
 
     def zero(self) -> AlgebraElement:
@@ -99,7 +109,7 @@ class AlgebraElement:
 class GroupElement:
     """An orthogonal/unitary matrix, validated once where it enters: the
     public constructor checks it; products, inverses and identity() come
-    from _trusted.  is_identity compares a deviation measured once.
+    from _trusted.  is_identity is measured once, when the element is made.
     """
 
     group: str
@@ -143,11 +153,15 @@ class GroupElement:
     def _seal(self, m: np.ndarray) -> None:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        deviation = float(np.abs(m - _IDENTITY_MATRIX[self.group]).max())
-        object.__setattr__(self, "_identity_deviation", deviation)
+        # |z| >= |Re z|: a first entry whose real part is off 1 by more than
+        # the tolerance settles it without measuring the whole deviation
+        identity = not abs(m.item(0).real - 1.0) > IDENTITY_TOL and bool(
+            np.abs(m - _IDENTITY_MATRIX[self.group]).max() <= IDENTITY_TOL
+        )
+        object.__setattr__(self, "_identity", identity)
 
     def is_identity(self) -> bool:
-        return self._identity_deviation <= IDENTITY_TOL
+        return self._identity
 
     def inverse(self) -> GroupElement:
         return GroupElement._trusted(self.group, np.ascontiguousarray(self.matrix.conj().T))
@@ -217,7 +231,7 @@ def _expand(algebra: LieAlgebra, matrix: np.ndarray) -> AlgebraElement:
     """Coefficients of a matrix that lies in the algebra by construction (a
     bracket or an adjoint image), from its pairing with each generator.  No
     residual test: the bracket_closure check measures closure."""
-    return algebra.element([np.trace(g.conj().T @ matrix).real for g in algebra.generators])
+    return algebra.element((algebra._gens_h @ matrix).trace(axis1=1, axis2=2).real)
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -236,36 +250,46 @@ def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
 def pairing(x: AlgebraElement, y: AlgebraElement) -> float:
     """Ad-invariant inner product <x, y> = Re tr(x^H y); orthonormal on generators."""
     _same_algebra(x, y)
-    return float(np.trace(x.matrix.conj().T @ y.matrix).real)
+    return float((x.matrix.conj().T @ y.matrix).trace().real)
 
 
 def adjoint_matrix(g: GroupElement, algebra: LieAlgebra) -> np.ndarray:
     """Matrix of Ad_g in the generator basis (real, dim x dim)."""
     if g.group != algebra.group:
         raise DomainError(f"{g.group} does not act on {algebra.name}")
-    gens = algebra.generators
-    cols = g.matrix @ gens @ g.matrix.conj().T
+    cols = g.matrix @ algebra.generators @ g.matrix.conj().T
     # entry (a, c) is trace(T_a^H Ad_g T_c), as one stacked product
-    gens_h = gens.conj().transpose(0, 2, 1)
-    return np.trace(gens_h[:, None] @ cols[None], axis1=2, axis2=3).real
+    return (algebra._gens_h[:, None] @ cols[None]).trace(axis1=2, axis2=3).real
 
 
-@np.errstate(over="ignore", invalid="ignore")  # GroupElement rejects what overflows
+@np.errstate(over="ignore", invalid="ignore")  # a huge input gives inf or nan
 def exponential(x: AlgebraElement) -> GroupElement:
-    """Matrix exponential, closed form (Rodrigues for so3, eigh for u2/u1)."""
-    if x.algebra.name == "so3":
-        return GroupElement("SO3", _rodrigues(x))
-    # anti-hermitian X = iH with H hermitian
-    h = -1j * x.matrix
-    w, v = np.linalg.eigh(h)
-    mat = (v * np.exp(1j * w)) @ v.conj().T
-    return GroupElement(x.algebra.group, mat)
+    """Matrix exponential, closed form (Rodrigues for so3, eigh for u2/u1).
+
+    Each closed form is orthogonal or unitary to rounding whenever its
+    result is finite, so only finiteness is checked: a huge input overflows
+    to inf or nan and is rejected.
+    """
+    group = x.algebra.group
+    if group == "SO3":
+        mat = _rodrigues(x)
+    else:
+        # anti-hermitian X = iH with H hermitian
+        w, v = np.linalg.eigh(-1j * x.matrix)
+        mat = (v * np.exp(1j * w)) @ v.conj().T
+    if not np.isfinite(mat).all():
+        raise DomainError(f"{group} matrix has a non-finite entry")
+    return GroupElement._trusted(group, mat)
+
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def _rodrigues(x: AlgebraElement) -> np.ndarray:
-    # with (J_a)_bc = -eps_abc/sqrt(2), x is the cross-product matrix of coeffs/sqrt(2)
+    # with (J_a)_bc = -eps_abc/sqrt(2), x is the cross-product matrix of coeffs/sqrt(2);
+    # sqrt(c.c) is np.linalg.norm(c), bit for bit
     a = x.matrix
-    theta = float(np.linalg.norm(x.coeffs)) / np.sqrt(2.0)
+    theta = math.sqrt(x.coeffs.dot(x.coeffs)) / _SQRT2
     if theta < 1e-4:
         t2 = theta * theta
         s = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
@@ -273,7 +297,7 @@ def _rodrigues(x: AlgebraElement) -> np.ndarray:
     else:
         s = np.sin(theta) / theta
         c = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + s * a + c * (a @ a)
+    return _IDENTITY_MATRIX["SO3"] + s * a + c * (a @ a)
 
 
 def so3_rotation(axis: int, angle: float) -> GroupElement:

@@ -36,6 +36,7 @@ from .defect import (
 )
 from .errors import ConfigError, DegreeError
 from .graded import (
+    MATCH_TOL,
     GradedMorphism,
     compose,
     generator_shift,
@@ -72,8 +73,9 @@ def groupoid_law_violations(elements) -> int:
     compose and inverse check identity neutrality and two-sided inverses on
     each morphism.  compose then runs once on every ordered pair: a pair must
     compose exactly when its degrees line up, and each composite must match
-    a morphism of the closure, whose index goes into a composition table.  Associativity over all composable triples is then an
-    integer comparison of table lookups.
+    a morphism of the closure, whose index goes into a composition table.
+    Associativity over all composable triples is then an integer comparison
+    of table lookups.
     """
     group = elements[0].group
     e = alg.identity(group)
@@ -93,8 +95,18 @@ def groupoid_law_violations(elements) -> int:
             violations += 1
         if not compose(m, inv).matches(id_target):
             violations += 1
-    # after[a][b] is the index of "b after a", None where it is undefined
-    after = [[None] * len(morphisms) for _ in morphisms]
+    # GradedMorphism.matches against all morphisms of one (source, shift) at
+    # once: their indices in order, and their matrices stacked
+    candidates = {}
+    for k, m in enumerate(morphisms):
+        candidates.setdefault((m.source, m.shift), []).append(k)
+    candidates = {
+        key: (ks, np.array([morphisms[k].g.matrix for k in ks]))
+        for key, ks in candidates.items()
+    }
+    # after[a, b] is the index of "b after a", -1 where it is undefined
+    n = len(morphisms)
+    after = np.full((n, n), -1)
     for ia, a in enumerate(morphisms):
         for ib, b in enumerate(morphisms):
             defined = a.target == b.source
@@ -107,22 +119,23 @@ def groupoid_law_violations(elements) -> int:
             if not defined:
                 violations += 1
                 continue
-            index = next((k for k, m in enumerate(morphisms) if ba.matches(m)), None)
-            if index is None:
+            ks, table = candidates[ba.source, ba.shift]
+            hits = np.abs(table - ba.g.matrix).max(axis=(1, 2)) <= MATCH_TOL
+            if hits.any():
+                after[ia, ib] = ks[hits.argmax()]
+            else:
                 violations += 1  # the composite left the closure
-            after[ia][ib] = index
+    # every triple (a, b, c) with ba = after[a, b] and cb = after[b, c]
+    # defined must give after[ba, c] == after[a, cb], both defined; one
+    # (b, c) table per a
     composable = 0
-    for a, row in enumerate(after):
-        for b, ba in enumerate(row):
-            if ba is None:
-                continue
-            for c, cb in enumerate(after[b]):
-                if cb is None:
-                    continue
-                composable += 1
-                lhs = after[ba][c]
-                if lhs is None or lhs != after[a][cb]:
-                    violations += 1
+    known, cs = after >= 0, np.arange(n)
+    for a in range(n):
+        ba = after[a][:, None]
+        defined = (ba >= 0) & known
+        lhs, rhs = after[ba, cs], after[a, after]
+        composable += np.count_nonzero(defined)
+        violations += int(np.count_nonzero(defined & ((lhs < 0) | (lhs != rhs))))
     assert composable > 0
     return violations
 

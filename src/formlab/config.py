@@ -9,6 +9,7 @@ with a message naming the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,10 +144,13 @@ def parse_seed(value, what: str) -> int:
 
 
 def parse_tolerance(value, what: str) -> float:
-    """A tolerance: a positive number (NaN is not positive)."""
+    """A tolerance: a finite positive number (NaN is not positive).  An
+    infinite one would pass every check it bounds."""
     tol = parse_number(float, value, what)
     if not tol > 0:
         raise ConfigError(f"{what} must be positive")
+    if tol == math.inf:
+        raise ConfigError(f"{what} must be finite")
     return tol
 
 
@@ -177,7 +181,12 @@ def _build_group_element(name, spec, algebra: alg.LieAlgebra) -> alg.GroupElemen
                     f"group element {name!r} uses algebra {source.name!r} but the "
                     f"scenario algebra is {algebra.name!r}"
                 )
-            return alg.exponential(source.element(_numbers(spec["coeffs"], "'coeffs'")))
+            coeffs = _numbers(spec["coeffs"], "'coeffs'")
+            # coefficients near the float limit overflow the algebra matrix,
+            # whose exponential is then rejected as non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = source.element(coeffs)
+            return alg.exponential(x)
         if spec["type"] == "matrix":
             rows = spec["rows"]
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):

@@ -14,7 +14,14 @@ from formlab import (
     u1,
     u2,
 )
-from formlab.algebra import GroupElement, random_element, random_group_element
+from formlab.algebra import (
+    IDENTITY_TOL,
+    UNITARITY_TOL,
+    GroupElement,
+    _expand,
+    random_element,
+    random_group_element,
+)
 
 ALGEBRAS = [so3(), u2(), u1()]
 
@@ -195,6 +202,53 @@ def test_group_element_rejects_non_finite_and_huge_entries(group, bad):
     m[-1, -1] = bad
     with pytest.raises(DomainError):
         GroupElement(group, m)
+
+
+def test_lean_paths_match_their_reference_forms_bit_for_bit(rng):
+    # element, _expand and adjoint_matrix multiply against cached generator
+    # tables; each must form the same products as the direct expressions
+    for algebra in ALGEBRAS:
+        gens = algebra.generators
+        gens_h = gens.conj().transpose(0, 2, 1)
+        for _ in range(700):
+            coeffs = 10.0 ** rng.uniform(-8, 8) * rng.standard_normal(algebra.dim)
+            x = algebra.element(coeffs)
+            assert x.matrix.tobytes() == np.tensordot(coeffs, gens, axes=1).tobytes()
+            g = random_group_element(algebra, rng)
+            m = g.matrix @ x.matrix @ g.matrix.conj().T
+            listed = [np.trace(t.conj().T @ m).real for t in gens]
+            assert _expand(algebra, m).coeffs.tobytes() == np.array(listed).tobytes()
+            cols = g.matrix @ gens @ g.matrix.conj().T
+            two_step = np.trace(gens_h[:, None] @ cols[None], axis1=2, axis2=3).real
+            assert adjoint_matrix(g, algebra).tobytes() == two_step.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e8, 1e150])
+def test_exponential_is_in_the_group_at_every_scale(rng, scale):
+    # exponential checks its closed form for finiteness only; the public
+    # constructor's full check must accept every result (1e-5 takes the
+    # Taylor branch of Rodrigues' formula)
+    for algebra in ALGEBRAS:
+        n = algebra.generators.shape[1]
+        for _ in range(200):
+            g = exponential(algebra.element(scale * rng.standard_normal(algebra.dim)))
+            assert np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(n))) <= UNITARITY_TOL
+            if g.group == "SO3":
+                assert g.matrix.dtype == np.float64
+                assert abs(np.linalg.det(g.matrix) - 1.0) <= UNITARITY_TOL
+            assert GroupElement(g.group, np.array(g.matrix)).matrix.shape == (n, n)
+
+
+def test_is_identity_is_the_deviation_test(rng):
+    # _seal settles most elements from their first entry; the answer must be
+    # the full max|g - 1| <= IDENTITY_TOL test
+    for algebra in ALGEBRAS:
+        eye = np.eye(algebra.generators.shape[1])
+        for scale in (0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-9, 1.0):
+            for _ in range(100):
+                g = exponential(algebra.element(scale * rng.standard_normal(algebra.dim)))
+                for h in (g, g.inverse(), g @ g):
+                    assert h.is_identity() == (np.max(np.abs(h.matrix - eye)) <= IDENTITY_TOL)
 
 
 def test_exponential_of_huge_coefficients_is_rejected():

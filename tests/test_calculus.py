@@ -560,6 +560,20 @@ def test_solver_incompatible_source():
         solve_free(cx, REAL_SCALAR, 1, source=closed, maxiter=200)
 
 
+@pytest.mark.parametrize("spacing", [1e20, 1e-20])
+def test_solver_kernel_probe_scales_with_the_operator(spacing):
+    # K = d^T W d scales with the star factors W, and so does the probe that
+    # rejects a source in its kernel
+    fixed = {0: 0.0, 4: 1.0}
+    reference = solve_free(CubicalComplex([8]), REAL_SCALAR, 0, fixed=fixed)
+    scaled = solve_free(CubicalComplex([8], spacing=spacing), REAL_SCALAR, 0, fixed=fixed)
+    assert np.max(np.abs(scaled.values - reference.values)) <= 1e-12
+    cx = CubicalComplex([4, 4], spacing=spacing)
+    closed = np.array([[1.0 if cx.cell(1, i).axes == (0,) else 0.0] for i in range(cx.cell_count(1))])
+    with pytest.raises(SolverError, match="kernel"):
+        solve_free(cx, REAL_SCALAR, 1, source=Cochain(cx, 1, REAL_SCALAR, closed))
+
+
 def test_cochain_validation(torus444):
     with pytest.raises(DomainError):
         Cochain(torus444, 1, REAL_SCALAR, np.zeros((5, 1)))

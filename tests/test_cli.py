@@ -291,12 +291,17 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         ("defect", "so3_defect.json", lambda c: filling_item(c).update(coef=True)),
         ("defect", "so3_defect.json", lambda c: c.update(seed=False)),
         ("check", "so3_check.json", lambda c: c.update(tolerances={"check": float("nan")})),
+        # an infinite tolerance would pass every check it bounds
+        ("check", "so3_check.json", lambda c: c.update(tolerances={"check": float("inf")})),
         # every config float follows the same rule: matrix entries, exp
         # coefficients and fiber values of each kind
         ("compose", "so3_check.json", lambda c: c["group_elements"].update(
             g={"type": "matrix", "rows": [[True, 0, 0], [0, True, 0], [0, 0, True]]})),
         ("compose", "so3_check.json", lambda c: c["group_elements"].update(
             g={"type": "exp", "coeffs": [True, 0, 0]})),
+        # exp coefficients that overflow the algebra matrix, with no warning
+        ("compose", "u2_check.json", lambda c: c["group_elements"].update(
+            u={"type": "exp", "coeffs": [1.7e308, 0, 0, 1.7e308]})),
         ("solve", "solve_so3.json", lambda c: solve_fixed(c).update(value=[True, 0, 0])),
         ("solve", "u2_charges.json", lambda c: c["field"].update(init={
             "init": "explicit",
@@ -324,10 +329,20 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         assert not out.exists()
 
     assert main(["check", str(CONFIG_DIR / "so3_check.json"), "--seed", "-1"]) == 2
-    for tol in ("nan", "-1"):
+    for tol in ("nan", "-1", "inf"):
         out = tmp_path / f"tol{tol}.out.json"
         assert main(["check", str(CONFIG_DIR / "so3_check.json"), "--tol", tol, "--out", str(out)]) == 2
         assert not out.exists()
+
+    # spacings whose star factors differ by 1e340 overflow the solve: exit 2
+    # with the error line alone, no numpy warning before it
+    capsys.readouterr()
+    extreme = variant("solve_so3.json", "extreme.json", lambda c: c["mesh"].update(spacing=[1e-170, 1, 1]))
+    out = tmp_path / "extreme.out.json"
+    assert main(["solve", extreme, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: linear solve did not reach tolerance"), err
 
     capsys.readouterr()  # errors go to stderr, nothing on stdout
     out = tmp_path / "never.json"
