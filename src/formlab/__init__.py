@@ -58,7 +58,6 @@ from .graded import (
     compose,
     inverse,
     primitive_morphism,
-    represent,
 )
 from .mesh import (
     Cell,

@@ -13,7 +13,10 @@ pseudo-inverse, which is block-circulant and applied in closed form by FFTs
 cells; a box runs plain conjugate gradients.  Either way the solution is
 the one orthogonal to the operator's kernel.  Everything runs on numpy
 alone (`numpy.fft` loads on the first torus solve); all operations are
-pure and cochain value arrays are read-only.
+pure and cochain value arrays are read-only.  Every kernel that computes
+with field values runs with numpy's overflow and invalid-value warnings
+off: a finite field may overflow to inf or nan, which reports print and
+checks fail, but a numpy warning on stderr would break the CLI's contract.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .mesh import Chain, CubicalComplex
 DEFAULT_SOLVER_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiberSpec:
     """What a cochain's values are: scalars, C^2 pairs, or algebra elements."""
 
@@ -77,7 +80,8 @@ class Cochain:
 
     def __init__(self, complex: CubicalComplex, degree: int, fiber: FiberSpec, values):
         n = complex.cell_count(degree)
-        values = np.array(values, dtype=fiber.dtype)
+        # C order, so that a complex row views as its (re, im) float pairs
+        values = np.array(values, dtype=fiber.dtype, order="C")
         if values.ndim == 1 and fiber.components == 1:
             values = values.reshape(n, 1)
         if values.shape != (n, fiber.components):
@@ -96,6 +100,7 @@ class Cochain:
         return cls(complex, degree, fiber, np.zeros((n, fiber.components), dtype=fiber.dtype))
 
     @classmethod
+    @np.errstate(over="ignore")
     def random_gaussian(
         cls,
         complex: CubicalComplex,
@@ -115,11 +120,8 @@ class Cochain:
         return Cochain(self.complex, self.degree, self.fiber, values)
 
     def _check_compatible(self, other: Cochain):
-        same_fiber = other.fiber is self.fiber or (
-            other.fiber.kind == self.fiber.kind
-            and other.fiber.algebra is self.fiber.algebra
-        )
-        if other.complex is not self.complex or other.degree != self.degree or not same_fiber:
+        same_place = other.complex is self.complex and other.degree == self.degree
+        if not same_place or other.fiber != self.fiber:
             raise DomainError("cochains must share complex, degree and fiber")
 
     def __add__(self, other: Cochain) -> Cochain:
@@ -137,27 +139,20 @@ class Cochain:
         return f"Cochain(degree={self.degree}, fiber={self.fiber.kind}, cells={self.values.shape[0]})"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def d(psi: Cochain) -> Cochain:
     """Coboundary; d(d(psi)) vanishes exactly on integer-valued cochains."""
     cx = psi.complex
     if psi.degree >= cx.d:
         raise DomainError("top-degree cochains have no coboundary")
-    values = psi.values
-    # quietly on inf and nan values, as the CSR product is
-    with np.errstate(invalid="ignore", over="ignore"):
-        if psi.fiber.is_complex:
-            # work on (re, im) pairs; the CSR product multiplies each value by
-            # the complex sign ±1+0j, which puts 0 * an infinite or nan part
-            # into the other part as nan, so do the same
-            re, im = values.real, values.imag
-            values = np.stack([re + 0.0 * im, im + 0.0 * re], axis=-1).reshape(len(values), -1)
-        out = np.zeros((cx.cell_count(psi.degree + 1), values.shape[1]))
-        cx.add_coboundary(psi.degree, values.T, out.T)
-    if psi.fiber.is_complex:
-        out = out.view(np.complex128)
-    return Cochain(cx, psi.degree + 1, psi.fiber, out)
+    # a complex value is its (re, im) float pair, each part mapped on its own
+    values = psi.values.view(np.float64)
+    out = np.zeros((cx.cell_count(psi.degree + 1), values.shape[1]))
+    cx.add_coboundary(psi.degree, values.T, out.T)
+    return Cochain(cx, psi.degree + 1, psi.fiber, out.view(psi.fiber.dtype))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def star(psi: Cochain) -> Cochain:
     """Diagonal Hodge star onto the complementary degree.
 
@@ -177,6 +172,7 @@ def star(psi: Cochain) -> Cochain:
     return Cochain(cx, cx.d - p, psi.fiber, out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(psi: Cochain, chain: Chain):
     """Pair a cochain with a chain: sum of coefficient * value over cells.
 
@@ -197,11 +193,7 @@ def integrate(psi: Cochain, chain: Chain):
     return acc
 
 
-def fiber_pairing_weights(psi: Cochain) -> np.ndarray:
-    cx = psi.complex
-    return cx.star_factors(psi.degree) * cx.primal_volumes(psi.degree)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def inner(psi: Cochain, phi: Cochain):
     """Metric inner product; conjugates the first argument on complex fibers.
 
@@ -209,12 +201,10 @@ def inner(psi: Cochain, phi: Cochain):
     (conjugate-symmetric) for the complex pair fiber.
     """
     psi._check_compatible(phi)
-    w = fiber_pairing_weights(psi)
-    if psi.fiber.is_complex:
-        cellwise = np.sum(np.conj(psi.values) * phi.values, axis=1)
-        return complex(np.sum(w * cellwise))
-    cellwise = np.sum(psi.values * phi.values, axis=1)
-    return float(np.sum(w * cellwise))
+    cx = psi.complex
+    w = cx.star_factors(psi.degree) * cx.primal_volumes(psi.degree)
+    val = np.sum(w * np.sum(np.conj(psi.values) * phi.values, axis=1))
+    return complex(val) if psi.fiber.is_complex else float(val)
 
 
 def action(psi: Cochain, prefactor: float = 1.0) -> float:
@@ -224,6 +214,7 @@ def action(psi: Cochain, prefactor: float = 1.0) -> float:
     return prefactor * (val.real if isinstance(val, complex) else val)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_fiber_map(psi: Cochain, matrix: np.ndarray) -> Cochain:
     """Apply a linear map to the fiber index of every cell value."""
     matrix = np.asarray(matrix)
@@ -448,11 +439,10 @@ def solve_free(
             )
 
     def rows(values):
-        parts = (values.real, values.imag) if fiber.is_complex else (values.real,)
-        return np.concatenate([part.T for part in parts])
+        # one row per float of a value: a complex component is its (re, im) pair
+        return values.view(np.float64).T
 
     w = complex.star_factors(degree + 1)
-    # one row per real part of each component
     block_rows = comps * (2 if fiber.is_complex else 1)
     # d x for up to every row, reused by each operator application
     dx_block = np.empty((block_rows, complex.cell_count(degree + 1)))
@@ -495,9 +485,6 @@ def solve_free(
             raise SolverError("incompatible source: it lies in the kernel of the operator")
         x = _lockstep_cg(apply_k, b, tol, maxiter, apply_m)
 
-    out = np.empty((n, comps), dtype=fiber.dtype)
-    out.real = x[:comps].T
-    if fiber.is_complex:
-        out.imag = x[comps:].T
+    out = np.ascontiguousarray(x.T).view(fiber.dtype)
     out[fixed_idx] = fixed_arr
     return Cochain(complex, degree, fiber, out)

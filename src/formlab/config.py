@@ -295,6 +295,8 @@ def build_field(scenario: Scenario) -> Cochain:
     if kind == "random_gaussian":
         seed = parse_seed(init.get("seed", scenario.seed), "'field.init.seed'")
         stddev = parse_number(float, init.get("stddev", 1.0), "'field.init.stddev'")
+        if not 0.0 <= stddev < math.inf:  # nan fails too
+            raise ConfigError(f"'field.init.stddev' must be a finite number >= 0, got {stddev!r}")
         return Cochain.random_gaussian(cx, degree, fiber, np.random.default_rng(seed), stddev)
     if kind == "explicit":
         if "csv" in init:

@@ -175,7 +175,7 @@ class ConservationReport:
     charges: dict = field(default_factory=dict)
 
 
-def conservation_report(psi: Cochain, prefactor: float = 1.0) -> ConservationReport:
+def conservation_report(psi: Cochain) -> ConservationReport:
     """Report d(d psi) and d star d psi max-norms, the action, and sample
     charges over the coordinate planes and axis loops (3d, 1-form fields).
 
@@ -188,7 +188,7 @@ def conservation_report(psi: Cochain, prefactor: float = 1.0) -> ConservationRep
     trivial = max_norm(d(dpsi)) if psi.degree + 2 <= cx.d else None
     # the residual d star d psi needs the reindexing star, which only exists on tori
     dynamical = max_norm(d(strength.star_dpsi)) if cx.topology == "torus" else None
-    act = prefactor * inner(dpsi, dpsi).real
+    act = inner(dpsi, dpsi).real
     charges = {}
     if cx.d == 3 and psi.degree == 1 and cx.topology == "torus":
         for axis in range(3):

@@ -11,8 +11,9 @@ operators.  Violations raise DegreeError.
 
 Morphisms form a two-object groupoid: objects are the two degrees, a
 morphism is (group element, source degree, degree shift), composition
-multiplies group elements, and the primitive flag marks the generator
-patterns (degree-shifting non-identity actions and the two identities).
+multiplies group elements, and a morphism is primitive when it has a
+generator's pattern (degree-shifting non-identity actions and the two
+identities).  The matrix of a morphism is GroupoidRep.matrix of its element.
 """
 
 from __future__ import annotations
@@ -43,15 +44,15 @@ class GradedMorphism:
     g: GroupElement
     source: int
     shift: int
-    primitive: bool = False
 
     def __post_init__(self):
         if not (is_degree(self.source) and is_degree(self.shift)):
             raise DegreeError("source and shift must be 0 or 1")
-        if self.primitive and self.shift != generator_shift(self.g):
-            if self.shift:
-                raise DegreeError("the identity acts degree-preservingly")
-            raise DegreeError("a primitive non-identity action must shift degree")
+
+    @property
+    def primitive(self) -> bool:
+        """Whether the morphism has a generator's pattern."""
+        return self.shift == generator_shift(self.g)
 
     @property
     def target(self) -> int:
@@ -75,7 +76,7 @@ def generator_shift(g: GroupElement) -> int:
 def primitive_morphism(g: GroupElement, source: int) -> GradedMorphism:
     """The generator morphism of g at the given source degree; for the
     identity element, the identity morphism of that degree."""
-    return GradedMorphism(g, source, generator_shift(g), primitive=True)
+    return GradedMorphism(g, source, generator_shift(g))
 
 
 def compose(second: GradedMorphism, first: GradedMorphism) -> GradedMorphism:
@@ -87,16 +88,12 @@ def compose(second: GradedMorphism, first: GradedMorphism) -> GradedMorphism:
             f"cannot compose: first maps degree {first.source} to {first.target}, "
             f"second expects source degree {second.source}"
         )
-    g = second.g @ first.g
-    shift = (first.shift + second.shift) % 2
-    return GradedMorphism(g, first.source, shift, primitive=shift == generator_shift(g))
+    return GradedMorphism(second.g @ first.g, first.source, (first.shift + second.shift) % 2)
 
 
 def inverse(m: GradedMorphism) -> GradedMorphism:
     """Two-sided inverse: swaps source and target, inverts the element."""
-    return GradedMorphism(
-        m.g.inverse(), m.target, m.shift, primitive=m.shift == generator_shift(m.g)
-    )
+    return GradedMorphism(m.g.inverse(), m.target, m.shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +117,3 @@ class GroupoidRep:
             raise DomainError("the complex pair fiber needs a 2x2 group element")
         return g.matrix
 
-
-@dataclass(frozen=True, eq=False)
-class RepresentedMorphism:
-    """A concrete linear map with its degree bookkeeping."""
-
-    matrix: np.ndarray
-    source: int
-    target: int
-
-
-def represent(m: GradedMorphism, rep: GroupoidRep) -> RepresentedMorphism:
-    """Functor into linear maps: composition goes to the matrix product."""
-    return RepresentedMorphism(rep.matrix(m.g), m.source, m.target)

