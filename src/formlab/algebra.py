@@ -21,17 +21,14 @@ UNITARITY_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 
 _GROUP_OF_ALGEBRA = {"so3": "SO3", "u2": "U2", "u1": "U1"}
-_MATRIX_DIM_OF_GROUP = {"SO3": 3, "U2": 2, "U1": 1}
-
-
-def _identity_matrix(group: str) -> np.ndarray:
-    n = _MATRIX_DIM_OF_GROUP[group]
-    eye = np.eye(n) if group == "SO3" else np.eye(n, dtype=np.complex128)
-    eye.setflags(write=False)
-    return eye
-
-
-_IDENTITY_MATRIX = {group: _identity_matrix(group) for group in _MATRIX_DIM_OF_GROUP}
+# read-only; a group's matrix size is its identity's shape
+_IDENTITY_MATRIX = {
+    "SO3": np.eye(3),
+    "U2": np.eye(2, dtype=np.complex128),
+    "U1": np.eye(1, dtype=np.complex128),
+}
+for _eye in _IDENTITY_MATRIX.values():
+    _eye.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +37,6 @@ class LieAlgebra:
 
     name: str
     generators: np.ndarray  # (dim, n, n), read-only
-    field: str  # "real" | "complex" matrix entries
 
     def __post_init__(self):
         gens = self.generators
@@ -71,9 +67,6 @@ class LieAlgebra:
         matrix = np.dot(coeffs.reshape(1, -1), self._flat).reshape(self.generators.shape[1:])
         return AlgebraElement(self, coeffs, matrix)
 
-    def zero(self) -> AlgebraElement:
-        return self.element(np.zeros(self.dim))
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
@@ -86,23 +79,6 @@ class AlgebraElement:
     def __post_init__(self):
         self.coeffs.setflags(write=False)
         self.matrix.setflags(write=False)
-
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        _same_algebra(self, other)
-        return self.algebra.element(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        _same_algebra(self, other)
-        return self.algebra.element(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> AlgebraElement:
-        return self.algebra.element(-self.coeffs)
-
-    def __rmul__(self, scalar: float) -> AlgebraElement:
-        return self.algebra.element(float(scalar) * self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +94,12 @@ class GroupElement:
     # every test reads "not x <= tol", so nan and overflow fail it quietly
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        n = _MATRIX_DIM_OF_GROUP.get(self.group)
-        if n is None:
+        eye = _IDENTITY_MATRIX.get(self.group)
+        if eye is None:
             raise DomainError(f"unknown group {self.group!r}")
         m = np.asarray(self.matrix)
-        if m.shape != (n, n):
+        if m.shape != eye.shape:
+            n = len(eye)
             raise DomainError(f"{self.group} expects a {n}x{n} matrix, got {m.shape}")
         m = np.array(m, dtype=np.complex128)
         if not np.isfinite(m).all():
@@ -133,7 +110,7 @@ class GroupElement:
             m = np.array(m.real)
             if not abs(np.linalg.det(m) - 1.0) <= UNITARITY_TOL:
                 raise DomainError("SO3 matrix must have determinant 1")
-        defect = np.abs(m.conj().T @ m - _IDENTITY_MATRIX[self.group]).max()
+        defect = np.abs(m.conj().T @ m - eye).max()
         if not defect <= UNITARITY_TOL:
             raise DomainError(
                 f"matrix is not in {self.group}: unitarity defect {defect:.3e}"
@@ -192,7 +169,7 @@ def so3() -> LieAlgebra:
     """so(3) with (J_a)_bc = -eps_abc / sqrt(2), so <J_a, J_b> = delta_ab."""
     eps = _levi_civita()
     gens = np.array([-eps[a] / np.sqrt(2.0) for a in range(3)])
-    return LieAlgebra("so3", gens, "real")
+    return LieAlgebra("so3", gens)
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +182,12 @@ def u2() -> LieAlgebra:
         np.array([[1, 0], [0, -1]], dtype=np.complex128),
     ]
     gens = np.array([1j * s / np.sqrt(2.0) for s in sigma])
-    return LieAlgebra("u2", gens, "complex")
+    return LieAlgebra("u2", gens)
 
 
 @lru_cache(maxsize=None)
 def u1() -> LieAlgebra:
-    return LieAlgebra("u1", np.array([[[1j]]]), "complex")
+    return LieAlgebra("u1", np.array([[[1j]]]))
 
 
 def algebra_by_name(name: str) -> LieAlgebra:

@@ -61,9 +61,6 @@ class FiberSpec:
     def is_complex(self) -> bool:
         return self.kind == "complex_pair"
 
-    def zero_value(self) -> np.ndarray:
-        return np.zeros(self.components, dtype=self.dtype)
-
 
 REAL_SCALAR = FiberSpec("real_scalar")
 COMPLEX_PAIR = FiberSpec("complex_pair")
@@ -187,7 +184,8 @@ def integrate(psi: Cochain, chain: Chain):
             f"degree mismatch: cochain degree {psi.degree}, chain degree {chain.degree}"
         )
     terms = chain.coefs[:, None] * psi.values[chain.cells]
-    acc = np.add.accumulate(np.vstack([psi.fiber.zero_value(), terms]))[-1]
+    zero = np.zeros(psi.fiber.components, dtype=psi.fiber.dtype)
+    acc = np.add.accumulate(np.vstack([zero, terms]))[-1]
     if psi.fiber.kind == "real_scalar":
         return float(acc[0])
     return acc
@@ -255,22 +253,29 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m=None)
     through its leading rows as the block shrinks, and once alpha is known
     the same rows take the alpha-scaled updates of r and x.  No step
     allocates a block; only a step where rows leave copies the rows kept.
+    Row dot products are formed in a third scratch block and summed by
+    np.add.reduce, each row on its own, so that a row's result never depends
+    on the rows beside it (einsum's buffered sums do, past 8192 entries).
     """
     x = np.zeros_like(b)
     b_norm = np.max(np.abs(b), axis=1)
     live = np.flatnonzero(b_norm > 0.0)
     if not live.size:
         return x
-    # C order whatever b's layout, as a fresh K p would be: einsum's row sums
-    # depend on the memory layout
     kx = np.empty(b.shape)
     mr = None if apply_m is None else np.empty(b.shape)
+    # dot's products, C-ordered whatever the layout of its arguments
+    products = np.empty(b.shape)
+
+    def dot(u, v):
+        return np.add.reduce(np.multiply(u, v, out=products[: len(u)]), axis=1)
+
     xs, r, p = np.zeros((live.size, b.shape[1])), b[live], None
-    stop = 1e-13 * np.sqrt(np.einsum("ij,ij->i", r, r))
+    stop = 1e-13 * np.sqrt(dot(r, r))
     steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(maxiter):
-            rho = np.einsum("ij,ij->i", r, r)
+            rho = dot(r, r)
             # a nan residual (breakdown on an incompatible source) never
             # converges: stop that row too and let the residual test fail it
             done = ~(np.sqrt(rho) > stop)
@@ -285,14 +290,14 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m=None)
             z = r
             if apply_m is not None:
                 z = apply_m(r, kx[: live.size], mr[: live.size])
-                rho = np.einsum("ij,ij->i", r, z)
+                rho = dot(r, z)
             if p is None:
                 p = z.copy()
             else:
                 p *= (rho / rho_prev)[:, None]
                 p += z
             q = apply_k(p, kx[: live.size])
-            alpha = (rho / np.einsum("ij,ij->i", p, q))[:, None]
+            alpha = (rho / dot(p, q))[:, None]
             r -= np.multiply(alpha, q, out=q)
             xs += np.multiply(alpha, p, out=q)
             rho_prev = rho

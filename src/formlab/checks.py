@@ -1,14 +1,17 @@
 """Named invariant checks backing the `check` CLI command.
 
-Each check returns a CheckResult with the measured deviation (lhs), the
-reference value (rhs) and the tolerance it was held to, or None when it does
-not apply to the scenario (wrong dimension, missing mesh, scalar fiber).
+Each check is one registry row: its name, the tolerance it is held to and a
+measure, which returns the deviation or None when the check does not apply
+to the scenario (wrong dimension, missing mesh, scalar fiber).  A check
+passes when its deviation (lhs, against the reference value rhs = 0) is at
+most its tolerance.
 Randomized checks derive their generator from (seed, check index) so that a
 report is byte-deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +140,9 @@ def groupoid_law_violations(elements) -> int:
 class _Ctx:
     scenario: Scenario
     field: Cochain | None
-    tolerances: dict
-    seed: int
 
     def rng(self, index: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, index])
+        return np.random.default_rng([self.scenario.seed, index])
 
     @property
     def complex(self):
@@ -163,7 +164,7 @@ def _check_boundary_squared(ctx: _Ctx):
         _, entry = np.unique(keys, return_inverse=True)
         sums = np.bincount(entry.ravel(), weights=(sub_signs[:, faces] * signs).ravel())
         worst = max(worst, float(np.max(np.abs(sums))))
-    return CheckResult("boundary_squared_zero", worst == 0.0, worst, 0.0, 0.0)
+    return worst
 
 
 def _check_coboundary_squared(ctx: _Ctx):
@@ -176,7 +177,7 @@ def _check_coboundary_squared(ctx: _Ctx):
         vals = rng.integers(-5, 6, size=(cx.cell_count(p), 1)).astype(np.float64)
         psi = Cochain(cx, p, REAL_SCALAR, vals)
         worst = max(worst, max_norm(d(d(psi))))
-    return CheckResult("coboundary_squared_zero", worst == 0.0, worst, 0.0, 0.0)
+    return worst
 
 
 def _check_star_double(ctx: _Ctx):
@@ -184,13 +185,12 @@ def _check_star_double(ctx: _Ctx):
     if cx is None or cx.topology != "torus":
         return None
     rng = ctx.rng(2)
-    tol = ctx.tolerances["star"]
     worst = 0.0
     for p in range(cx.d + 1):
         psi = Cochain.random_gaussian(cx, p, REAL_SCALAR, rng)
         sign = (-1) ** (p * (cx.d - p))
         worst = max(worst, max_norm(star(star(psi)) - sign * psi))
-    return CheckResult("star_double_identity", worst <= tol, worst, 0.0, tol)
+    return worst
 
 
 def _check_stokes(ctx: _Ctx):
@@ -198,7 +198,6 @@ def _check_stokes(ctx: _Ctx):
     if cx is None:
         return None
     rng = ctx.rng(3)
-    tol = ctx.tolerances["check"]
     worst = 0.0
     for p in range(cx.d):
         for _ in range(20):
@@ -209,36 +208,29 @@ def _check_stokes(ctx: _Ctx):
             lhs = integrate(d(psi), sigma)
             rhs = integrate(psi, boundary(sigma))
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return CheckResult("stokes_adjointness", worst <= tol, worst, 0.0, tol)
+    return worst
 
 
 def _check_gram(ctx: _Ctx):
     a = ctx.scenario.algebra
-    tol = ctx.tolerances["check"]
-    gens = a.generators
-    gram = np.array(
-        [[np.trace(x.conj().T @ y).real for y in gens] for x in gens]
-    )
-    worst = float(np.max(np.abs(gram - np.eye(a.dim))))
-    return CheckResult("generator_gram_identity", worst <= tol, worst, 0.0, tol)
+    basis = [a.element(e) for e in np.eye(a.dim)]
+    gram = np.array([[alg.pairing(x, y) for y in basis] for x in basis])
+    return float(np.max(np.abs(gram - np.eye(a.dim))))
 
 
 def _check_closure(ctx: _Ctx):
     a = ctx.scenario.algebra
-    tol = ctx.tolerances["check"]
+    basis = [a.element(e) for e in np.eye(a.dim)]
     worst = 0.0
-    for x in a.generators:
-        for y in a.generators:
-            m = x @ y - y @ x
-            coeffs = [np.trace(g.conj().T @ m).real for g in a.generators]
-            recon = np.tensordot(np.array(coeffs), a.generators, axes=1)
-            worst = max(worst, float(np.max(np.abs(m - recon))))
-    return CheckResult("bracket_closure", worst <= tol, worst, 0.0, tol)
+    for x in basis:
+        for y in basis:
+            m = x.matrix @ y.matrix - y.matrix @ x.matrix
+            worst = max(worst, float(np.max(np.abs(m - alg.bracket(x, y).matrix))))
+    return worst
 
 
 def _check_ad_invariance(ctx: _Ctx):
     a = ctx.scenario.algebra
-    tol = ctx.tolerances["check"]
     rng = ctx.rng(6)
     worst = 0.0
     for _ in range(100):
@@ -247,7 +239,7 @@ def _check_ad_invariance(ctx: _Ctx):
         y = alg.random_element(a, rng)
         dev = abs(alg.pairing(alg.adjoint(g, x), alg.adjoint(g, y)) - alg.pairing(x, y))
         worst = max(worst, dev)
-    return CheckResult("adjoint_invariance", worst <= tol, worst, 0.0, tol)
+    return worst
 
 
 def _check_action_invariance(ctx: _Ctx):
@@ -255,22 +247,18 @@ def _check_action_invariance(ctx: _Ctx):
         return None
     if ctx.scenario.fiber.kind == "real_scalar":
         return None
-    tol = ctx.tolerances["check"]
     rng = ctx.rng(7)
     rep = representation_for(ctx.scenario)
     g = alg.random_group_element(ctx.scenario.algebra, rng)
     s0 = action(ctx.field)
     s1 = action(apply_fiber_map(ctx.field, rep.matrix(g)))
-    worst = abs(s1 - s0) / (1.0 + abs(s0))
-    return CheckResult("action_global_invariance", worst <= tol, worst, 0.0, tol)
+    return abs(s1 - s0) / (1.0 + abs(s0))
 
 
 def _check_trivial_current(ctx: _Ctx):
     if ctx.field is None or ctx.field.degree + 2 > ctx.complex.d:
         return None
-    tol = ctx.tolerances["exact"]
-    worst = max_norm(d(d(ctx.field)))
-    return CheckResult("trivial_current_closed", worst <= tol, worst, 0.0, tol)
+    return max_norm(d(d(ctx.field)))
 
 
 def _applicable_charges(ctx: _Ctx) -> bool:
@@ -288,21 +276,18 @@ def _check_charge_homology(ctx: _Ctx):
     if not _applicable_charges(ctx):
         return None
     cx = ctx.complex
-    tol = ctx.tolerances["check"]
     patch = Chain(cx, 2, {cx.cell_index(2, (i, j, 0), (0, 1)): 1 for i in range(2) for j in range(2)})
     bump = Chain(cx, 3, {cx.cell_index(3, (0, 0, 0), (0, 1, 2)): 1})
     moved = patch + boundary(bump)
     q0 = np.atleast_1d(charge_eom(ctx.field, patch))
     q1 = np.atleast_1d(charge_eom(ctx.field, moved))
-    worst = float(np.max(np.abs(q1 - q0)) / (1.0 + np.max(np.abs(q0))))
-    return CheckResult("charge_homology_invariance", worst <= tol, worst, 0.0, tol)
+    return float(np.max(np.abs(q1 - q0)) / (1.0 + np.max(np.abs(q0))))
 
 
 def _check_flux_identity(ctx: _Ctx):
     if not _applicable_charges(ctx):
         return None
     cx = ctx.complex
-    tol = ctx.tolerances["check"]
     loop0 = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
     loop1 = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [1, 0]})
     strip = Chain(
@@ -314,8 +299,7 @@ def _check_flux_identity(ctx: _Ctx):
     )
     flux = np.atleast_1d(integrate(eom_residual(ctx.field), strip))
     scale = 1.0 + float(np.max(np.abs(flux)))
-    worst = float(np.max(np.abs(delta - flux))) / scale
-    return CheckResult("trivial_charge_flux_identity", worst <= tol, worst, 0.0, tol)
+    return float(np.max(np.abs(delta - flux))) / scale
 
 
 def _check_defect_gating(ctx: _Ctx):
@@ -333,22 +317,17 @@ def _check_defect_gating(ctx: _Ctx):
     )
     defect = DefectOperator(g, 0, support)
     move = DefectMove(defect, Cobordism(cx, filling, support))
-    result = apply_defect(defect, charged, move, rep)
-    passed = result is charged
-    return CheckResult("defect_topological_gating", passed, 0.0 if passed else 1.0, 0.0, 0.0)
+    return 0.0 if apply_defect(defect, charged, move, rep) is charged else 1.0
 
 
 def _check_groupoid(ctx: _Ctx):
-    violations = float(groupoid_law_violations(quaternion_elements()))
-    return CheckResult("groupoid_quaternion_laws", violations == 0.0, violations, 0.0, 0.0)
+    return float(groupoid_law_violations(quaternion_elements()))
 
 
 def _check_composition_contract(ctx: _Ctx):
-    tol = ctx.tolerances["check"]
     rng = ctx.rng(12)
     a = ctx.scenario.algebra
     rep = representation_for(ctx.scenario)
-    violations = 0
     worst = 0.0
     for _ in range(200):
         g = alg.random_group_element(a, rng)
@@ -356,16 +335,16 @@ def _check_composition_contract(ctx: _Ctx):
         s = int(rng.integers(0, 2))
         try:
             compose(primitive_morphism(g, s), primitive_morphism(h, s))
-            violations += 1  # same-degree non-identity pairs must not compose
         except DegreeError:
             pass
+        else:
+            return math.inf  # same-degree non-identity pairs must not compose
         first = primitive_morphism(h, s)
         second = primitive_morphism(g, first.target)
         total = compose(second, first)
         dev = np.max(np.abs(rep.matrix(total.g) - rep.matrix(second.g) @ rep.matrix(first.g)))
         worst = max(worst, float(dev))
-    passed = violations == 0 and worst <= tol
-    return CheckResult("graded_composition_contract", passed, worst, 0.0, tol)
+    return worst
 
 
 def _check_dsl(ctx: _Ctx):
@@ -385,53 +364,54 @@ def _check_dsl(ctx: _Ctx):
     chain = typecheck(bad, table)
     if not (isinstance(chain, Diagnostic) and chain.kind == "degree_mismatch" and chain.offset == 7):
         failures += 1
-    return CheckResult("dsl_roundtrip", failures == 0, float(failures), 0.0, 0.0)
+    return float(failures)
 
 
+# (name, tolerance key or None for an exact 0, measure); a measure returns its
+# deviation, or None where the check does not apply
 _REGISTRY = [
-    ("boundary_squared_zero", _check_boundary_squared),
-    ("coboundary_squared_zero", _check_coboundary_squared),
-    ("star_double_identity", _check_star_double),
-    ("stokes_adjointness", _check_stokes),
-    ("generator_gram_identity", _check_gram),
-    ("bracket_closure", _check_closure),
-    ("adjoint_invariance", _check_ad_invariance),
-    ("action_global_invariance", _check_action_invariance),
-    ("trivial_current_closed", _check_trivial_current),
-    ("charge_homology_invariance", _check_charge_homology),
-    ("trivial_charge_flux_identity", _check_flux_identity),
-    ("defect_topological_gating", _check_defect_gating),
-    ("groupoid_quaternion_laws", _check_groupoid),
-    ("graded_composition_contract", _check_composition_contract),
-    ("dsl_roundtrip", _check_dsl),
+    ("boundary_squared_zero", None, _check_boundary_squared),
+    ("coboundary_squared_zero", None, _check_coboundary_squared),
+    ("star_double_identity", "star", _check_star_double),
+    ("stokes_adjointness", "check", _check_stokes),
+    ("generator_gram_identity", "check", _check_gram),
+    ("bracket_closure", "check", _check_closure),
+    ("adjoint_invariance", "check", _check_ad_invariance),
+    ("action_global_invariance", "check", _check_action_invariance),
+    ("trivial_current_closed", "exact", _check_trivial_current),
+    ("charge_homology_invariance", "check", _check_charge_homology),
+    ("trivial_charge_flux_identity", "check", _check_flux_identity),
+    ("defect_topological_gating", None, _check_defect_gating),
+    ("groupoid_quaternion_laws", None, _check_groupoid),
+    ("graded_composition_contract", "check", _check_composition_contract),
+    ("dsl_roundtrip", None, _check_dsl),
 ]
 
-CHECK_NAMES = [name for name, _ in _REGISTRY]
+CHECK_NAMES = [name for name, _, _ in _REGISTRY]
 
 
 # quietly: an overflowing field gives an inf or nan deviation, which fails its check
 @np.errstate(over="ignore", invalid="ignore")
 def run_checks(scenario: Scenario, names=None) -> list:
-    """Run the named checks (all applicable ones by default)."""
+    """Run the named checks (all applicable ones by default), in registry order."""
     if names is None:
         names = scenario.checks
     explicit = not (names is None or names == "all" or names == ["all"])
-    if not explicit:
-        selected = CHECK_NAMES
-    else:
+    if explicit:
         unknown = [n for n in names if n not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
-        selected = [n for n in CHECK_NAMES if n in names]
     field = build_field(scenario) if scenario.complex is not None else None
-    ctx = _Ctx(scenario, field, scenario.tolerances, scenario.seed)
+    ctx = _Ctx(scenario, field)
     results = []
-    table = dict(_REGISTRY)
-    for name in selected:
-        result = table[name](ctx)
-        if result is None:
+    for name, key, measure in _REGISTRY:
+        if explicit and name not in names:
+            continue
+        lhs = measure(ctx)
+        if lhs is None:
             if explicit:
                 raise ConfigError(f"check {name!r} does not apply to this scenario")
             continue
-        results.append(result)
+        tol = 0.0 if key is None else scenario.tolerances[key]
+        results.append(CheckResult(name, lhs <= tol, lhs, 0.0, tol))
     return results

@@ -34,7 +34,7 @@ class ChargedOperator:
     support: Chain
     field: Cochain
     degree: int
-    observable: object = None
+    observable: object = field(init=False)
 
     def __post_init__(self):
         if not is_degree(self.degree):

@@ -50,11 +50,6 @@ class GradedMorphism:
             raise DegreeError("source and shift must be 0 or 1")
 
     @property
-    def primitive(self) -> bool:
-        """Whether the morphism has a generator's pattern."""
-        return self.shift == generator_shift(self.g)
-
-    @property
     def target(self) -> int:
         return (self.source + self.shift) % 2
 

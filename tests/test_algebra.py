@@ -80,7 +80,7 @@ def test_generator_brackets_close(algebra):
 def test_bracket_antisymmetry(rng):
     for algebra in ALGEBRAS:
         x = random_element(algebra, rng)
-        assert bracket(x, x).norm() == 0.0
+        assert np.linalg.norm(bracket(x, x).coeffs) == 0.0
         y = random_element(algebra, rng)
         lhs = bracket(x, y)
         rhs = bracket(y, x)
@@ -104,15 +104,19 @@ def test_jacobi_identity(rng):
     a = so3()
     j = [a.element(e) for e in np.eye(3)]
     total = (
-        bracket(j[0], bracket(j[1], j[2]))
-        + bracket(j[1], bracket(j[2], j[0]))
-        + bracket(j[2], bracket(j[0], j[1]))
+        bracket(j[0], bracket(j[1], j[2])).coeffs
+        + bracket(j[1], bracket(j[2], j[0])).coeffs
+        + bracket(j[2], bracket(j[0], j[1])).coeffs
     )
-    assert total.norm() <= 1e-13
+    assert np.linalg.norm(total) <= 1e-13
     for algebra in ALGEBRAS:
         x, y, z = (random_element(algebra, rng) for _ in range(3))
-        total = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
-        assert total.norm() <= 1e-12
+        total = (
+            bracket(x, bracket(y, z)).coeffs
+            + bracket(y, bracket(z, x)).coeffs
+            + bracket(z, bracket(x, y)).coeffs
+        )
+        assert np.linalg.norm(total) <= 1e-12
 
 
 def test_bracket_rejects_mixed_algebras():
@@ -165,10 +169,10 @@ def test_pairing_ad_invariance(rng):
 
 def test_exponential_identities(rng):
     for algebra in ALGEBRAS:
-        e = exponential(algebra.zero())
+        e = exponential(algebra.element(np.zeros(algebra.dim)))
         assert np.max(np.abs(e.matrix - np.eye(algebra.generators.shape[1]))) == 0.0
         x = random_element(algebra, rng)
-        prod = exponential(x) @ exponential(-x)
+        prod = exponential(x) @ exponential(algebra.element(-x.coeffs))
         assert np.max(np.abs(prod.matrix - np.eye(algebra.generators.shape[1]))) <= 1e-12
 
 

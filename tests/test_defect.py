@@ -152,6 +152,13 @@ def test_charged_operator_caches_observable(rng, torus444):
         ChargedOperator(open_chain, psi, 0)
 
 
+def test_charged_operator_derives_its_observable(rng, torus444):
+    psi = Cochain.random_gaussian(torus444, 1, SO3_FIBER, rng)
+    # the observable is always the integral, never an argument
+    with pytest.raises(TypeError):
+        ChargedOperator(x_loop(torus444), psi, 0, observable=np.zeros(3))
+
+
 def test_observable_is_linear_in_field_and_support(rng, torus444):
     cx = torus444
     psi = Cochain.random_gaussian(cx, 1, SO3_FIBER, rng)

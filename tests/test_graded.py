@@ -19,6 +19,7 @@ from formlab import (
 )
 from formlab.algebra import GroupElement, adjoint_matrix, random_group_element
 from formlab.checks import groupoid_law_violations, quaternion_elements
+from formlab.graded import generator_shift
 
 SO3_REP = GroupoidRep(algebra_fiber(so3()))
 
@@ -66,7 +67,8 @@ def test_inverse_laws(rng):
 def test_primitive_rejects_identity_with_shift():
     e = identity("SO3")
     assert primitive_morphism(e, 0).shift == 0
-    assert not GradedMorphism(e, 0, 1).primitive
+    m = GradedMorphism(e, 0, 1)
+    assert m.shift != generator_shift(m.g)
     # a boolean is not a degree, though True in (0, 1) holds
     for source, shift in ((True, 0), (0, True), (np.False_, 0)):
         with pytest.raises(DegreeError):
@@ -85,7 +87,7 @@ def test_composite_with_identity_element_and_odd_shift_is_not_primitive(rng):
     # with the identity element, representable but not a generator pattern
     assert word.g.is_identity()
     assert word.shift == 1
-    assert not word.primitive
+    assert word.shift != generator_shift(word.g)
 
 
 def test_represent_identity_and_functoriality(rng):

@@ -402,9 +402,10 @@ def test_cobordism_validation():
     cob = Cobordism(cx, filling, source)
     assert boundary(cob.filling) == cob.target - cob.source
     assert is_cycle(cob.target)
-    wrong_target = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [2, 2]})
+    # the filling must be one degree above the source
+    wrong_degree = Chain(cx, 3, {cx.cell_index(3, (0, 0, 0), (0, 1, 2)): 1})
     with pytest.raises(DomainError):
-        Cobordism(cx, filling, source, wrong_target)
+        Cobordism(cx, wrong_degree, source)
 
 
 def test_cell_and_chain_validation():
