@@ -284,9 +284,9 @@ def so3_rotation(axis: int, angle: float) -> GroupElement:
     return exponential(so3().element(coeffs))
 
 
-def random_element(algebra: LieAlgebra, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    return algebra.element(scale * rng.standard_normal(algebra.dim))
+def random_element(algebra: LieAlgebra, rng: np.random.Generator) -> AlgebraElement:
+    return algebra.element(rng.standard_normal(algebra.dim))
 
 
-def random_group_element(algebra: LieAlgebra, rng: np.random.Generator, scale: float = 1.0) -> GroupElement:
-    return exponential(random_element(algebra, rng, scale))
+def random_group_element(algebra: LieAlgebra, rng: np.random.Generator) -> GroupElement:
+    return exponential(random_element(algebra, rng))

@@ -235,7 +235,7 @@ def eom_residual(psi: Cochain) -> Cochain:
     return d(star(d(psi)))
 
 
-def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m=None) -> np.ndarray:
+def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m) -> np.ndarray:
     """Conjugate gradients from zero for every row of b at once.
 
     Each row keeps its own recurrence (alpha, beta and the stop test
@@ -245,8 +245,8 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m=None)
     residual exceeds tol * (1 + max|b|); a row in the kernel of K breaks
     down into nan and fails that test.
 
-    apply_k(x, out) writes K x into out.  apply_m(r, scratch, out), when
-    given, writes M r into out for a symmetric positive semidefinite
+    apply_k(x, out) writes K x into out.  apply_m(r, scratch, out), unless
+    None, writes M r into out for a symmetric positive semidefinite
     preconditioner M, free to use scratch; the stop test stays on the
     unpreconditioned residual r.  Buffers are reused: each step writes K p
     into one scratch block of b's shape (and M r into a second), used
@@ -397,7 +397,6 @@ def solve_free(
     fixed=None,
     source: Cochain | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
-    maxiter: int | None = None,
 ) -> Cochain:
     """Solve the free equation of motion K psi = rho for all components at once.
 
@@ -425,8 +424,6 @@ def solve_free(
         if source.complex is not complex or source.degree != degree:
             raise DomainError("source must be a cochain of the solved degree")
         rhs = rhs + source.values
-    if maxiter is None:
-        maxiter = 10 * n + 100
 
     fixed_idx = []
     fixed_vals = []
@@ -488,7 +485,7 @@ def solve_free(
         kb_norm = np.max(np.abs(apply_k(b[live], np.empty((np.count_nonzero(live), n)))), axis=1)
         if np.any(kb_norm / w.max() <= 1e-14 * b_norm[live]):
             raise SolverError("incompatible source: it lies in the kernel of the operator")
-        x = _lockstep_cg(apply_k, b, tol, maxiter, apply_m)
+        x = _lockstep_cg(apply_k, b, tol, 10 * n + 100, apply_m)
 
     out = np.ascontiguousarray(x.T).view(fiber.dtype)
     out[fixed_idx] = fixed_arr

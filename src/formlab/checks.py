@@ -36,6 +36,7 @@ from .defect import (
     apply_defect,
     charge_eom,
     charge_trivial,
+    charges_apply,
 )
 from .errors import ConfigError, DegreeError
 from .graded import (
@@ -262,14 +263,7 @@ def _check_trivial_current(ctx: _Ctx):
 
 
 def _applicable_charges(ctx: _Ctx) -> bool:
-    cx = ctx.complex
-    return (
-        cx is not None
-        and cx.d == 3
-        and cx.topology == "torus"
-        and ctx.field is not None
-        and ctx.field.degree == 1
-    )
+    return ctx.field is not None and charges_apply(ctx.field)
 
 
 def _check_charge_homology(ctx: _Ctx):

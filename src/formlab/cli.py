@@ -4,12 +4,14 @@ Commands: solve | charges | defect | compose | check.  Reports are JSON with
 a fixed key order and shortest round-trip float formatting, so a fixed
 config and seed produce byte-identical output.  Exit codes: 0 success with
 all checks passing, 1 a check or composition failed, 2 configuration or
-parse errors (message on stderr, no report written).
+parse errors, a mesh too large for memory among them (message on stderr,
+no report written).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -160,18 +162,8 @@ def _cmd_check(scenario: Scenario, args):
     from .checks import run_checks
 
     results = run_checks(scenario)
-    checks = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "tolerance": r.tolerance,
-        }
-        for r in results
-    ]
     code = 0 if all(r.passed for r in results) else 1
-    return code, {"command": "check", "checks": checks}
+    return code, {"command": "check", "checks": [dataclasses.asdict(r) for r in results]}
 
 
 _COMMANDS = {
@@ -212,6 +204,10 @@ def main(argv=None) -> int:
             report["provenance"] = _provenance(args.config, scenario)
     except FormlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a mesh within CubicalComplex's size rule may still not fit this machine
+        print(f"error: not enough memory for this config: {exc or 'no detail'}", file=sys.stderr)
         return 2
     text = json.dumps(to_jsonable(report), indent=2) + "\n"
     if args.out:

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra as alg
-from .calculus import COMPLEX_PAIR, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, solve_free
+from .calculus import (
+    COMPLEX_PAIR, DEFAULT_SOLVER_TOL, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, solve_free,
+)
 from .errors import ConfigError, DomainError, FormlabError, parse_number
 from .graded import GroupoidRep
 from .mesh import Chain, CubicalComplex, named_cycle
@@ -25,7 +27,7 @@ DEFAULT_TOLERANCES = {
     "check": 1e-12,
     "exact": 1e-13,
     "star": 1e-14,
-    "solver": 1e-10,
+    "solver": DEFAULT_SOLVER_TOL,
 }
 
 
@@ -305,10 +307,7 @@ def build_field(scenario: Scenario) -> Cochain:
             from .fieldio import load_field_csv
 
             return load_field_csv(cx, degree, fiber, scenario.base_dir / init["csv"])
-        values = np.zeros((cx.cell_count(degree), fiber.components), dtype=fiber.dtype)
-        for idx, value in _cell_values(cx, degree, fiber, init.get("cells", []), "'cells'"):
-            values[idx] = value
-        return Cochain(cx, degree, fiber, values)
+        return _cells_cochain(cx, degree, fiber, init.get("cells", []), "'cells'")
     if kind == "solve":
         fixed = dict(_cell_values(cx, degree, fiber, init.get("fixed", []), "'fixed'"))
         source = None
@@ -316,15 +315,20 @@ def build_field(scenario: Scenario) -> Cochain:
             src = init["source"]
             if not isinstance(src, dict) or "cells" not in src:
                 raise ConfigError("solve source must be an object with a 'cells' list")
-            vals = np.zeros((cx.cell_count(degree), fiber.components), dtype=fiber.dtype)
-            for idx, value in _cell_values(cx, degree, fiber, src["cells"], "source 'cells'"):
-                vals[idx] = value
-            source = Cochain(cx, degree, fiber, vals)
+            source = _cells_cochain(cx, degree, fiber, src["cells"], "source 'cells'")
         return solve_free(
             cx, fiber, degree, fixed=fixed, source=source,
             tol=scenario.tolerances["solver"],
         )
     raise ConfigError(f"unknown field init {kind!r}")
+
+
+def _cells_cochain(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what: str) -> Cochain:
+    """The cochain of a cells list: each item's value on its cell, zero elsewhere."""
+    values = np.zeros((cx.cell_count(degree), fiber.components), dtype=fiber.dtype)
+    for idx, value in _cell_values(cx, degree, fiber, items, what):
+        values[idx] = value
+    return Cochain(cx, degree, fiber, values)
 
 
 def _cell_values(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what: str):

@@ -152,6 +152,13 @@ def charge_trivial(psi: Cochain, sigma1: Chain):
     return FieldStrength(psi).charge("trivial", sigma1)
 
 
+def charges_apply(psi: Cochain) -> bool:
+    """Whether the sample charges and the charge checks apply to a field:
+    a 1-form on a 3-dimensional torus."""
+    cx = psi.complex
+    return cx.d == 3 and cx.topology == "torus" and psi.degree == 1
+
+
 def _check_charge_args(psi: Cochain, sigma: Chain, sigma_degree: int):
     if psi.complex.d != 3:
         raise DomainError("charges are defined on 3-dimensional meshes")
@@ -190,7 +197,7 @@ def conservation_report(psi: Cochain) -> ConservationReport:
     dynamical = max_norm(d(strength.star_dpsi)) if cx.topology == "torus" else None
     act = inner(dpsi, dpsi).real
     charges = {}
-    if cx.d == 3 and psi.degree == 1 and cx.topology == "torus":
+    if charges_apply(psi):
         for axis in range(3):
             plane = named_cycle(cx, {"kind": "plane", "normal": axis, "offset": 0})
             charges[f"q_eom_plane_normal{axis}"] = strength.charge("eom", plane)

@@ -9,13 +9,13 @@ every operator below reproducible bit for bit.
 Each convention is written once.  The boundary is written as the signed
 shift maps of the block grids (`CubicalComplex._shift_terms`): the
 coboundary of cochains, d and its transpose, applies them directly
-(`add_coboundary`, for `calculus.d` and the free-field solver), and the
-face table of each degree (`face_table`, for the chain boundary and the
-boundary-squared check) and the scipy matrices `boundary_matrix` and
-`coboundary_matrix` (for the tests and the benchmark's replay) are those
-same maps applied to grids of cell indices.  The complement is written as
-`complement(p, back)`, which serves the Hodge star (back 0) and the
-intersection pairing (back 1).  Only the scipy matrices need scipy.
+(`add_coboundary`, for `calculus.d` and the free-field solver), and they
+fill the face table of each degree (`face_table`, for the chain boundary
+and the boundary-squared check) row by row.  The scipy matrices
+`boundary_matrix` and `coboundary_matrix` (for the tests and the
+benchmark's replay) read that table as it stands.  The complement is
+written as `complement(p, back)`, which serves the Hodge star (back 0) and
+the intersection pairing (back 1).  Only the scipy matrices need scipy.
 
 A chain is a sparse integer vector: read-only int64 arrays of its distinct
 cell indices, ascending, and of their nonzero coefficients.  The boundary,
@@ -132,6 +132,12 @@ class CubicalComplex:
                 offset += acc
             self._blocks[p] = blocks
             self._counts[p] = offset
+        # checked before anything is allocated: one numpy array holds at most
+        # 2**63 - 1 bytes, and the widest array per cell is the degree-3 face
+        # table's 6 int64 entries (a fiber has at most 4 floats)
+        most = max(self._counts.values())
+        if most * 48 > 2**63 - 1:
+            raise ConfigError(f"mesh shape {shape} has {most} cells of one degree: too many to hold")
         self._block_starts = {
             p: [self._blocks[p][axes][0] for axes in self._subsets[p]]
             for p in range(self.d + 1)
@@ -206,65 +212,52 @@ class CubicalComplex:
 
     # -- incidence ---------------------------------------------------------
 
-    def _incidence(self, degree: int) -> tuple:
-        """The boundary of the degree-p cells as (faces, cells, signs) triples.
-
-        Each term of `_shift_terms(p - 1)` applied to grids of cell indices
-        gives one triple per cell it covers, so the triples come in term
-        order.  Indices are int32 whenever they fit, signs int8.
-        """
-        if degree < 1 or degree > self.d:
-            raise DomainError(f"no boundary operator for degree {degree}")
-
-        def index_grids(q):
-            n = self.cell_count(q)
-            return self._grid_views(q, np.arange(n, dtype=np.int32 if n < 2**31 else np.int64))
-
-        cell_grids, face_grids = index_grids(degree), index_grids(degree - 1)
-        faces, cells, signs = [], [], []
-        for axes, cell_slice, face_axes, face_slice, add in self._shift_terms(degree - 1):
-            cells.append(cell_grids[axes][cell_slice].ravel())
-            faces.append(face_grids[face_axes][face_slice].ravel())
-            signs.append(np.full(cells[-1].size, 1 if add else -1, dtype=np.int8))
-        return np.concatenate(faces), np.concatenate(cells), np.concatenate(signs)
-
     def face_table(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         """The incidence of the degree-p cells as (faces, signs), each (2p, n_p).
 
         Column j holds the 2p faces of p-cell j in ascending index order and
         their incidence signs, so faces[t] is the t-th smallest face of every
-        cell: the triples of `_incidence` sorted stably by cell, since the
-        shift terms visit each cell's faces in that order.  Read-only.
+        cell.  Each term of `_shift_terms(p - 1)` writes its face indices
+        and its sign into one row, at the cells it covers.  Faces are int32
+        whenever the (p-1)-cell indices fit, signs int8.  Read-only.
         """
         if degree not in self._faces:
-            faces, cells, signs = self._incidence(degree)
-            order = np.argsort(cells, kind="stable")
-            table = tuple(
-                np.ascontiguousarray(a[order].reshape(-1, 2 * degree).T) for a in (faces, signs)
-            )
-            for a in table:
-                a.setflags(write=False)
-            self._faces[degree] = table
+            if not 1 <= degree <= self.d:
+                raise DomainError(f"no boundary operator for degree {degree}")
+            n_faces, n_cells = self.cell_count(degree - 1), self.cell_count(degree)
+            index = np.arange(n_faces, dtype=np.int32 if n_faces < 2**31 else np.int64)
+            faces = np.empty((2 * degree, n_cells), dtype=index.dtype)
+            signs = np.empty((2 * degree, n_cells), dtype=np.int8)
+            face_grids = self._grid_views(degree - 1, index)
+            face_rows, sign_rows = self._grid_views(degree, faces), self._grid_views(degree, signs)
+            # the row of each term, as _shift_terms lays them out
+            group = 4 if self.topology == "torus" else 2
+            terms = self._shift_terms(degree - 1)
+            for i, (axes, cell_slice, face_axes, face_slice, add) in enumerate(terms):
+                row = i // group % degree * 2 + i % 2
+                face_rows[axes][row][cell_slice] = face_grids[face_axes][face_slice]
+                sign_rows[axes][row][cell_slice] = 1 if add else -1
+            faces.setflags(write=False)
+            signs.setflags(write=False)
+            self._faces[degree] = (faces, signs)
         return self._faces[degree]
 
-    def boundary_matrix(self, degree: int) -> sp.csr_matrix:
-        """Integer incidence matrix of shape (n_{p-1}, n_p), built from the
-        triples of `_incidence`."""
+    def coboundary_matrix(self, degree: int) -> sp.csr_matrix:
+        """Float transpose of boundary_matrix(degree+1), (n_{p+1}, n_p): the
+        face table of degree p+1 read as CSR rows, already canonical.  The
+        reference that the shift maps of add_coboundary are tested against."""
         # scipy loads on first use: no command needs incidence as a matrix
         import scipy.sparse as sp
 
-        faces, cells, signs = self._incidence(degree)
-        shape = (self.cell_count(degree - 1), self.cell_count(degree))
-        return sp.csr_matrix((signs.astype(np.int64), (faces, cells)), shape=shape)
+        faces, signs = self.face_table(degree + 1)
+        width, n = faces.shape
+        indptr = np.arange(0, width * n + 1, width)
+        data = signs.T.astype(np.float64).ravel()
+        return sp.csr_matrix((data, faces.T.ravel(), indptr), shape=(n, self.cell_count(degree)))
 
-    def coboundary_matrix(self, degree: int) -> sp.csr_matrix:
-        """Float transpose of boundary_matrix(degree+1), (n_{p+1}, n_p).  The
-        reference that the shift maps of add_coboundary are tested against."""
-        import scipy.sparse as sp
-
-        faces, cells, signs = self._incidence(degree + 1)
-        shape = (self.cell_count(degree + 1), self.cell_count(degree))
-        return sp.csr_matrix((signs.astype(np.float64), (cells, faces)), shape=shape)
+    def boundary_matrix(self, degree: int) -> sp.csr_matrix:
+        """Integer incidence matrix of shape (n_{p-1}, n_p)."""
+        return self.coboundary_matrix(degree - 1).astype(np.int64).T.tocsr()
 
     def _shift_terms(self, degree: int) -> tuple:
         """The coboundary from degree p to p+1 as signed shift maps.
@@ -276,9 +269,11 @@ class CubicalComplex:
         sits at the same grid place, the upper one a step further along a_t.
         On a torus the wrap slab (v_{a_t} = n - 1, upper face at base 0) is
         a term of its own; on a box the face block is one cell longer along
-        a_t.  Per cell, the terms come in ascending face index order, which
-        face_table relies on: decreasing t, lower before upper face except on
-        the wrap slab.
+        a_t.  Per block the terms run over decreasing t (ascending face
+        block), in pairs that cover every cell once, lower face index first
+        (upper, at base 0, first on the wrap slab).  So term i fills row
+        i // g % (p + 1) * 2 + i % 2 of the face table of degree p+1, with
+        g = 4 terms per t on a torus and 2 on a box.
         """
         if degree not in self._shifts:
 

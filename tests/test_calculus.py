@@ -567,7 +567,7 @@ def test_solver_incompatible_source():
             vals[i] = 1.0
     closed = Cochain(cx, 1, REAL_SCALAR, vals)
     with pytest.raises(SolverError):
-        solve_free(cx, REAL_SCALAR, 1, source=closed, maxiter=200)
+        solve_free(cx, REAL_SCALAR, 1, source=closed)
 
 
 @pytest.mark.parametrize("spacing", [1e20, 1e-20])

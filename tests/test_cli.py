@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -378,6 +380,51 @@ def test_finite_field_whose_pairing_overflows_runs_quietly(tmp_path, capsys):
         report = json.loads(out.read_text())
         if command == "solve":
             assert report["results"]["action"] == float("inf"), n
+
+
+def test_spacing_without_headroom_fails_checks_with_infinity_and_nan(tmp_path, capsys):
+    # every cell volume and star factor of [1e308, 1, 1] is finite, so the
+    # config is accepted; a field value above ~1.8 times a star factor of
+    # 1e308 then overflows, and exactly the checks it enters fail (exit 1),
+    # with no numpy warning
+    cfg = json.loads((CONFIG_DIR / "so3_check.json").read_text())
+    cfg["mesh"]["spacing"] = [1e308, 1, 1]
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert not caught and capsys.readouterr().err == ""
+    failed = {c["name"]: c["lhs"] for c in json.loads(out.read_text())["checks"] if not c["passed"]}
+    assert failed.keys() == {"star_double_identity", "action_global_invariance", "trivial_charge_flux_identity"}
+    assert failed["star_double_identity"] == math.inf
+    assert math.isnan(failed["action_global_invariance"])
+    assert math.isnan(failed["trivial_charge_flux_identity"])
+
+
+def test_mesh_that_does_not_fit_in_memory_exits_two(tmp_path):
+    # 700^3 passes the size rule, but a field on its 1.03e9 edges takes
+    # 15-23 GiB.  With the address space capped at 3 GB the first such
+    # allocation fails at once with a MemoryError, which exits 2.  Never run
+    # this shape without the cap: it would try to fill the machine.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(formlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    for command, config in (("check", "so3_check.json"), ("solve", "solve_so3.json")):
+        cfg = json.loads((CONFIG_DIR / config).read_text())
+        cfg["mesh"]["shape"] = [700, 700, 700]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "report.json"
+        run = subprocess.run(
+            [sys.executable, "-m", "formlab", command, path, "--out", str(out)],
+            env=env, capture_output=True, text=True, preexec_fn=cap,
+        )
+        assert run.returncode == 2, (command, run.stderr)
+        assert run.stdout == "" and not out.exists()
+        err = run.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not enough memory"), err
 
 
 NAN = float("nan")

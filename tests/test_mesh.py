@@ -135,6 +135,29 @@ def test_boundary_matrix_matches_defining_formula(shape, topology):
         assert np.array_equal(mat.data, [entries[k] for k in keys])
 
 
+@pytest.mark.parametrize("topology", ["torus", "box"])
+@pytest.mark.parametrize("shape", [(2,), (3, 2), (2, 3, 4), (3, 3, 3)])
+def test_face_table_columns_ascend_and_coboundary_csr_is_canonical(shape, topology):
+    # the shift terms fill the face table in place, with no sort: each
+    # column must come out ascending, so the CSR rows read from it need none
+    cx = CubicalComplex(shape, topology=topology)
+    for p in range(1, cx.d + 1):
+        faces, _ = cx.face_table(p)
+        assert (np.diff(faces, axis=0) > 0).all()
+        assert cx.coboundary_matrix(p - 1).has_canonical_format
+
+
+def test_size_rule_refuses_a_mesh_no_array_can_hold():
+    # numpy holds at most 2**63 - 1 bytes in one array, and the widest array
+    # per cell is 48 bytes; neither mesh here allocates anything
+    most = (2**63 - 1) // 48
+    assert CubicalComplex([most]).cell_count(1) == most
+    with pytest.raises(ConfigError, match="too many to hold"):
+        CubicalComplex([most + 1])
+    with pytest.raises(ConfigError, match="too many to hold"):
+        CubicalComplex([10**6] * 3)
+
+
 def test_cell_index_roundtrip():
     cx = CubicalComplex([3, 4], topology="box")
     for p in range(cx.d + 1):
