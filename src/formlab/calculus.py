@@ -7,16 +7,18 @@ the mesh's block grids (`CubicalComplex.add_coboundary`), the Hodge star is
 diagonal (dual/primal volume ratio times the axis-permutation sign), and the
 inner product weights every cell by star factor times primal volume.  The
 free-field solver is a matrix-free conjugate-gradient iteration on the same
-shift maps.  On a torus it is preconditioned by the operator's
+shift maps.  On a torus whose star factors of the solved degree are one
+number (0-forms, or equal spacings) it is preconditioned by the operator's
 pseudo-inverse, which is block-circulant and applied in closed form by FFTs
 (`_torus_preconditioner`), and stops in about 2k + 1 steps for k fixed
-cells; a box runs plain conjugate gradients.  Either way the solution is
-the one orthogonal to the operator's kernel.  Everything runs on numpy
-alone (`numpy.fft` loads on the first torus solve); all operations are
-pure and cochain value arrays are read-only.  Every kernel that computes
-with field values runs with numpy's overflow and invalid-value warnings
-off: a finite field may overflow to inf or nan, which reports print and
-checks fail, but a numpy warning on stderr would break the CLI's contract.
+cells; any other torus, and every box, runs plain conjugate gradients.
+Either way the solution is the one orthogonal to the operator's kernel.
+Everything runs on numpy alone (`numpy.fft` loads on the first
+preconditioned solve); all operations are pure and cochain value arrays are
+read-only.  Every kernel that computes with field values runs with numpy's
+overflow and invalid-value warnings off: a finite field may overflow to inf
+or nan, which reports print and checks fail, but a numpy warning on stderr
+would break the CLI's contract.
 """
 
 from __future__ import annotations
@@ -323,24 +325,25 @@ def _torus_preconditioner(cx: CubicalComplex, degree: int, laplacian, fixed_idx)
 
     E_f zeroes the fixed rows, and K^+ is the pseudo-inverse of the
     free-field operator K = d^T W d (W the star factors of degree p+1).
-    On a torus K is block-circulant.  With w the star factors of degree p,
-    A = w^-1 K is the metric Laplacian delta d; as delta d + d delta is the
-    scalar Laplacian on a flat torus and d d = 0, A^2 = Delta A at each
-    wavevector xi, where Delta = sum_a 4 sin^2(xi_a / 2) / h_a^2.  So
-    w^-1 K w^-1 G, with the Fourier multiplier G = 1 / Delta^2 (0 at
-    xi = 0), satisfies K M K = K and M K M = M.  Where w is one number on
-    all blocks (p = 0 or equal spacings) it is K^+ itself.  Otherwise it is
-    wrapped on both sides in P = d^T d G_1, with G_1 = 1 / Delta at unit
-    spacing: the orthogonal projector onto range(d^T) = range(K), which
-    makes the product symmetric with K's range, hence K^+.  With K^+, PCG
-    from zero keeps the solution orthogonal to the kernel that plain CG
-    returns.
+    On a torus K is block-circulant.  Where the star factors of degree p are
+    one number w on all blocks (p = 0, or equal spacings), A = w^-1 K is the
+    metric Laplacian delta d; as delta d + d delta is the scalar Laplacian
+    on a flat torus and d d = 0, A^2 = Delta A at each wavevector xi, where
+    Delta = sum_a 4 sin^2(xi_a / 2) / h_a^2.  So w^-1 K w^-1 G, with the
+    Fourier multiplier G = 1 / Delta^2 (0 at xi = 0), is K^+, and PCG from
+    zero keeps the solution orthogonal to the kernel that plain CG returns.
 
-    laplacian(x, out, weights) writes d^T(weights * d x) into out, with W
-    as the default weights.  Each row and each block is transformed on its
-    own, so that a row's result never depends on the rows beside it.  None
-    when the spacings are so extreme that G over- or underflows.
+    laplacian(x, out) writes K x into out.  Each row and each block is
+    transformed on its own, so that a row's result never depends on the rows
+    beside it.  None where the star factors of degree p differ between
+    blocks, which has no closed form here, or where the spacings are so
+    extreme that G over- or underflows: the solve then runs plain CG, as a
+    box does.
     """
+    w = cx.star_factors(degree)
+    if not np.all(w == w[0]):
+        return None
+    scale = 1.0 / w[0]
     shape, d = cx.shape, cx.d
     # 4 sin^2(xi_a / 2) along each axis of the rfftn grid (the last axis
     # halved), shaped to broadcast over all d axes
@@ -353,36 +356,18 @@ def _torus_preconditioner(cx: CubicalComplex, degree: int, laplacian, fixed_idx)
     g.flat[0] = 0.0
     if not (np.isfinite(g).all() and (g.flat[1:] > 0).all()):
         return None
-    scale = 1.0 / cx.star_factors(degree)
     axes = tuple(range(d))
-
-    def fourier(x, multiplier):
-        # on a torus each block of a row is one grid of the mesh's shape, so
-        # a C-ordered block of rows is a view of (rows * blocks) grids
-        for grid in x.reshape(-1, *shape):
-            grid[...] = np.fft.irfftn(np.fft.rfftn(grid) * multiplier, s=shape, axes=axes)
-
-    project = not np.all(scale == scale[0])
-    if project:
-        with np.errstate(divide="ignore"):
-            g1 = 1.0 / sum(waves)
-        g1.flat[0] = 0.0
 
     def apply_m(r, scratch, out):
         np.copyto(scratch, r)
         scratch[:, fixed_idx] = 0.0
-        if project:
-            # P G = d^T d G_1 G on the right
-            fourier(scratch, g * g1)
-            np.copyto(scratch, laplacian(scratch, out, 1.0))
-        else:
-            fourier(scratch, g)
+        # on a torus each block of a row is one grid of the mesh's shape, so
+        # a C-ordered block of rows is a view of (rows * blocks) grids
+        for grid in scratch.reshape(-1, *shape):
+            grid[...] = np.fft.irfftn(np.fft.rfftn(grid) * g, s=shape, axes=axes)
         scratch *= scale
         laplacian(scratch, out)
         out *= scale
-        if project:
-            fourier(out, g1)
-            np.copyto(out, laplacian(out, scratch, 1.0))
         out[:, fixed_idx] = 0.0
         return out
 
@@ -411,9 +396,12 @@ def solve_free(
     One conjugate-gradient iteration runs over a block with one row per
     component (two on complex fibers: real and imaginary parts), each row
     with its own recurrence.  Every row starts from zero, which fixes the
-    gauge: the solution is orthogonal to the kernel of K.  On a torus the
-    iteration is preconditioned by `_torus_preconditioner`, which keeps that
-    solution.
+    gauge: the solution is orthogonal to the kernel of K.  On a torus where
+    the star factors of the solved degree are one number (degree 0, or equal
+    spacings) the iteration is preconditioned by `_torus_preconditioner`,
+    which keeps that solution; any other torus runs plain CG, as a box does
+    (so(3) at 20^3 with spacing [1, 1, 2] and two fixed cells: 179 operator
+    applications instead of 6).
     """
     if degree >= complex.d:
         raise DomainError("no free-field operator at top degree")
@@ -449,12 +437,12 @@ def solve_free(
     # d x for up to every row, reused by each operator application
     dx_block = np.empty((block_rows, complex.cell_count(degree + 1)))
 
-    def laplacian(x, out, weights=w):
-        # d^T(weights * d x) for each row of x
+    def laplacian(x, out):
+        # d^T(w * d x) for each row of x
         dx = dx_block[: len(x)]
         dx.fill(0.0)
         complex.add_coboundary(degree, x, dx)
-        dx *= weights
+        dx *= w
         out.fill(0.0)
         complex.add_coboundary(degree, dx, out, transpose=True)
         return out

@@ -189,8 +189,9 @@ def test_lockstep_rows_leaving_at_different_steps_match_independent_solves(rng):
 
 # -- the torus preconditioner -------------------------------------------------
 
-# unequal spacings per axis, where the closed form needs its projector, and
-# one torus with equal spacings, where it does not
+# unequal spacings per axis, where the closed form holds only at degree 0
+# and every other degree runs plain CG, and one torus with equal spacings,
+# where it holds at every degree
 PRECONDITIONED_TORI = [
     ((9,), (0.7,)),
     ((7, 5), (1.0, 0.5)),
@@ -204,9 +205,10 @@ def _operator_and_preconditioner(cx, p):
     """Dense K and the solver's M with no fixed cells, which is K^+; the
     preconditioner runs on the CSR operator, not on the solver's shift maps."""
     c = cx.coboundary_matrix(p)
+    w = cx.star_factors(p + 1).reshape(-1, 1)
 
-    def laplacian(x, out, weights=cx.star_factors(p + 1)):
-        out[:] = (c.T @ (np.reshape(weights, (-1, 1)) * (c @ x.T))).T
+    def laplacian(x, out):
+        out[:] = (c.T @ (w * (c @ x.T))).T
         return out
 
     apply_m = calculus._torus_preconditioner(cx, p, laplacian, np.empty(0, dtype=np.int64))
@@ -219,6 +221,11 @@ def _operator_and_preconditioner(cx, p):
 def test_torus_preconditioner_is_the_pseudo_inverse(shape, spacing):
     cx = CubicalComplex(shape, spacing=spacing)
     for p in range(cx.d):
+        w = cx.star_factors(p)
+        if not np.all(w == w[0]):
+            # no closed form where the star factors differ between blocks
+            assert calculus._torus_preconditioner(cx, p, None, np.empty(0, dtype=np.int64)) is None, p
+            continue
         k, m = _operator_and_preconditioner(cx, p)
         k_scale, m_scale = np.abs(k).max(), np.abs(m).max()
         # the four Penrose conditions, which make M the pseudo-inverse K^+;

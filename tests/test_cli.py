@@ -179,6 +179,21 @@ def test_solve_command_writes_field_csv(tmp_path, capsys):
     assert len(lines) == 1 + cx.cell_count(1) * 3
 
 
+@pytest.mark.parametrize(
+    "spacing",
+    [[1e-57, 1, 1], [1e-24, 1, 1], [1e-8, 1, 1], [1e-4, 1, 1], [1e4, 1, 1], [1, 1e-57, 1]],
+)
+def test_solve_on_an_anisotropic_torus_succeeds(tmp_path, capsys, spacing):
+    # the edge star factors differ between axis blocks, so the 1-form solve
+    # has no closed-form preconditioner and runs plain CG, as a box does
+    cfg = json.loads((CONFIG_DIR / "solve_so3.json").read_text())
+    cfg["mesh"]["spacing"] = spacing
+    out = tmp_path / "report.json"
+    assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["results"]["action"] >= 0.0
+
+
 def test_exit_two_on_config_errors(tmp_path, capsys):
     missing = main(["check", str(tmp_path / "nope.json")])
     assert missing == 2
