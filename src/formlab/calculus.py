@@ -472,7 +472,10 @@ def solve_free(
         live = b_norm > 0.0
         kb_norm = np.max(np.abs(apply_k(b[live], np.empty((np.count_nonzero(live), n)))), axis=1)
         if np.any(kb_norm / w.max() <= 1e-14 * b_norm[live]):
-            raise SolverError("incompatible source: it lies in the kernel of the operator")
+            raise SolverError(
+                "the source lies in the kernel of the operator to rounding: it is incompatible, "
+                "or the spacings leave the operator too ill-conditioned to solve"
+            )
         x = _lockstep_cg(apply_k, b, tol, 10 * n + 100, apply_m)
 
     out = np.ascontiguousarray(x.T).view(fiber.dtype)

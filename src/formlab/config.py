@@ -3,7 +3,9 @@
 A scenario is one JSON document with the keys mesh, algebra, field,
 group_elements, charges, defects, compose, checks, tolerances and seed.
 Every cross-reference is resolved here; malformed input raises ConfigError
-with a message naming the offending key.
+with a message naming the offending key.  A config is checked whole as it
+loads, so every command rejects the same configs; only check names, which
+`checks` owns, and the contents of a field CSV wait for their command.
 """
 
 from __future__ import annotations
@@ -85,9 +87,12 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     fiber = _build_fiber(field_cfg.get("fiber", "algebra"), algebra)
     if fiber.kind == "complex_pair" and algebra.name != "u2":
         raise ConfigError("the complex pair fiber needs the u2 scenario algebra")
+    if complex_ is not None and not 0 <= field_degree <= complex_.d:
+        raise ConfigError(f"'field.degree' must lie in 0..{complex_.d}, got {field_degree}")
     field_init = field_cfg.get("init", {"init": "zero"})
     if not isinstance(field_init, dict) or "init" not in field_init:
         raise ConfigError("'field.init' must be an object with an 'init' key")
+    field_init = _parse_init(dict(field_init), complex_, field_degree, fiber)
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in _container(cfg, "tolerances", dict).items():
@@ -154,6 +159,32 @@ def parse_tolerance(value, what: str) -> float:
     if tol == math.inf:
         raise ConfigError(f"{what} must be finite")
     return tol
+
+
+def _parse_init(init: dict, cx: CubicalComplex | None, degree: int, fiber: FiberSpec) -> dict:
+    """The field init spec with its numbers parsed and, once there is a mesh
+    to place them on, its cell lists as (cell index, fiber value) pairs."""
+    kind = init["init"]
+    if kind not in ("zero", "random_gaussian", "explicit", "solve"):
+        raise ConfigError(f"unknown field init {kind!r}")
+    if kind == "random_gaussian":
+        if "seed" in init:
+            init["seed"] = parse_seed(init["seed"], "'field.init.seed'")
+        init["stddev"] = stddev = parse_number(float, init.get("stddev", 1.0), "'field.init.stddev'")
+        if not 0.0 <= stddev < math.inf:  # nan fails too
+            raise ConfigError(f"'field.init.stddev' must be a finite number >= 0, got {stddev!r}")
+    if kind == "explicit" and not isinstance(init.get("csv", ""), str):
+        raise ConfigError(f"'field.init.csv' must be a file name, got {init['csv']!r}")
+    if cx is not None and kind == "explicit" and "csv" not in init:
+        init["cells"] = _cell_values(cx, degree, fiber, init.get("cells", []), "'cells'")
+    if cx is not None and kind == "solve":
+        init["fixed"] = _cell_values(cx, degree, fiber, init.get("fixed", []), "'fixed'")
+        src = init.get("source")
+        if src is not None:
+            if not isinstance(src, dict) or "cells" not in src:
+                raise ConfigError("solve source must be an object with a 'cells' list")
+            init["source"] = _cell_values(cx, degree, fiber, src["cells"], "source 'cells'")
+    return init
 
 
 def _build_mesh(spec) -> CubicalComplex:
@@ -253,11 +284,13 @@ def resolve_chain(scenario: Scenario, spec) -> Chain:
 
 
 def _validate_requests(scenario: Scenario) -> None:
+    specs = []
     for i, req in enumerate(scenario.charges):
         if not isinstance(req, dict) or req.get("kind") not in ("eom", "trivial"):
             raise ConfigError(f"charge request {i}: 'kind' must be 'eom' or 'trivial'")
         if "support" not in req:
             raise ConfigError(f"charge request {i}: missing 'support'")
+        specs.append(req["support"])
     for i, req in enumerate(scenario.defects):
         for key in ("g", "degree", "support", "move", "charged"):
             if not isinstance(req, dict) or key not in req:
@@ -274,6 +307,12 @@ def _validate_requests(scenario: Scenario) -> None:
         charged["degree"] = parse_number(
             int, charged.get("degree", req["degree"]), f"defect request {i}: 'charged.degree'"
         )
+        specs += [req["support"], req["move"]["filling"], charged["support"]]
+    # every chain resolves here too, so that every command rejects the same
+    # configs; the commands resolve the raw specs again as they run
+    if scenario.complex is not None:
+        for spec in specs:
+            resolve_chain(scenario, spec)
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:
@@ -291,42 +330,30 @@ def build_field(scenario: Scenario) -> Cochain:
     degree = scenario.field_degree
     fiber = scenario.fiber
     init = scenario.field_init
-    kind = init["init"]
-    if kind == "zero":
-        return Cochain.zeros(cx, degree, fiber)
-    if kind == "random_gaussian":
-        seed = parse_seed(init.get("seed", scenario.seed), "'field.init.seed'")
-        stddev = parse_number(float, init.get("stddev", 1.0), "'field.init.stddev'")
-        if not 0.0 <= stddev < math.inf:  # nan fails too
-            raise ConfigError(f"'field.init.stddev' must be a finite number >= 0, got {stddev!r}")
-        return Cochain.random_gaussian(cx, degree, fiber, np.random.default_rng(seed), stddev)
-    if kind == "explicit":
+    if init["init"] == "random_gaussian":
+        rng = np.random.default_rng(init.get("seed", scenario.seed))
+        return Cochain.random_gaussian(cx, degree, fiber, rng, init["stddev"])
+    if init["init"] == "explicit":
         if "csv" in init:
-            if not isinstance(init["csv"], str):
-                raise ConfigError(f"'field.init.csv' must be a file name, got {init['csv']!r}")
             from .fieldio import load_field_csv
 
             return load_field_csv(cx, degree, fiber, scenario.base_dir / init["csv"])
-        return _cells_cochain(cx, degree, fiber, init.get("cells", []), "'cells'")
-    if kind == "solve":
-        fixed = dict(_cell_values(cx, degree, fiber, init.get("fixed", []), "'fixed'"))
-        source = None
-        if init.get("source") is not None:
-            src = init["source"]
-            if not isinstance(src, dict) or "cells" not in src:
-                raise ConfigError("solve source must be an object with a 'cells' list")
-            source = _cells_cochain(cx, degree, fiber, src["cells"], "source 'cells'")
+        return _cells_cochain(cx, degree, fiber, init["cells"])
+    if init["init"] == "solve":
+        source = init.get("source")
+        if source is not None:
+            source = _cells_cochain(cx, degree, fiber, source)
         return solve_free(
-            cx, fiber, degree, fixed=fixed, source=source,
+            cx, fiber, degree, fixed=dict(init["fixed"]), source=source,
             tol=scenario.tolerances["solver"],
         )
-    raise ConfigError(f"unknown field init {kind!r}")
+    return Cochain.zeros(cx, degree, fiber)
 
 
-def _cells_cochain(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what: str) -> Cochain:
-    """The cochain of a cells list: each item's value on its cell, zero elsewhere."""
+def _cells_cochain(cx: CubicalComplex, degree: int, fiber: FiberSpec, pairs) -> Cochain:
+    """The cochain of parsed cell values: each value on its cell, zero elsewhere."""
     values = np.zeros((cx.cell_count(degree), fiber.components), dtype=fiber.dtype)
-    for idx, value in _cell_values(cx, degree, fiber, items, what):
+    for idx, value in pairs:
         values[idx] = value
     return Cochain(cx, degree, fiber, values)
 
@@ -339,14 +366,11 @@ def _cell_values(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what:
     for item in items:
         if not isinstance(item, dict) or "value" not in item:
             raise ConfigError(f"{what} items must be objects with a 'value', got {item!r}")
-        pairs.append((_cell_index_from_item(cx, degree, item), parse_fiber_value(fiber, item["value"])))
+        try:
+            base = [parse_number(int, b, "cell 'base'") for b in item["base"]]
+            axes = [parse_number(int, a, "cell 'axes'") for a in item["axes"]]
+            index = cx.cell_index(degree, base, axes)
+        except (FormlabError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad cell reference {item!r}: {exc}") from exc
+        pairs.append((index, parse_fiber_value(fiber, item["value"])))
     return pairs
-
-
-def _cell_index_from_item(cx: CubicalComplex, degree: int, item) -> int:
-    try:
-        base = [parse_number(int, b, "cell 'base'") for b in item["base"]]
-        axes = [parse_number(int, a, "cell 'axes'") for a in item["axes"]]
-        return cx.cell_index(degree, base, axes)
-    except (FormlabError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cell reference {item!r}: {exc}") from exc

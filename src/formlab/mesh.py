@@ -4,7 +4,11 @@ Cells are elementary cubes (base vertex, sorted axis subset); the canonical
 orientation of every cell is the lexicographic order of its axes, so a chain
 coefficient of -1 means the reversed cell.  Indexing groups cells by axis
 subset (lexicographic) and enumerates base vertices in C order, which makes
-every operator below reproducible bit for bit.
+every operator below reproducible bit for bit.  The block table of each
+degree is the one statement of this layout: it maps each axis subset to its
+block's index offset, its extents (on a box, one cell longer off its axes)
+and the primal volume and star factor that its cells share.  Indices, grid
+views, complement partners, the metric and the mesh rules all read it.
 
 Each convention is written once.  The boundary is written as the signed
 shift maps of the block grids (`CubicalComplex._shift_terms`): the
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -102,46 +105,36 @@ class CubicalComplex:
         self.spacing = spacing
         self.topology = topology
         self.d = len(shape)
-        self._subsets = {
-            p: tuple(combinations(range(self.d), p)) for p in range(self.d + 1)
-        }
+        # the block table: per degree, each axis subset maps to
+        # (index offset, extents, primal volume, star factor)
+        self._blocks = {}
+        for p in range(self.d + 1):
+            offset, blocks = 0, {}
+            for axes in combinations(range(self.d), p):
+                extents = tuple(
+                    n + (0 if (i in axes or topology == "torus") else 1) for i, n in enumerate(shape)
+                )
+                volume = math.prod((spacing[a] for a in axes), start=1.0)
+                star = math.prod((h for i, h in enumerate(spacing) if i not in axes), start=1.0)
+                for a in axes:
+                    star /= spacing[a]
+                blocks[axes] = (offset, extents, volume, star)
+                offset += math.prod(extents)
+            self._blocks[p] = blocks
         # an infinite spacing, or one whose products over- or underflow,
         # would turn the star, the action and the solver into inf and nan
-        if not all(0 < x < math.inf for p in self._subsets for m in self._metric(p) for x in m):
+        metric = [x for blocks in self._blocks.values() for row in blocks.values() for x in row[2:]]
+        if not all(0 < x < math.inf for x in metric):
             raise ConfigError(
                 f"spacing {spacing} gives a cell volume or star factor that is not "
                 "a finite positive number"
             )
-        # per degree: extents, C-order strides and index offset of each subset block
-        self._blocks = {}
-        self._counts = {}
-        for p in range(self.d + 1):
-            offset = 0
-            blocks = {}
-            for axes in self._subsets[p]:
-                extents = tuple(
-                    self.shape[i] + (0 if (i in axes or self.topology == "torus") else 1)
-                    for i in range(self.d)
-                )
-                strides = []
-                acc = 1
-                for n in reversed(extents):
-                    strides.append(acc)
-                    acc *= n
-                blocks[axes] = (offset, extents, tuple(reversed(strides)))
-                offset += acc
-            self._blocks[p] = blocks
-            self._counts[p] = offset
         # checked before anything is allocated: one numpy array holds at most
         # 2**63 - 1 bytes, and the widest array per cell is the degree-3 face
         # table's 6 int64 entries (a fiber has at most 4 floats)
-        most = max(self._counts.values())
+        most = max(self.cell_count(p) for p in self._blocks)
         if most * 48 > 2**63 - 1:
             raise ConfigError(f"mesh shape {shape} has {most} cells of one degree: too many to hold")
-        self._block_starts = {
-            p: [self._blocks[p][axes][0] for axes in self._subsets[p]]
-            for p in range(self.d + 1)
-        }
         self._faces = {}
         self._shifts = {}
         self._complement = {}
@@ -149,44 +142,40 @@ class CubicalComplex:
     # -- cells -------------------------------------------------------------
 
     def axis_subsets(self, degree: int):
-        return self._subsets[degree]
+        return tuple(self._blocks[degree])
 
     def cell_count(self, degree: int) -> int:
         if not 0 <= degree <= self.d:
             raise DomainError(f"no cells of degree {degree} in dimension {self.d}")
-        return self._counts[degree]
+        offset, extents, _, _ = next(reversed(self._blocks[degree].values()))
+        return offset + math.prod(extents)
 
     def cell_index(self, degree: int, base, axes) -> int:
         axes = tuple(axes)
         try:
-            offset, extents, strides = self._blocks[degree][axes]
+            offset, extents, _, _ = self._blocks[degree][axes]
         except KeyError:
             raise DomainError(f"no degree-{degree} cells with axes {axes}") from None
         if len(base) != self.d:
             raise DomainError(f"a cell base needs {self.d} coordinates, got {len(base)}")
-        idx = offset
-        for i, (b, n, s) in enumerate(zip(base, extents, strides)):
+        # Python ints, not numpy: this is the per-item path of config cell lists
+        idx, wrap = 0, self.topology == "torus"
+        for i, (b, n) in enumerate(zip(base, extents)):
             b = int(b)
-            if self.topology == "torus":
-                b %= self.shape[i]
+            if wrap:
+                b %= n
             elif not 0 <= b < n:
                 raise DomainError(f"base coordinate {b} out of range on axis {i}")
-            idx += b * s
-        return idx
+            idx = idx * n + b
+        return offset + idx
 
     def cell(self, degree: int, index: int) -> Cell:
         if not 0 <= index < self.cell_count(degree):
             raise DomainError(f"cell index {index} out of range for degree {degree}")
-        starts = self._block_starts[degree]
-        k = bisect_right(starts, index) - 1
-        axes = self._subsets[degree][k]
-        offset, extents, strides = self._blocks[degree][axes]
-        rem = index - offset
-        base = []
-        for s in strides:
-            base.append(rem // s)
-            rem %= s
-        return Cell(degree, tuple(base), axes)
+        for axes, (offset, extents, _, _) in self._blocks[degree].items():
+            if index < offset + math.prod(extents):
+                base = np.unravel_index(index - offset, extents)
+                return Cell(degree, tuple(map(int, base)), axes)
 
     def cell_indices(self, degree: int, axes, bases) -> np.ndarray:
         """Vectorised cell_index: indices of the cells spanning `axes` at the
@@ -197,18 +186,18 @@ class CubicalComplex:
         """
         axes = tuple(axes)
         try:
-            offset, extents, strides = self._blocks[degree][axes]
+            offset, extents, _, _ = self._blocks[degree][axes]
         except KeyError:
             raise DomainError(f"no degree-{degree} cells with axes {axes}") from None
         bases = np.asarray(bases, dtype=np.int64)
-        if ((bases < 0) | (bases >= np.array(extents)[:, None])).any():
-            raise DomainError(f"base coordinates out of range for axes {axes}")
-        return offset + np.array(strides) @ bases
+        try:
+            return offset + np.ravel_multi_index(bases, extents)
+        except ValueError:
+            raise DomainError(f"base coordinates out of range for axes {axes}") from None
 
     def block_bases(self, degree: int, axes) -> np.ndarray:
         """Base coordinates (d, count) of the cells spanning `axes`, in index order."""
-        extents = self._blocks[degree][tuple(axes)][1]
-        return np.indices(extents).reshape(self.d, -1)
+        return np.indices(self._blocks[degree][tuple(axes)][1]).reshape(self.d, -1)
 
     # -- incidence ---------------------------------------------------------
 
@@ -281,7 +270,7 @@ class CubicalComplex:
                 return (Ellipsis,) + (slice(None),) * a + (sl,) + (slice(None),) * (self.d - 1 - a)
 
             terms = []
-            for axes in self._subsets[degree + 1]:
+            for axes in self._blocks[degree + 1]:
                 for t in reversed(range(degree + 1)):
                     a, n = axes[t], self.shape[axes[t]]
                     up = t % 2 == 0  # the upper face has sign (-1)^t
@@ -307,7 +296,7 @@ class CubicalComplex:
         # splitting one axis is always a view, so writes reach arr
         return {
             axes: arr[..., offset : offset + math.prod(extents)].reshape(lead + extents)
-            for axes, (offset, extents, _) in self._blocks[degree].items()
+            for axes, (offset, extents, _, _) in self._blocks[degree].items()
         }
 
     def add_coboundary(self, degree: int, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
@@ -332,35 +321,17 @@ class CubicalComplex:
 
     # -- metric / duality --------------------------------------------------
 
-    def _metric(self, degree: int) -> list:
-        """(primal volume, star factor) of each axis subset of degree p."""
-        metric = []
-        for axes in self._subsets[degree]:
-            v = 1.0
-            for a in axes:
-                v *= self.spacing[a]
-            f = 1.0
-            for b in range(self.d):
-                if b not in axes:
-                    f *= self.spacing[b]
-            for a in axes:
-                f /= self.spacing[a]
-            metric.append((v, f))
-        return metric
-
-    def _per_cell(self, degree: int, values) -> np.ndarray:
-        out = np.empty(self.cell_count(degree))
-        for axes, value in zip(self._subsets[degree], values):
-            offset, extents, _ = self._blocks[degree][axes]
-            out[offset : offset + math.prod(extents)] = value
-        return out
+    def _repeat(self, degree: int, column: int) -> np.ndarray:
+        """A column of the block table, repeated over each block's cells."""
+        blocks = self._blocks[degree].values()
+        return np.repeat([row[column] for row in blocks], [math.prod(row[1]) for row in blocks])
 
     def primal_volumes(self, degree: int) -> np.ndarray:
-        return self._per_cell(degree, [v for v, _ in self._metric(degree)])
+        return self._repeat(degree, 2)
 
     def star_factors(self, degree: int) -> np.ndarray:
         """Dual/primal volume ratio per cell (defined on any topology)."""
-        return self._per_cell(degree, [f for _, f in self._metric(degree)])
+        return self._repeat(degree, 3)
 
     def complement(self, degree: int, back: int) -> tuple[np.ndarray, np.ndarray]:
         """The signed complement map of the degree-p cells as (signs, partner).
@@ -375,18 +346,17 @@ class CubicalComplex:
             n = self.cell_count(degree)
             signs = np.empty(n, dtype=np.int8)
             partner = np.empty(n, dtype=np.int64)
-            for axes in self._subsets[degree]:
-                offset = self._blocks[degree][axes][0]
+            for axes, (offset, extents, _, _) in self._blocks[degree].items():
                 comp = tuple(i for i in range(self.d) if i not in axes)
-                comp_offset, extents, strides = self._blocks[self.d - degree][comp]
-                base = self.block_bases(degree, axes)
+                comp_offset, comp_extents, _, _ = self._blocks[self.d - degree][comp]
+                base = np.indices(extents).reshape(self.d, -1)
                 base[list(comp)] -= back
-                if self.topology == "torus":
-                    base %= np.array(self.shape)[:, None]
-                inside = ((base >= 0) & (base < np.array(extents)[:, None])).all(axis=0)
                 cols = slice(offset, offset + base.shape[1])
                 signs[cols] = perm_sign(axes + comp)
-                partner[cols] = np.where(inside, comp_offset + np.array(strides) @ base, -1)
+                partner[cols] = comp_offset + np.ravel_multi_index(base, comp_extents, mode="wrap")
+                if self.topology == "box":
+                    outside = ((base < 0) | (base >= np.array(comp_extents)[:, None])).any(axis=0)
+                    partner[cols][outside] = -1
             signs.setflags(write=False)
             partner.setflags(write=False)
             self._complement[degree, back] = (signs, partner)

@@ -194,6 +194,75 @@ def test_solve_on_an_anisotropic_torus_succeeds(tmp_path, capsys, spacing):
     assert json.loads(out.read_text())["results"]["action"] >= 0.0
 
 
+def test_ill_conditioned_solve_names_both_causes(tmp_path, capsys):
+    # from an axis-0 spacing of 1e8 up the kernel probe stops the solve at
+    # once; it cannot tell an incompatible source from an operator that
+    # rounding has made singular, so the message names both
+    cfg = json.loads((CONFIG_DIR / "solve_so3.json").read_text())
+    cfg["mesh"]["spacing"] = [1e8, 1, 1]
+    out = tmp_path / "report.json"
+    assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "ill-conditioned" in err[0], err
+    assert not out.exists()
+
+
+def _every_command_config():
+    """so3_check.json with the defects of so3_defect.json and the charges of
+    u2_charges.json: a config on which all five commands exit 0."""
+    cfg = json.loads((CONFIG_DIR / "so3_check.json").read_text())
+    cfg["defects"] = json.loads((CONFIG_DIR / "so3_defect.json").read_text())["defects"]
+    cfg["charges"] = json.loads((CONFIG_DIR / "u2_charges.json").read_text())["charges"]
+    return cfg
+
+
+COMMANDS = ["solve", "charges", "defect", "compose", "check"]
+
+
+def _one_cell(**item):
+    return [{"base": [0, 0, 0], "axes": [0], "value": [1, 0, 0], **item}]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_runs_the_combined_config(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    assert main([command, write_config(tmp_path, _every_command_config()), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c["field"].update(degree=5),
+        lambda c: c["field"]["init"].update(stddev=-1),
+        lambda c: c["field"]["init"].update(init="bogus"),
+        lambda c: c["field"]["init"].update(seed=-3),
+        lambda c: c["field"].update(init={"init": "explicit", "cells": _one_cell(base=[0, 0])}),
+        lambda c: c["field"].update(init={"init": "solve", "fixed": _one_cell(value="x")}),
+        lambda c: c["field"].update(init={"init": "solve", "source": {"cells": _one_cell(axes=[7])}}),
+        lambda c: c["field"].update(init={"init": "explicit", "csv": 5}),
+        lambda c: c["defects"][0].update(support={"kind": "nope"}),
+        lambda c: c["defects"][0]["support"].update(axis=9),
+        lambda c: c["charges"][1]["support"].update(normal=7),
+    ],
+    ids=[
+        "degree", "stddev", "init", "seed", "cells", "fixed", "source", "csv",
+        "defect_kind", "loop_axis", "plane_normal",
+    ],
+)
+def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, command, edit):
+    # a config is checked whole as it loads, so a fault in a part that this
+    # command does not run still exits 2
+    cfg = _every_command_config()
+    edit(cfg)
+    out = tmp_path / "report.json"
+    assert main([command, write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
 def test_exit_two_on_config_errors(tmp_path, capsys):
     missing = main(["check", str(tmp_path / "nope.json")])
     assert missing == 2

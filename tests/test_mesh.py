@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -159,11 +160,37 @@ def test_size_rule_refuses_a_mesh_no_array_can_hold():
 
 
 def test_cell_index_roundtrip():
-    cx = CubicalComplex([3, 4], topology="box")
+    # the block layout: each degree's axis subsets in order, each block a
+    # contiguous index range holding its cells in C order of their bases
+    for shape in [(2,), (3,), (2, 2), (3, 4), (2, 2, 2), (2, 3, 2)]:
+        for topology in ("torus", "box"):
+            cx = CubicalComplex(shape, topology=topology)
+            for p in range(cx.d + 1):
+                for i in range(cx.cell_count(p)):
+                    c = cx.cell(p, i)
+                    assert cx.cell_index(c.degree, c.base, c.axes) == i
+                start = 0
+                for axes in cx.axis_subsets(p):
+                    bases = cx.block_bases(p, axes)
+                    cells = cx.cell_indices(p, axes, bases)
+                    assert np.array_equal(cells, np.arange(start, start + bases.shape[1]))
+                    expected = [Cell(p, base, axes) for base in zip(*bases.tolist())]
+                    assert [cx.cell(p, j) for j in cells] == expected
+                    start += bases.shape[1]
+                assert start == cx.cell_count(p)
+
+
+@pytest.mark.parametrize("topology", ["torus", "box"])
+@pytest.mark.parametrize("spacing", [[0.5], [0.5, 4.0], [0.5, 4.0, 0.25]])
+def test_metric_is_the_per_cell_product_of_spacings(spacing, topology):
+    # powers of two, so that every product and quotient is exact
+    cx = CubicalComplex([2] * len(spacing), spacing=spacing, topology=topology)
     for p in range(cx.d + 1):
-        for i in range(cx.cell_count(p)):
-            c = cx.cell(p, i)
-            assert cx.cell_index(c.degree, c.base, c.axes) == i
+        cells = [cx.cell(p, i) for i in range(cx.cell_count(p))]
+        volume = [math.prod(spacing[a] for a in c.axes) for c in cells]
+        dual = [math.prod(h for a, h in enumerate(spacing) if a not in c.axes) for c in cells]
+        assert np.array_equal(cx.primal_volumes(p), volume)
+        assert np.array_equal(cx.star_factors(p), np.divide(dual, volume))
 
 
 @pytest.mark.parametrize("topology", ["torus", "box"])
