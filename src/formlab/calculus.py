@@ -7,12 +7,12 @@ the mesh's block grids (`CubicalComplex.add_coboundary`), the Hodge star is
 diagonal (dual/primal volume ratio times the axis-permutation sign), and the
 inner product weights every cell by star factor times primal volume.  The
 free-field solver is a matrix-free conjugate-gradient iteration on the same
-shift maps.  On a torus whose star factors of the solved degree are one
-number (0-forms, or equal spacings) it is preconditioned by the operator's
-pseudo-inverse, which is block-circulant and applied in closed form by FFTs
+shift maps.  On a torus it is preconditioned by the operator's
+pseudo-inverse, read off the operator's own symbol by FFTs
 (`_torus_preconditioner`), and stops in about 2k + 1 steps for k fixed
-cells; any other torus, and every box, runs plain conjugate gradients.
-Either way the solution is the one orthogonal to the operator's kernel.
+cells; a box, or a torus too ill-conditioned for that, runs plain
+conjugate gradients.  Either way the solution is the one orthogonal to the
+operator's kernel.
 Everything runs on numpy alone (`numpy.fft` loads on the first
 preconditioned solve); all operations are pure and cochain value arrays are
 read-only.  Every kernel that computes with field values runs with numpy's
@@ -23,6 +23,7 @@ would break the CLI's contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,8 +245,10 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m) -> n
     ||r||_2 <= 1e-13 ||b||_2) and leaves the block once it stops; the rows
     still running share one operator application per step.  A zero row
     gives exact zeros.  Raises SolverError for any row whose max-norm
-    residual exceeds tol * (1 + max|b|); a row in the kernel of K breaks
-    down into nan and fails that test.
+    residual exceeds tol * (1 + max|b|).  A row also leaves once r.Mr <=
+    1e-12 (r0.Mr0 / r0.r0) r.r: its residual then lies in M's null space,
+    the kernel of K, so its source is incompatible and that test fails it
+    with the residual it has.
 
     apply_k(x, out) writes K x into out.  apply_m(r, scratch, out), unless
     None, writes M r into out for a symmetric positive semidefinite
@@ -286,23 +289,29 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m) -> n
                 keep = ~done
                 live, xs, r, rho, stop = live[keep], xs[keep], r[keep], rho[keep], stop[keep]
                 if p is not None:
-                    p, rho_prev = p[keep], rho_prev[keep]
+                    p, rho_prev, floor = p[keep], rho_prev[keep], floor[keep]
                 if not live.size:
                     break
-            z = r
+            z, rz = r, rho
             if apply_m is not None:
                 z = apply_m(r, kx[: live.size], mr[: live.size])
-                rho = dot(r, z)
+                rz = dot(r, z)
             if p is None:
+                floor = 1e-12 * rz / rho
                 p = z.copy()
             else:
-                p *= (rho / rho_prev)[:, None]
+                p *= (rz / rho_prev)[:, None]
                 p += z
+            # below the floor r lies in M's null space, K's kernel: the row
+            # takes no step and leaves at the next stop test
+            null = rz <= floor * rho
+            stop[null] = np.inf
             q = apply_k(p, kx[: live.size])
-            alpha = (rho / dot(p, q))[:, None]
+            alpha = (rz / dot(p, q))[:, None]
+            alpha[null] = 0.0
             r -= np.multiply(alpha, q, out=q)
             xs += np.multiply(alpha, p, out=q)
-            rho_prev = rho
+            rho_prev = rz
             steps += 1
         x[live] = xs
         # the residual of a broken-down row is nan too
@@ -320,54 +329,66 @@ def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m) -> n
     return x
 
 
-def _torus_preconditioner(cx: CubicalComplex, degree: int, laplacian, fixed_idx):
+def _torus_preconditioner(cx: CubicalComplex, degree: int, fixed_idx):
     """apply_m(r, scratch, out) for M = E_f K^+ E_f on a torus, or None.
 
     E_f zeroes the fixed rows, and K^+ is the pseudo-inverse of the
     free-field operator K = d^T W d (W the star factors of degree p+1).
-    On a torus K is block-circulant.  Where the star factors of degree p are
-    one number w on all blocks (p = 0, or equal spacings), A = w^-1 K is the
-    metric Laplacian delta d; as delta d + d delta is the scalar Laplacian
-    on a flat torus and d d = 0, A^2 = Delta A at each wavevector xi, where
-    Delta = sum_a 4 sin^2(xi_a / 2) / h_a^2.  So w^-1 K w^-1 G, with the
-    Fourier multiplier G = 1 / Delta^2 (0 at xi = 0), is K^+, and PCG from
-    zero keeps the solution orthogonal to the kernel that plain CG returns.
-
-    laplacian(x, out) writes K x into out.  Each row and each block is
-    transformed on its own, so that a row's result never depends on the rows
-    beside it.  None where the star factors of degree p differ between
-    blocks, which has no closed form here, or where the spacings are so
-    extreme that G over- or underflows: the solve then runs plain CG, as a
-    box does.
+    On a torus d is block-circulant for any spacings: its symbol E(xi) at
+    each wavevector xi is the FFT of d applied to an impulse at the origin
+    cell of each p-block, and K(xi) = E^H W E.  As the coboundary symbols
+    form an exact (Koszul) complex, P = I - C(d-1, p) E^H E / tr(E^H E) is
+    the kernel projector of K(xi), free of spacings (I at xi = 0), and
+    K^+ = (K + cP)^-1 - P / c for c = tr K / C(d-1, p).  PCG from zero
+    keeps the solution orthogonal to the kernel, as plain CG does.  Rows
+    are transformed one by one, so none depends on the rows beside it.
+    None where max|K(xi)| max|K^+(xi)| is not <= 1e12: K^+ is then not
+    exact in double precision, and the solve runs plain CG, as a box does.
     """
-    w = cx.star_factors(degree)
-    if not np.all(w == w[0]):
-        return None
-    scale = 1.0 / w[0]
-    shape, d = cx.shape, cx.d
-    # 4 sin^2(xi_a / 2) along each axis of the rfftn grid (the last axis
-    # halved), shaped to broadcast over all d axes
-    waves = []
-    for a, n in enumerate(shape):
-        k = np.arange(n // 2 + 1 if a == d - 1 else n)
-        waves.append((2 * np.sin(np.pi * k / n)).reshape((-1,) + (1,) * (d - 1 - a)) ** 2)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = 1.0 / sum(lam / np.square(h) for lam, h in zip(waves, np.array(cx.spacing))) ** 2
-    g.flat[0] = 0.0
-    if not (np.isfinite(g).all() and (g.flat[1:] > 0).all()):
-        return None
-    axes = tuple(range(d))
+    shape, m, grid = cx.shape, len(cx.axis_subsets(degree)), math.prod(cx.shape)
+    rank = math.comb(cx.d - 1, degree)
+    axes = tuple(range(-cx.d, 0))
+    impulses = np.zeros((m, m * grid))
+    impulses[range(m), range(0, m * grid, grid)] = 1.0
+    stencils = np.zeros((m, cx.cell_count(degree + 1)))
+    cx.add_coboundary(degree, impulses, stencils)
+    w = cx.star_factors(degree + 1)[::grid]
+    # e[j, a] is the FFT of block a of d(impulse in block j): E[a, j] per xi
+    e = np.fft.rfftn(stencils.reshape(m, len(w), *shape), axes=axes)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = np.einsum("ia...,a,ja...->ij...", e.conj(), w, e)
+        proj = np.einsum("ia...,ja...->ij...", e.conj(), e)  # E^H E, made P in place
+        trace = np.einsum("ii...->...", proj).real
+        trace.flat[0] = np.inf  # E = 0 at xi = 0, where P = I
+        proj *= -rank / trace
+        proj[range(m), range(m)] += 1.0
+        c = np.einsum("ii...->...", k).real / rank
+        c.flat[0] = 1.0
+        # (K + cP)^-1 by Gauss-Jordan in place: no pivots on a positive definite matrix
+        g = proj * c
+        g += k
+        for i in range(m):
+            pivot = g[i, i].copy()
+            g[i, i] = 1.0
+            g[i] /= pivot
+            for j in set(range(m)) - {i}:
+                factor = g[j, i].copy()
+                g[j, i] = 0.0
+                g[j] -= factor * g[i]
+        # PCG needs M symmetric; elimination leaves an asymmetry of eps cond
+        g += np.conj(g.swapaxes(0, 1))
+        g *= 0.5
+        g -= proj / c
+        if not np.abs(k).max() * np.abs(g).max() <= 1e12:
+            return None
 
     def apply_m(r, scratch, out):
         np.copyto(scratch, r)
         scratch[:, fixed_idx] = 0.0
-        # on a torus each block of a row is one grid of the mesh's shape, so
-        # a C-ordered block of rows is a view of (rows * blocks) grids
-        for grid in scratch.reshape(-1, *shape):
-            grid[...] = np.fft.irfftn(np.fft.rfftn(grid) * g, s=shape, axes=axes)
-        scratch *= scale
-        laplacian(scratch, out)
-        out *= scale
+        # on a torus each block of a row is one grid of the mesh's shape
+        for row, dest in zip(scratch.reshape(-1, m, *shape), out.reshape(-1, m, *shape)):
+            f = np.einsum("ij...,j...->i...", g, np.fft.rfftn(row, axes=axes))
+            dest[...] = np.fft.irfftn(f, s=shape, axes=axes)
         out[:, fixed_idx] = 0.0
         return out
 
@@ -396,12 +417,10 @@ def solve_free(
     One conjugate-gradient iteration runs over a block with one row per
     component (two on complex fibers: real and imaginary parts), each row
     with its own recurrence.  Every row starts from zero, which fixes the
-    gauge: the solution is orthogonal to the kernel of K.  On a torus where
-    the star factors of the solved degree are one number (degree 0, or equal
-    spacings) the iteration is preconditioned by `_torus_preconditioner`,
-    which keeps that solution; any other torus runs plain CG, as a box does
-    (so(3) at 20^3 with spacing [1, 1, 2] and two fixed cells: 179 operator
-    applications instead of 6).
+    gauge: the solution is orthogonal to the kernel of K.  On a torus the
+    iteration is preconditioned by `_torus_preconditioner`, which keeps that
+    solution at any spacings, unless they leave K too ill-conditioned for
+    its exact pseudo-inverse; then the solve runs plain CG, as a box does.
     """
     if degree >= complex.d:
         raise DomainError("no free-field operator at top degree")
@@ -413,13 +432,9 @@ def solve_free(
             raise DomainError("source must be a cochain of the solved degree")
         rhs = rhs + source.values
 
-    fixed_idx = []
-    fixed_vals = []
-    for key, value in (fixed or {}).items():
-        val = np.asarray(value, dtype=fiber.dtype).reshape(comps)
-        fixed_idx.append(int(key))
-        fixed_vals.append(val)
-    fixed_idx = np.asarray(fixed_idx, dtype=np.int64)
+    fixed = fixed or {}
+    fixed_idx = np.array([int(key) for key in fixed], dtype=np.int64)
+    fixed_vals = [np.asarray(value, dtype=fiber.dtype).reshape(comps) for value in fixed.values()]
     fixed_arr = np.asarray(fixed_vals, dtype=fiber.dtype).reshape(-1, comps)
     if degree == 0 and not fixed_idx.size:
         means = np.abs(rhs.sum(axis=0))
@@ -437,29 +452,22 @@ def solve_free(
     # d x for up to every row, reused by each operator application
     dx_block = np.empty((block_rows, complex.cell_count(degree + 1)))
 
-    def laplacian(x, out):
-        # d^T(w * d x) for each row of x
+    def apply_k(x, out):
+        # K x = d^T(w * d x), with K psi = 0 equivalent to d star d psi = 0
+        # on a torus; zeroing the fixed rows keeps a block that is zero there
+        # so, which restricts K to the free cells
         dx = dx_block[: len(x)]
         dx.fill(0.0)
         complex.add_coboundary(degree, x, dx)
         dx *= w
         out.fill(0.0)
         complex.add_coboundary(degree, dx, out, transpose=True)
-        return out
-
-    def apply_k(x, out):
-        # K x = d^T(w * d x), with K psi = 0 equivalent to d star d psi = 0
-        # on a torus; zeroing the fixed rows keeps a block that is zero there
-        # so, which restricts K to the free cells
-        laplacian(x, out)
         out[:, fixed_idx] = 0.0
         return out
 
     boundary_values = np.zeros((n, comps), dtype=fiber.dtype)
     boundary_values[fixed_idx] = fixed_arr
-    apply_m = None
-    if complex.topology == "torus":
-        apply_m = _torus_preconditioner(complex, degree, laplacian, fixed_idx)
+    apply_m = _torus_preconditioner(complex, degree, fixed_idx) if complex.topology == "torus" else None
     # extreme spacings can overflow K; the residual test fails what overflows
     with np.errstate(over="ignore", invalid="ignore"):
         b = rows(rhs) - apply_k(rows(boundary_values), np.empty((block_rows, n)))

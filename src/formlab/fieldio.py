@@ -57,13 +57,14 @@ def emit_field_csv(psi: Cochain, path) -> None:
     # float's imaginary part is always +0.0, printed as 0
     im = ",%.17g" if psi.fiber.is_complex else ",0"
     width = d + 1 + psi.fiber.is_complex
-    offset = 0
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_header(d)) + "\r\n")
         for axes in cx.axis_subsets(psi.degree):
             prefix = f"{psi.degree}," + "%d," * d + "".join(str(a) for a in axes) + ","
             cell = "".join(f"{prefix}{comp},%.17g{im}\r\n" for comp in range(k))
             bases = cx.block_bases(psi.degree, axes)
+            # the index of the block's first cell, its base the origin
+            offset = cx.cell_indices(psi.degree, axes, bases[:, :1])[0]
             for start in range(0, bases.shape[1], _CHUNK_CELLS):
                 stop = min(start + _CHUNK_CELLS, bases.shape[1])
                 values = psi.values[offset + start : offset + stop]
@@ -73,7 +74,6 @@ def emit_field_csv(psi: Cochain, path) -> None:
                 if psi.fiber.is_complex:
                     args[:, :, d + 1] = values.imag
                 handle.write(cell * (stop - start) % tuple(args.ravel().tolist()))
-            offset += bases.shape[1]
 
 
 def load_field_csv(cx: CubicalComplex, degree: int, fiber: FiberSpec, path) -> Cochain:

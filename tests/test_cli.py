@@ -184,8 +184,10 @@ def test_solve_command_writes_field_csv(tmp_path, capsys):
     [[1e-57, 1, 1], [1e-24, 1, 1], [1e-8, 1, 1], [1e-4, 1, 1], [1e4, 1, 1], [1, 1e-57, 1]],
 )
 def test_solve_on_an_anisotropic_torus_succeeds(tmp_path, capsys, spacing):
-    # the edge star factors differ between axis blocks, so the 1-form solve
-    # has no closed-form preconditioner and runs plain CG, as a box does
+    # the 2-cell star factors differ between axis blocks: at 1e-4 and 1e4 the
+    # 1-form solve runs the preconditioner read off the operator's symbol;
+    # the other spacings leave that symbol too ill-conditioned for an exact
+    # pseudo-inverse, and the solve runs plain CG, as a box does
     cfg = json.loads((CONFIG_DIR / "solve_so3.json").read_text())
     cfg["mesh"]["spacing"] = spacing
     out = tmp_path / "report.json"
@@ -580,8 +582,9 @@ def test_command_starts_without_scipy(tmp_path, command, config):
 
 
 def test_failed_solve_prints_only_the_error(tmp_path):
-    # a one-edge source with nothing fixed is incompatible: the iteration
-    # breaks down into nan, and no numpy warning may reach stderr
+    # a one-edge source with nothing fixed is incompatible: within a few
+    # steps the residual lies in the kernel of the operator, the row stops
+    # and fails the residual test, and no numpy warning may reach stderr
     cfg = json.loads((CONFIG_DIR / "solve_so3.json").read_text())
     cfg["mesh"]["shape"] = [4, 4, 4]
     cfg["field"]["init"]["fixed"] = []
