@@ -208,11 +208,11 @@ def inner(psi: Cochain, phi: Cochain):
     return complex(val) if psi.fiber.is_complex else float(val)
 
 
-def action(psi: Cochain, prefactor: float = 1.0) -> float:
-    """Free-field action: prefactor * inner(d psi, d psi)."""
+def action(psi: Cochain) -> float:
+    """Free-field action: inner(d psi, d psi)."""
     dpsi = d(psi)
     val = inner(dpsi, dpsi)
-    return prefactor * (val.real if isinstance(val, complex) else val)
+    return val.real if isinstance(val, complex) else val
 
 
 @np.errstate(over="ignore", invalid="ignore")

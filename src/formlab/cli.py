@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -27,7 +26,6 @@ from .config import (
     parse_seed,
     parse_tolerance,
     representation_for,
-    resolve_chain,
 )
 from .defect import (
     ChargedOperator,
@@ -63,11 +61,6 @@ def to_jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _provenance(config_path: str, scenario: Scenario) -> dict:
-    digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
-    return {"config_digest": digest, "seed": scenario.seed, "version": __version__}
-
-
 def _cmd_solve(scenario: Scenario, args):
     field = build_field(scenario)
     report = conservation_report(field)
@@ -92,8 +85,7 @@ def _cmd_charges(scenario: Scenario, args):
     strength = FieldStrength(build_field(scenario))
     results = []
     for i, req in enumerate(scenario.charges):
-        support = resolve_chain(scenario, req["support"])
-        value = strength.charge(req["kind"], support)
+        value = strength.charge(req["kind"], scenario.charge_chains[i])
         results.append(
             {
                 "name": req.get("name", f"charge_{i}"),
@@ -110,9 +102,7 @@ def _cmd_defect(scenario: Scenario, args):
     results = []
     for i, req in enumerate(scenario.defects):
         g = scenario.group_elements[req["g"]]
-        support = resolve_chain(scenario, req["support"])
-        filling = resolve_chain(scenario, req["move"]["filling"])
-        charged_support = resolve_chain(scenario, req["charged"]["support"])
+        support, filling, charged_support = scenario.defect_chains[i]
         charged = ChargedOperator(charged_support, field, req["charged"]["degree"])
         defect = DefectOperator(g, req["degree"], support)
         move = DefectMove(defect, Cobordism(scenario.complex, filling, support))
@@ -201,7 +191,9 @@ def main(argv=None) -> int:
             scenario.tolerances["check"] = parse_tolerance(args.tol, "--tol")
         code, report = _COMMANDS[args.command](scenario, args)
         if args.command != "compose":
-            report["provenance"] = _provenance(args.config, scenario)
+            report["provenance"] = {
+                "config_digest": scenario.config_digest, "seed": scenario.seed, "version": __version__
+            }
     except FormlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,17 @@
 """Scenario configuration loading and resolution.
 
-A scenario is one JSON document with the keys mesh, algebra, field,
-group_elements, charges, defects, compose, checks, tolerances and seed.
-Every cross-reference is resolved here; malformed input raises ConfigError
-with a message naming the offending key.  A config is checked whole as it
-loads, so every command rejects the same configs; only check names, which
-`checks` owns, and the contents of a field CSV wait for their command.
+A scenario is one UTF-8 JSON document with the keys mesh, algebra, field,
+group_elements, charges, defects, compose, checks, tolerances and seed,
+read once.  Every cross-reference, each chain spec included, is resolved
+here once; malformed input raises ConfigError with a message naming the
+offending key.  A config is checked whole as it loads, so every command
+rejects the same configs; only check names, which `checks` owns, and the
+contents of a field CSV wait for their command.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,19 +50,28 @@ class Scenario:
     tolerances: dict
     seed: int
     base_dir: Path = field(default_factory=Path)
+    config_digest: str = ""
+    # per charge its support; per defect its support, filling and charged support
+    charge_chains: list = field(default_factory=list)
+    defect_chains: list = field(default_factory=list)
 
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # str, not bytes: json.loads would accept a UTF-8 BOM in bytes
+        cfg = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # a decode error, a JSON syntax error, an integer past Python's digit
+        # limit, or nesting past the recursion limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return scenario_from_dict(cfg, base_dir=path.parent)
+    scenario = scenario_from_dict(cfg, base_dir=path.parent)
+    scenario.config_digest = hashlib.sha256(data).hexdigest()
+    return scenario
 
 
 def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
@@ -126,7 +137,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         seed=parse_seed(cfg.get("seed", 0), "'seed'"),
         base_dir=Path(base_dir),
     )
-    _validate_requests(scenario)
+    _resolve_requests(scenario)
     return scenario
 
 
@@ -267,8 +278,6 @@ def parse_fiber_value(fiber: FiberSpec, raw) -> np.ndarray:
 
 
 def resolve_chain(scenario: Scenario, spec) -> Chain:
-    if scenario.complex is None:
-        raise ConfigError("this command needs a 'mesh' entry in the config")
     try:
         chain = named_cycle(scenario.complex, spec)
     except KeyError as exc:
@@ -283,14 +292,12 @@ def resolve_chain(scenario: Scenario, spec) -> Chain:
     return chain
 
 
-def _validate_requests(scenario: Scenario) -> None:
-    specs = []
+def _resolve_requests(scenario: Scenario) -> None:
     for i, req in enumerate(scenario.charges):
         if not isinstance(req, dict) or req.get("kind") not in ("eom", "trivial"):
             raise ConfigError(f"charge request {i}: 'kind' must be 'eom' or 'trivial'")
         if "support" not in req:
             raise ConfigError(f"charge request {i}: missing 'support'")
-        specs.append(req["support"])
     for i, req in enumerate(scenario.defects):
         for key in ("g", "degree", "support", "move", "charged"):
             if not isinstance(req, dict) or key not in req:
@@ -307,12 +314,15 @@ def _validate_requests(scenario: Scenario) -> None:
         charged["degree"] = parse_number(
             int, charged.get("degree", req["degree"]), f"defect request {i}: 'charged.degree'"
         )
-        specs += [req["support"], req["move"]["filling"], charged["support"]]
-    # every chain resolves here too, so that every command rejects the same
-    # configs; the commands resolve the raw specs again as they run
     if scenario.complex is not None:
-        for spec in specs:
-            resolve_chain(scenario, spec)
+        scenario.charge_chains = [resolve_chain(scenario, req["support"]) for req in scenario.charges]
+        scenario.defect_chains = [
+            tuple(
+                resolve_chain(scenario, spec)
+                for spec in (req["support"], req["move"]["filling"], req["charged"]["support"])
+            )
+            for req in scenario.defects
+        ]
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:

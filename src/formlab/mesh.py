@@ -542,10 +542,13 @@ def intersection_number(a: Chain, b: Chain) -> int:
         raise DomainError(
             f"degrees must be complementary: {a.degree} + {b.degree} != {cx.d}"
         )
+    if not b:
+        return 0
     signs, partner = cx.complement(a.degree, 1)
     partners = partner[a.cells]
-    hit = np.isin(partners, b.cells)
-    at = np.searchsorted(b.cells, partners[hit])
-    crossings = zip(a.coefs[hit].tolist(), b.coefs[at].tolist(), signs[a.cells[hit]].tolist())
+    # b's cells ascend and are distinct, so one search gives membership and position
+    at = np.searchsorted(b.cells, partners).clip(max=b.cells.size - 1)
+    hit = b.cells[at] == partners
+    crossings = zip(a.coefs[hit].tolist(), b.coefs[at[hit]].tolist(), signs[a.cells[hit]].tolist())
     # Python ints: coefficients reach 2**53, so an int64 product can overflow
     return sum(i * j * s for i, j, s in crossings)

@@ -169,10 +169,10 @@ def test_criterion_5_ad_invariance_and_global_symmetry():
 
     cx = CubicalComplex([6, 6, 6])
     psi = Cochain.random_gaussian(cx, 1, algebra_fiber(so3()), rng)
-    s0 = action(psi, prefactor=0.5)
+    s0 = action(psi)
     for _ in range(20):
         g = random_group_element(so3(), rng)
-        s1 = action(apply_fiber_map(psi, adjoint_matrix(g, so3())), prefactor=0.5)
+        s1 = action(apply_fiber_map(psi, adjoint_matrix(g, so3())))
         assert abs(s1 - s0) <= 1e-12 * (1 + abs(s0))
     phi = Cochain.random_gaussian(cx, 1, COMPLEX_PAIR, rng)
     t0 = action(phi)

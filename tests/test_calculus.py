@@ -499,15 +499,14 @@ def test_action_basics(rng, torus444):
     assert action(const) == 0.0
     psi = Cochain.random_gaussian(torus444, 1, SO3_FIBER, rng)
     assert action(2 * psi) == pytest.approx(4 * action(psi), rel=1e-13)
-    assert action(psi, prefactor=0.5) == pytest.approx(0.5 * action(psi), rel=1e-15)
 
 
 def test_action_global_invariance(rng, torus444):
     psi = Cochain.random_gaussian(torus444, 1, SO3_FIBER, rng)
-    s0 = action(psi, prefactor=0.5)
+    s0 = action(psi)
     for _ in range(10):
         g = random_group_element(so3(), rng)
-        s1 = action(apply_fiber_map(psi, adjoint_matrix(g, so3())), prefactor=0.5)
+        s1 = action(apply_fiber_map(psi, adjoint_matrix(g, so3())))
         assert abs(s1 - s0) <= 1e-12 * (1 + abs(s0))
     chi = Cochain.random_gaussian(torus444, 1, algebra_fiber(u2()), rng)
     u0 = action(chi)

@@ -265,6 +265,51 @@ def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "compose"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"seed": 1, "x": "\xff\xfe"}',
+        b"[" * 100000 + b"]" * 100000,
+        b'{"seed": ' + b"9" * 5000 + b"}",
+        b"\xef\xbb\xbf" + json.dumps(base_config()).encode(),
+    ],
+    ids=["not_utf8", "nested_past_recursion_limit", "integer_past_digit_limit", "utf8_bom"],
+)
+def test_config_that_json_cannot_decode_exits_two(tmp_path, capsys, command, data):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    out = tmp_path / "report.json"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("config", ["so3_defect", "combined"])
+def test_each_chain_spec_resolves_once_per_run(tmp_path, monkeypatch, command, config):
+    import formlab.config
+
+    if config == "combined":
+        cfg = _every_command_config()
+    else:
+        cfg = json.loads((CONFIG_DIR / "so3_defect.json").read_text())
+        cfg["compose"] = "g[0]"
+    specs = [req["support"] for req in cfg.get("charges", [])]
+    for req in cfg["defects"]:
+        specs += [req["support"], req["move"]["filling"], req["charged"]["support"]]
+    calls = []
+
+    def counted(cx, spec):
+        calls.append(spec)
+        return formlab.mesh.named_cycle(cx, spec)
+
+    monkeypatch.setattr(formlab.config, "named_cycle", counted)
+    assert main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == specs
+
+
 def test_exit_two_on_config_errors(tmp_path, capsys):
     missing = main(["check", str(tmp_path / "nope.json")])
     assert missing == 2
@@ -579,6 +624,28 @@ def test_command_starts_without_scipy(tmp_path, command, config):
     if command != "solve" and int(np.__version__.split(".")[0]) >= 2:
         assert not {m for m in loaded if m.startswith("numpy.fft")}
     assert json.loads(out.read_text())  # a report was written
+
+
+def test_defect_run_leaves_numpy_ma_unloaded(tmp_path):
+    # no command needs numpy.ma, a measurable share of start-up; np.isin on
+    # widely spread cells, such as this plane filling's, imported it
+    # through np.unique
+    cfg = json.loads((CONFIG_DIR / "so3_defect.json").read_text())
+    cfg["mesh"]["shape"] = [12, 12, 12]
+    cfg["defects"][1]["move"]["filling"] = {"kind": "plane", "normal": 1, "offset": 3}
+    script = (
+        "import sys\n"
+        "import formlab.cli\n"
+        "assert formlab.cli.main(['defect', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(formlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", script, write_config(tmp_path, cfg), str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "False\n"
 
 
 def test_failed_solve_prints_only_the_error(tmp_path):

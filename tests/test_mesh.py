@@ -391,6 +391,20 @@ def test_intersection_on_a_box_matches_crossing_rule(shape, rng):
                 assert big == -(2**106) * crossing_rule_intersection(a, everywhere)
 
 
+@pytest.mark.parametrize("topology", ["torus", "box"])
+def test_intersection_matches_the_crossing_rule_on_random_chains(topology, rng):
+    for shape in [(5,), (4, 6), (3, 4, 5)]:
+        cx = CubicalComplex(shape, topology=topology)
+        for p in range(cx.d + 1):
+            q = cx.d - p
+            for cells in (1, 7, cx.cell_count(p)):
+                a = random_chain(cx, p, rng, cells=cells)
+                assert intersection_number(a, Chain(cx, q)) == 0
+                for _ in range(5):
+                    b = random_chain(cx, q, rng, cells=cells)
+                    assert intersection_number(a, b) == crossing_rule_intersection(a, b)
+
+
 def test_intersection_is_bilinear(rng):
     cx = CubicalComplex([3, 3, 3])
     a1, a2 = random_chain(cx, 1, rng), random_chain(cx, 1, rng)
