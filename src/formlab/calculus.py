@@ -15,7 +15,9 @@ conjugate gradients.  Either way the solution is the one orthogonal to the
 operator's kernel.
 Everything runs on numpy alone (`numpy.fft` loads on the first
 preconditioned solve); all operations are pure and cochain value arrays are
-read-only.  Every kernel that computes with field values runs with numpy's
+read-only, so `d` and `star` form their result once per cochain and keep
+it there: every charge, report and check of one field shares one d psi and
+one star d psi.  Every kernel that computes with field values runs with numpy's
 overflow and invalid-value warnings off: a finite field may overflow to inf
 or nan, which reports print and checks fail, but a numpy warning on stderr
 would break the CLI's contract.
@@ -76,7 +78,8 @@ def algebra_fiber(algebra: LieAlgebra) -> FiberSpec:
 class Cochain:
     """A degree-p assignment of fiber values to the p-cells of a complex."""
 
-    __slots__ = ("complex", "degree", "fiber", "values")
+    # _d and _star keep d(self) and star(self): the values are read-only
+    __slots__ = ("complex", "degree", "fiber", "values", "_d", "_star")
 
     def __init__(self, complex: CubicalComplex, degree: int, fiber: FiberSpec, values):
         n = complex.cell_count(degree)
@@ -93,6 +96,7 @@ class Cochain:
         self.degree = degree
         self.fiber = fiber
         self.values = values
+        self._d = self._star = None
 
     @classmethod
     def zeros(cls, complex: CubicalComplex, degree: int, fiber: FiberSpec) -> Cochain:
@@ -141,7 +145,10 @@ class Cochain:
 
 @np.errstate(over="ignore", invalid="ignore")
 def d(psi: Cochain) -> Cochain:
-    """Coboundary; d(d(psi)) vanishes exactly on integer-valued cochains."""
+    """Coboundary, formed once and kept on psi; d(d(psi)) vanishes exactly on
+    integer-valued cochains."""
+    if psi._d is not None:
+        return psi._d
     cx = psi.complex
     if psi.degree >= cx.d:
         raise DomainError("top-degree cochains have no coboundary")
@@ -149,7 +156,8 @@ def d(psi: Cochain) -> Cochain:
     values = psi.values.view(np.float64)
     out = np.zeros((cx.cell_count(psi.degree + 1), values.shape[1]))
     cx.add_coboundary(psi.degree, values.T, out.T)
-    return Cochain(cx, psi.degree + 1, psi.fiber, out.view(psi.fiber.dtype))
+    psi._d = Cochain(cx, psi.degree + 1, psi.fiber, out.view(psi.fiber.dtype))
+    return psi._d
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -160,7 +168,10 @@ def star(psi: Cochain) -> Cochain:
     `CubicalComplex.complement(p, 0)`) is the cell value scaled by the
     dual/primal volume ratio and by the permutation sign of (axes,
     complementary axes); with that sign, star(star(psi)) = (-1)^(p(d-p)) psi.
+    Formed once and kept on psi, as `d` is.
     """
+    if psi._star is not None:
+        return psi._star
     cx = psi.complex
     p = psi.degree
     # a box has different primal and complementary cell counts
@@ -169,7 +180,8 @@ def star(psi: Cochain) -> Cochain:
     signs, dual = cx.complement(p, 0)
     out = np.empty_like(psi.values)
     out[dual] = (cx.star_factors(p) * signs)[:, None] * psi.values
-    return Cochain(cx, cx.d - p, psi.fiber, out)
+    psi._star = Cochain(cx, cx.d - p, psi.fiber, out)
+    return psi._star
 
 
 @np.errstate(over="ignore", invalid="ignore")

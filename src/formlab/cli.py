@@ -27,16 +27,9 @@ from .config import (
     parse_tolerance,
     representation_for,
 )
-from .defect import (
-    ChargedOperator,
-    DefectMove,
-    DefectOperator,
-    FieldStrength,
-    apply_defect,
-    conservation_report,
-)
+from .defect import ChargedOperator, apply_defect, charge_eom, charge_trivial, conservation_report
 from .errors import ConfigError, FormlabError
-from .mesh import Cobordism, intersection_number
+from .mesh import intersection_number
 
 
 def to_jsonable(value):
@@ -63,7 +56,8 @@ def to_jsonable(value):
 
 def _cmd_solve(scenario: Scenario, args):
     field = build_field(scenario)
-    report = conservation_report(field)
+    # the CSV first: the report leaves d psi, star d psi and d star d psi
+    # kept on the field, and they would otherwise add to the writer's peak
     if args.field_csv:
         # each command imports only the modules it runs, to keep start-up short
         from .fieldio import emit_field_csv
@@ -72,25 +66,26 @@ def _cmd_solve(scenario: Scenario, args):
             emit_field_csv(field, args.field_csv)
         except OSError as exc:
             raise ConfigError(f"cannot write field CSV {args.field_csv}: {exc}") from exc
+    report = conservation_report(field)
     results = {
         "action": report.action,
         "eom_residual_norm": report.dynamical_current_norm,
         "trivial_current_norm": report.trivial_current_norm,
-        "charges": {k: to_jsonable(v) for k, v in report.charges.items()},
+        "charges": report.charges,
     }
     return 0, {"command": "solve", "results": results}
 
 
 def _cmd_charges(scenario: Scenario, args):
-    strength = FieldStrength(build_field(scenario))
+    field = build_field(scenario)
     results = []
     for i, req in enumerate(scenario.charges):
-        value = strength.charge(req["kind"], scenario.charge_chains[i])
+        charge = charge_eom if req["kind"] == "eom" else charge_trivial
         results.append(
             {
                 "name": req.get("name", f"charge_{i}"),
                 "kind": req["kind"],
-                "value": to_jsonable(value),
+                "value": charge(field, scenario.charge_chains[i]),
             }
         )
     return 0, {"command": "charges", "results": results}
@@ -101,21 +96,18 @@ def _cmd_defect(scenario: Scenario, args):
     rep = representation_for(scenario)
     results = []
     for i, req in enumerate(scenario.defects):
-        g = scenario.group_elements[req["g"]]
-        support, filling, charged_support = scenario.defect_chains[i]
+        move, charged_support = scenario.defect_moves[i]
         charged = ChargedOperator(charged_support, field, req["charged"]["degree"])
-        defect = DefectOperator(g, req["degree"], support)
-        move = DefectMove(defect, Cobordism(scenario.complex, filling, support))
-        crossings = intersection_number(charged.support, filling)
-        outcome = apply_defect(defect, charged, move, rep)
+        crossings = intersection_number(charged_support, move.cobordism.filling)
+        outcome = apply_defect(move.operator, charged, move, rep)
         results.append(
             {
                 "name": req.get("name", f"defect_{i}"),
                 "crossings": crossings,
                 "degree_before": charged.degree,
                 "degree_after": outcome.degree,
-                "observable_before": to_jsonable(charged.observable),
-                "observable_after": to_jsonable(outcome.observable),
+                "observable_before": charged.observable,
+                "observable_after": outcome.observable,
             }
         )
     return 0, {"command": "defect", "results": results}
@@ -143,7 +135,7 @@ def _cmd_compose(scenario: Scenario, args):
         "ok": True,
         "source_degree": m.source,
         "target_degree": m.target,
-        "group_element_matrix": to_jsonable(m.g.matrix),
+        "group_element_matrix": m.g.matrix,
     }
     return 0, report
 

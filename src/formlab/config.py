@@ -5,8 +5,10 @@ group_elements, charges, defects, compose, checks, tolerances and seed,
 read once.  Every cross-reference, each chain spec included, is resolved
 here once; malformed input raises ConfigError with a message naming the
 offending key.  A config is checked whole as it loads, so every command
-rejects the same configs; only check names, which `checks` owns, and the
-contents of a field CSV wait for their command.
+rejects the same configs: each charge and defect request is held to the
+rules its command applies (`defect.check_charge`, `defect.check_sweep`), and
+each defect's operator and move are built here once.  Only check names,
+which `checks` owns, and the contents of a field CSV wait for their command.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from . import algebra as alg
 from .calculus import (
     COMPLEX_PAIR, DEFAULT_SOLVER_TOL, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, solve_free,
 )
+from .defect import DefectMove, DefectOperator, check_charge, check_sweep
 from .errors import ConfigError, DomainError, FormlabError, parse_number
 from .graded import GroupoidRep
-from .mesh import Chain, CubicalComplex, named_cycle
+from .mesh import Chain, Cobordism, CubicalComplex, named_cycle
 
 DEFAULT_TOLERANCES = {
     "check": 1e-12,
@@ -51,9 +54,9 @@ class Scenario:
     seed: int
     base_dir: Path = field(default_factory=Path)
     config_digest: str = ""
-    # per charge its support; per defect its support, filling and charged support
+    # per charge its support; per defect its DefectMove and charged support
     charge_chains: list = field(default_factory=list)
-    defect_chains: list = field(default_factory=list)
+    defect_moves: list = field(default_factory=list)
 
 
 def load_scenario(path) -> Scenario:
@@ -314,15 +317,27 @@ def _resolve_requests(scenario: Scenario) -> None:
         charged["degree"] = parse_number(
             int, charged.get("degree", req["degree"]), f"defect request {i}: 'charged.degree'"
         )
-    if scenario.complex is not None:
-        scenario.charge_chains = [resolve_chain(scenario, req["support"]) for req in scenario.charges]
-        scenario.defect_chains = [
-            tuple(
-                resolve_chain(scenario, spec)
-                for spec in (req["support"], req["move"]["filling"], req["charged"]["support"])
-            )
-            for req in scenario.defects
-        ]
+    if scenario.complex is None:
+        return
+    for i, req in enumerate(scenario.charges):
+        support = resolve_chain(scenario, req["support"])
+        try:
+            check_charge(req["kind"], scenario.field_degree, support)
+        except FormlabError as exc:
+            raise ConfigError(f"charge request {i}: {exc}") from exc
+        scenario.charge_chains.append(support)
+    for i, req in enumerate(scenario.defects):
+        support, filling, charged = (
+            resolve_chain(scenario, spec)
+            for spec in (req["support"], req["move"]["filling"], req["charged"]["support"])
+        )
+        try:
+            operator = DefectOperator(scenario.group_elements[req["g"]], req["degree"], support)
+            move = DefectMove(operator, Cobordism(scenario.complex, filling, support))
+            check_sweep(move, req["charged"]["degree"], charged, scenario.field_degree)
+        except FormlabError as exc:
+            raise ConfigError(f"defect request {i}: {exc}") from exc
+        scenario.defect_moves.append((move, charged))
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:

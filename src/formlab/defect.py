@@ -11,17 +11,23 @@ Supported geometry: the sweep region must be complementary to the charged
 support, i.e. defects of dimension q = d - p - 1 with q >= p >= 1 acting on
 p-dimensional charged operators (on the meshes shipped here: d = 3 with
 p = q = 1).  Anything else raises GeometryError.
+
+The charges integrate the field strength d psi ('eom', over a 2-chain) and
+its dual star d psi ('trivial', over a 1-cycle); `d` and `star` keep their
+result on the field, so every charge of one field shares one of each.  The
+rules of a charge or defect request that need no field values
+(`check_charge`, `check_sweep`) are what config loading checks, so every
+command rejects the same requests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import GroupElement
-from .calculus import Cochain, apply_fiber_map, d, inner, integrate, max_norm, star
+from .calculus import Cochain, action, apply_fiber_map, d, eom_residual, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
 from .graded import GroupoidRep, generator_shift, is_degree
 from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
@@ -37,15 +43,19 @@ class ChargedOperator:
     observable: object = field(init=False)
 
     def __post_init__(self):
-        if not is_degree(self.degree):
-            raise DegreeError(f"charged-operator degree must be 0 or 1, got {self.degree}")
         if self.field.complex is not self.support.complex:
             raise DomainError("field and support must live on the same complex")
-        if self.field.degree != self.support.degree:
-            raise DomainError("field degree must match the support degree")
-        if not is_cycle(self.support):
-            raise DomainError("charged-operator supports must be cycles")
+        _check_charged(self.degree, self.support, self.field.degree)
         object.__setattr__(self, "observable", integrate(self.field, self.support))
+
+
+def _check_charged(degree: int, support: Chain, field_degree: int) -> None:
+    if not is_degree(degree):
+        raise DegreeError(f"charged-operator degree must be 0 or 1, got {degree}")
+    if field_degree != support.degree:
+        raise DomainError("field degree must match the support degree")
+    if not is_cycle(support):
+        raise DomainError("charged-operator supports must be cycles")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,66 +100,54 @@ def apply_defect(
     """
     if move.operator is not defect:
         raise DomainError("the move must belong to the defect being applied")
-    if defect.degree != charged.degree:
-        raise DegreeError(
-            f"a degree-{defect.degree} defect cannot act on a "
-            f"degree-{charged.degree} charged operator"
-        )
-    cx = charged.support.complex
-    if defect.support.complex is not cx:
-        raise DomainError("defect and charged operator must share a complex")
-    p = charged.support.degree
-    q = defect.support.degree
-    if q != cx.d - p - 1 or not q >= p >= 1:
-        raise GeometryError(
-            f"unsupported defect geometry: p={p}, q={q} on a {cx.d}-dimensional mesh"
-        )
+    _check_crossing(defect, charged.degree, charged.support)
     crossings = intersection_number(charged.support, move.cobordism.filling)
     if crossings == 0:
         return charged
-    matrix = np.linalg.matrix_power(rep.matrix(defect.g), crossings)
+    # a negative crossing acts by the group's exact inverse, not by a LAPACK
+    # inverse of its matrix
+    g = defect.g if crossings > 0 else defect.g.inverse()
+    matrix = np.linalg.matrix_power(rep.matrix(g), abs(crossings))
     new_field = apply_fiber_map(charged.field, matrix)
     flip = crossings % 2 * generator_shift(defect.g)
     return ChargedOperator(charged.support, new_field, charged.degree ^ flip)
 
 
-class FieldStrength:
-    """The field strength d psi of a field and its Hodge dual star d psi, each
-    computed on first use and then shared by every charge taken from them."""
+def _check_crossing(defect: DefectOperator, degree: int, support: Chain) -> None:
+    if defect.degree != degree:
+        raise DegreeError(
+            f"a degree-{defect.degree} defect cannot act on a degree-{degree} charged operator"
+        )
+    cx = support.complex
+    if defect.support.complex is not cx:
+        raise DomainError("defect and charged operator must share a complex")
+    p = support.degree
+    q = defect.support.degree
+    if q != cx.d - p - 1 or not q >= p >= 1:
+        raise GeometryError(
+            f"unsupported defect geometry: p={p}, q={q} on a {cx.d}-dimensional mesh"
+        )
 
-    def __init__(self, psi: Cochain):
-        self.psi = psi
 
-    @cached_property
-    def dpsi(self) -> Cochain:
-        return d(self.psi)
-
-    @cached_property
-    def star_dpsi(self) -> Cochain:
-        return star(self.dpsi)
-
-    def charge(self, kind: str, support: Chain):
-        """The 'eom' charge (d psi over a 2-chain) or the 'trivial' charge
-        (star d psi over a 1-cycle) of the field."""
-        if kind == "eom":
-            _check_charge_args(self.psi, support, 2)
-            return integrate(self.dpsi, support)
-        _check_charge_args(self.psi, support, 1)
-        if not is_cycle(support):
-            raise DomainError("the trivial charge needs a 1-cycle support")
-        return integrate(self.star_dpsi, support)
+def check_sweep(move: DefectMove, degree: int, support: Chain, field_degree: int) -> None:
+    """Raise unless `apply_defect` can sweep the move's defect past a charged
+    operator of this degree and support, on a field of field_degree."""
+    _check_charged(degree, support, field_degree)
+    _check_crossing(move.operator, degree, support)
 
 
 def charge_eom(psi: Cochain, sigma2: Chain):
     """Charge of the dynamical current: the field strength integrated over a
     2-chain; depends only on the homology class (exactly, for any field)."""
-    return FieldStrength(psi).charge("eom", sigma2)
+    check_charge("eom", psi.degree, sigma2)
+    return integrate(d(psi), sigma2)
 
 
 def charge_trivial(psi: Cochain, sigma1: Chain):
     """Charge of the trivial current: star of the field strength integrated
     over a 1-cycle; homologous supports agree on shell."""
-    return FieldStrength(psi).charge("trivial", sigma1)
+    check_charge("trivial", psi.degree, sigma1)
+    return integrate(star(d(psi)), sigma1)
 
 
 def charges_apply(psi: Cochain) -> bool:
@@ -159,17 +157,23 @@ def charges_apply(psi: Cochain) -> bool:
     return cx.d == 3 and cx.topology == "torus" and psi.degree == 1
 
 
-def _check_charge_args(psi: Cochain, sigma: Chain, sigma_degree: int):
-    if psi.complex.d != 3:
+def check_charge(kind: str, field_degree: int, support: Chain) -> None:
+    """Raise unless a charge of this kind can be taken over the support from a
+    field of field_degree: a 1-form on a 3-dimensional mesh, and a degree-2
+    support for 'eom' or a 1-cycle on a torus for 'trivial'."""
+    cx = support.complex
+    if cx.d != 3:
         raise DomainError("charges are defined on 3-dimensional meshes")
-    if psi.degree != 1:
-        raise DomainError(f"charges need a 1-form field, got degree {psi.degree}")
-    if sigma.degree != sigma_degree:
-        raise DomainError(
-            f"expected a degree-{sigma_degree} chain, got degree {sigma.degree}"
-        )
-    if sigma.complex is not psi.complex:
-        raise DomainError("field and support must live on the same complex")
+    if field_degree != 1:
+        raise DomainError(f"charges need a 1-form field, got degree {field_degree}")
+    want = 2 if kind == "eom" else 1
+    if support.degree != want:
+        raise DomainError(f"expected a degree-{want} chain, got degree {support.degree}")
+    if kind == "trivial":
+        if not is_cycle(support):
+            raise DomainError("the trivial charge needs a 1-cycle support")
+        if cx.topology != "torus":
+            raise GeometryError("the trivial charge needs the Hodge star, which only tori have")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,24 +188,19 @@ class ConservationReport:
 
 def conservation_report(psi: Cochain) -> ConservationReport:
     """Report d(d psi) and d star d psi max-norms, the action, and sample
-    charges over the coordinate planes and axis loops (3d, 1-form fields).
-
-    d psi is computed once, and star d psi once on a torus."""
+    charges over the coordinate planes and axis loops (3d, 1-form fields)."""
     cx = psi.complex
     if psi.degree >= cx.d:
         return ConservationReport(None, None, None)
-    strength = FieldStrength(psi)
-    dpsi = strength.dpsi
-    trivial = max_norm(d(dpsi)) if psi.degree + 2 <= cx.d else None
+    trivial = max_norm(d(d(psi))) if psi.degree + 2 <= cx.d else None
     # the residual d star d psi needs the reindexing star, which only exists on tori
-    dynamical = max_norm(d(strength.star_dpsi)) if cx.topology == "torus" else None
-    act = inner(dpsi, dpsi).real
+    dynamical = max_norm(eom_residual(psi)) if cx.topology == "torus" else None
     charges = {}
     if charges_apply(psi):
         for axis in range(3):
             plane = named_cycle(cx, {"kind": "plane", "normal": axis, "offset": 0})
-            charges[f"q_eom_plane_normal{axis}"] = strength.charge("eom", plane)
+            charges[f"q_eom_plane_normal{axis}"] = charge_eom(psi, plane)
             offsets = [0] * (cx.d - 1)
             loop = named_cycle(cx, {"kind": "loop", "axis": axis, "offsets": offsets})
-            charges[f"q_trivial_loop_axis{axis}"] = strength.charge("trivial", loop)
-    return ConservationReport(trivial, dynamical, act, charges)
+            charges[f"q_trivial_loop_axis{axis}"] = charge_trivial(psi, loop)
+    return ConservationReport(trivial, dynamical, action(psi), charges)

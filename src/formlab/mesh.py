@@ -462,7 +462,8 @@ class Cobordism:
     target: Chain = field(init=False)
 
     def __post_init__(self):
-        # the sum raises DomainError unless the filling is one degree above the source
+        if self.filling.degree != self.source.degree + 1:
+            raise DomainError("a cobordism's filling must lie one degree above its source")
         object.__setattr__(self, "target", self.source + boundary(self.filling))
 
 

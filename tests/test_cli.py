@@ -247,10 +247,16 @@ def test_every_command_runs_the_combined_config(tmp_path, capsys, command):
         lambda c: c["defects"][0].update(support={"kind": "nope"}),
         lambda c: c["defects"][0]["support"].update(axis=9),
         lambda c: c["charges"][1]["support"].update(normal=7),
+        # chains that resolve but that the charges or defect command cannot use
+        lambda c: c["charges"][1].update(support={"kind": "loop", "axis": 0, "offsets": [0, 0]}),
+        lambda c: c["charges"][2].update(support={"kind": "cells", "items": [{"degree": 1, "base": [0, 0, 0], "axes": [0]}]}),
+        lambda c: c["defects"][0].update(support={"kind": "plane", "normal": 0, "offset": 0}),
+        lambda c: c["defects"][0]["charged"].update(degree=1),
     ],
     ids=[
         "degree", "stddev", "init", "seed", "cells", "fixed", "source", "csv",
         "defect_kind", "loop_axis", "plane_normal",
+        "eom_on_a_loop", "trivial_off_a_cycle", "defect_on_a_plane", "charged_parity",
     ],
 )
 def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, command, edit):
@@ -308,6 +314,52 @@ def test_each_chain_spec_resolves_once_per_run(tmp_path, monkeypatch, command, c
     monkeypatch.setattr(formlab.config, "named_cycle", counted)
     assert main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "report.json")]) == 0
     assert calls == specs
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("check", "so3_check.json"),
+        ("check", "u2_check.json"),
+        ("solve", "solve_so3.json"),
+        ("charges", "u2_charges.json"),
+    ],
+)
+def test_each_command_forms_the_field_strength_once(tmp_path, monkeypatch, command, config):
+    # every cochain that d, star and build_field return is kept, so each new
+    # result is a distinct object: the field's d psi and star d psi must each
+    # be formed once, however many checks, charges and reports read them
+    import formlab.calculus
+    import formlab.checks  # bound before patching, so that undo restores it too
+
+    originals = {
+        "d": formlab.calculus.d, "star": formlab.calculus.star, "build_field": formlab.config.build_field,
+    }
+    made = {name: [] for name in originals}
+
+    def recorded(name):
+        def call(*args):
+            made[name].append(originals[name](*args))
+            return made[name][-1]
+
+        return call
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("formlab."):
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, recorded(name))
+    assert main([command, str(CONFIG_DIR / config), "--out", str(tmp_path / "report.json")]) in (0, 1)
+    monkeypatch.undo()
+    (field,) = made["build_field"]
+    dpsi = formlab.calculus.d(Cochain(field.complex, field.degree, field.fiber, field.values))
+    star_dpsi = formlab.calculus.star(dpsi)
+    for name, reference in (("d", dpsi), ("star", star_dpsi)):
+        formed = {
+            id(c) for c in made[name]
+            if c.degree == reference.degree and np.array_equal(c.values, reference.values)
+        }
+        assert len(formed) == 1, (name, len(formed))
 
 
 def test_exit_two_on_config_errors(tmp_path, capsys):

@@ -16,6 +16,7 @@ from formlab import (
     GroupoidRep,
     algebra_fiber,
     apply_defect,
+    apply_fiber_map,
     boundary,
     charge_eom,
     charge_trivial,
@@ -214,6 +215,9 @@ def test_sweep_forward_then_backward_restores(rng, torus444):
     restored = apply_defect(back_defect, swept, back_move, SO3_REP)
     assert restored.degree == 0
     assert np.max(np.abs(restored.observable - op.observable)) <= 1e-12
+    # the -1 crossing acts by the group's exact inverse, not by a matrix inverse
+    inverse = apply_fiber_map(swept.field, SO3_REP.matrix(g.inverse()))
+    assert np.array_equal(restored.field.values, inverse.values)
 
 
 def test_identity_defect_never_flips_degree(rng, torus444):
