@@ -6,9 +6,9 @@ transpose of the integer boundary incidence, applied as signed shift maps on
 the mesh's block grids (`CubicalComplex.add_coboundary`), the Hodge star is
 diagonal (dual/primal volume ratio times the axis-permutation sign), and the
 inner product weights every cell by star factor times primal volume.  The
-free-field solver is a matrix-free conjugate-gradient iteration on the same
-shift maps.  On a torus it is preconditioned by the operator's
-pseudo-inverse, read off the operator's own symbol by FFTs
+free-field solver runs one matrix-free conjugate-gradient recurrence per
+component row, on the same shift maps.  On a torus it is preconditioned by
+the operator's pseudo-inverse, read off the operator's own symbol by FFTs
 (`_torus_preconditioner`), and stops in about 2k + 1 steps for k fixed
 cells; a box, or a torus too ill-conditioned for that, runs plain
 conjugate gradients.  Either way the solution is the one orthogonal to the
@@ -75,6 +75,17 @@ def algebra_fiber(algebra: LieAlgebra) -> FiberSpec:
     return FiberSpec("algebra", algebra)
 
 
+def _fiber_array(fiber: FiberSpec, values) -> np.ndarray:
+    """A C-ordered copy in the fiber's dtype, so that a complex row views as its
+    (re, im) float pairs; a real fiber refuses nonzero imaginary parts."""
+    values = np.asarray(values)
+    if not fiber.is_complex and np.iscomplexobj(values):
+        if np.any(values.imag != 0):
+            raise DomainError("a real fiber cannot hold values with nonzero imaginary parts")
+        values = values.real
+    return np.array(values, dtype=fiber.dtype, order="C")
+
+
 class Cochain:
     """A degree-p assignment of fiber values to the p-cells of a complex."""
 
@@ -83,8 +94,7 @@ class Cochain:
 
     def __init__(self, complex: CubicalComplex, degree: int, fiber: FiberSpec, values):
         n = complex.cell_count(degree)
-        # C order, so that a complex row views as its (re, im) float pairs
-        values = np.array(values, dtype=fiber.dtype, order="C")
+        values = _fiber_array(fiber, values)
         if values.ndim == 1 and fiber.components == 1:
             values = values.reshape(n, 1)
         if values.shape != (n, fiber.components):
@@ -230,14 +240,10 @@ def action(psi: Cochain) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def apply_fiber_map(psi: Cochain, matrix: np.ndarray) -> Cochain:
     """Apply a linear map to the fiber index of every cell value."""
-    matrix = np.asarray(matrix)
+    matrix = _fiber_array(psi.fiber, matrix)
     k = psi.fiber.components
     if matrix.shape != (k, k):
         raise DomainError(f"fiber map must be {k}x{k}, got {matrix.shape}")
-    if not psi.fiber.is_complex and np.iscomplexobj(matrix):
-        if np.max(np.abs(matrix.imag)) > 0:
-            raise DomainError("complex fiber map applied to a real fiber")
-        matrix = matrix.real
     return psi.with_values(psi.values @ matrix.T)
 
 
@@ -250,99 +256,63 @@ def eom_residual(psi: Cochain) -> Cochain:
     return d(star(d(psi)))
 
 
-def _lockstep_cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m) -> np.ndarray:
-    """Conjugate gradients from zero for every row of b at once.
+def _cg(apply_k, b: np.ndarray, tol: float, maxiter: int, apply_m) -> np.ndarray:
+    """Conjugate gradients from zero for K x = b on one row b.
 
-    Each row keeps its own recurrence (alpha, beta and the stop test
-    ||r||_2 <= 1e-13 ||b||_2) and leaves the block once it stops; the rows
-    still running share one operator application per step.  A zero row
-    gives exact zeros.  Raises SolverError for any row whose max-norm
-    residual exceeds tol * (1 + max|b|).  A row also leaves once r.Mr <=
-    1e-12 (r0.Mr0 / r0.r0) r.r: its residual then lies in M's null space,
-    the kernel of K, so its source is incompatible and that test fails it
-    with the residual it has.
-
-    apply_k(x, out) writes K x into out.  apply_m(r, scratch, out), unless
-    None, writes M r into out for a symmetric positive semidefinite
-    preconditioner M, free to use scratch; the stop test stays on the
-    unpreconditioned residual r.  Buffers are reused: each step writes K p
-    into one scratch block of b's shape (and M r into a second), used
-    through its leading rows as the block shrinks, and once alpha is known
-    the same rows take the alpha-scaled updates of r and x.  No step
-    allocates a block; only a step where rows leave copies the rows kept.
-    Row dot products are formed in a third scratch block and summed by
-    np.add.reduce, each row on its own, so that a row's result never depends
-    on the rows beside it (einsum's buffered sums do, past 8192 entries).
+    Stops once ||r||_2 <= 1e-13 ||b||_2 (at once, with exact zeros, for a
+    zero b), or once r.Mr <= 1e-12 (r0.Mr0 / r0.r0) r.r: r then lies in M's
+    null space, K's kernel, so the source is incompatible.  Raises
+    SolverError if max|K x - b| exceeds tol * (1 + max|b|).  apply_k(x)
+    returns K x; apply_m(r), unless None, returns M r for a symmetric
+    positive semidefinite M, and the stop test stays on the
+    unpreconditioned residual r.  Runs under solve_free's error state.
     """
-    x = np.zeros_like(b)
-    b_norm = np.max(np.abs(b), axis=1)
-    live = np.flatnonzero(b_norm > 0.0)
-    if not live.size:
-        return x
-    kx = np.empty(b.shape)
-    mr = None if apply_m is None else np.empty(b.shape)
-    # dot's products, C-ordered whatever the layout of its arguments
-    products = np.empty(b.shape)
 
     def dot(u, v):
-        return np.add.reduce(np.multiply(u, v, out=products[: len(u)]), axis=1)
+        return np.add.reduce(u * v)
 
-    xs, r, p = np.zeros((live.size, b.shape[1])), b[live], None
+    x, r, p, steps = np.zeros_like(b), b.copy(), None, 0
     stop = 1e-13 * np.sqrt(dot(r, r))
-    steps = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(maxiter):
-            rho = dot(r, r)
-            # a nan residual (breakdown on an incompatible source) never
-            # converges: stop that row too and let the residual test fail it
-            done = ~(np.sqrt(rho) > stop)
-            if done.any():
-                x[live[done]] = xs[done]
-                keep = ~done
-                live, xs, r, rho, stop = live[keep], xs[keep], r[keep], rho[keep], stop[keep]
-                if p is not None:
-                    p, rho_prev, floor = p[keep], rho_prev[keep], floor[keep]
-                if not live.size:
-                    break
-            z, rz = r, rho
-            if apply_m is not None:
-                z = apply_m(r, kx[: live.size], mr[: live.size])
-                rz = dot(r, z)
-            if p is None:
-                floor = 1e-12 * rz / rho
-                p = z.copy()
-            else:
-                p *= (rz / rho_prev)[:, None]
-                p += z
-            # below the floor r lies in M's null space, K's kernel: the row
-            # takes no step and leaves at the next stop test
-            null = rz <= floor * rho
-            stop[null] = np.inf
-            q = apply_k(p, kx[: live.size])
-            alpha = (rz / dot(p, q))[:, None]
-            alpha[null] = 0.0
-            r -= np.multiply(alpha, q, out=q)
-            xs += np.multiply(alpha, p, out=q)
-            rho_prev = rz
-            steps += 1
-        x[live] = xs
-        # the residual of a broken-down row is nan too
-        residual = np.max(np.abs(apply_k(x, kx) - b), axis=1)
-    bound = tol * (1.0 + b_norm)
+    for _ in range(maxiter):
+        rho = dot(r, r)
+        # a nan residual (breakdown on an incompatible source) never
+        # converges: stop and let the residual test fail it
+        if not np.sqrt(rho) > stop:
+            break
+        z = r if apply_m is None else apply_m(r)
+        rz = rho if apply_m is None else dot(r, z)
+        if p is None:
+            floor = 1e-12 * rz / rho
+            p = z.copy()
+        else:
+            p *= rz / rho_prev
+            p += z
+        # below the floor r lies in M's null space, K's kernel: take no
+        # step and stop at the next stop test
+        null = rz <= floor * rho
+        if null:
+            stop = np.inf
+        q = apply_k(p)
+        alpha = 0.0 if null else rz / dot(p, q)
+        r -= alpha * q
+        x += alpha * p
+        rho_prev = rz
+        steps += 1
+    # the residual of a broken-down iteration is nan too
+    residual = np.max(np.abs(apply_k(x) - b))
+    bound = tol * (1.0 + np.max(np.abs(b)))
     # written so that a nan residual also fails
-    bad = np.flatnonzero(~(residual <= bound))
-    if bad.size:
-        i = bad[0]
+    if not residual <= bound:
         raise SolverError(
-            f"linear solve did not reach tolerance: residual {residual[i]:.3e} "
-            f"(tolerance {bound[i]:.3e}, {steps} iterations); "
+            f"linear solve did not reach tolerance: residual {residual:.3e} "
+            f"(tolerance {bound:.3e}, {steps} iterations); "
             "the source may be incompatible"
         )
     return x
 
 
 def _torus_preconditioner(cx: CubicalComplex, degree: int, fixed_idx):
-    """apply_m(r, scratch, out) for M = E_f K^+ E_f on a torus, or None.
+    """apply_m(r) for M = E_f K^+ E_f on a torus, or None.
 
     E_f zeroes the fixed rows, and K^+ is the pseudo-inverse of the
     free-field operator K = d^T W d (W the star factors of degree p+1).
@@ -352,9 +322,8 @@ def _torus_preconditioner(cx: CubicalComplex, degree: int, fixed_idx):
     form an exact (Koszul) complex, P = I - C(d-1, p) E^H E / tr(E^H E) is
     the kernel projector of K(xi), free of spacings (I at xi = 0), and
     K^+ = (K + cP)^-1 - P / c for c = tr K / C(d-1, p).  PCG from zero
-    keeps the solution orthogonal to the kernel, as plain CG does.  Rows
-    are transformed one by one, so none depends on the rows beside it.
-    None where max|K(xi)| max|K^+(xi)| is not <= 1e12: K^+ is then not
+    keeps the solution orthogonal to the kernel, as plain CG does.  None
+    where max|K(xi)| max|K^+(xi)| is not <= 1e12: K^+ is then not
     exact in double precision, and the solve runs plain CG, as a box does.
     """
     shape, m, grid = cx.shape, len(cx.axis_subsets(degree)), math.prod(cx.shape)
@@ -394,19 +363,21 @@ def _torus_preconditioner(cx: CubicalComplex, degree: int, fixed_idx):
         if not np.abs(k).max() * np.abs(g).max() <= 1e12:
             return None
 
-    def apply_m(r, scratch, out):
-        np.copyto(scratch, r)
-        scratch[:, fixed_idx] = 0.0
-        # on a torus each block of a row is one grid of the mesh's shape
-        for row, dest in zip(scratch.reshape(-1, m, *shape), out.reshape(-1, m, *shape)):
-            f = np.einsum("ij...,j...->i...", g, np.fft.rfftn(row, axes=axes))
-            dest[...] = np.fft.irfftn(f, s=shape, axes=axes)
-        out[:, fixed_idx] = 0.0
+    def apply_m(r):
+        r = r.copy()
+        r[fixed_idx] = 0.0
+        # on a torus each block of r is one grid of the mesh's shape
+        f = np.einsum("ij...,j...->i...", g, np.fft.rfftn(r.reshape(m, *shape), axes=axes))
+        out = np.fft.irfftn(f, s=shape, axes=axes).reshape(-1)
+        out[fixed_idx] = 0.0
         return out
 
     return apply_m
 
 
+# extreme values or spacings can overflow the source's sums and K; the mean
+# and residual tests fail what overflows, with no numpy warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_free(
     complex: CubicalComplex,
     fiber: FiberSpec,
@@ -416,87 +387,75 @@ def solve_free(
     source: Cochain | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
 ) -> Cochain:
-    """Solve the free equation of motion K psi = rho for all components at once.
+    """Solve the free equation of motion K psi = rho, one component row at a time.
 
     Args:
         fixed: optional mapping {cell index: fiber value} of Dirichlet
-            constraints, reproduced exactly in the output.
-        source: optional cochain rho; solves K psi = rho.  rho must be
-            orthogonal to the kernel of K (for 0-forms: zero mean per
-            component), otherwise SolverError.
+            constraints, reproduced exactly in the output; an index outside
+            [0, n) or a value of another size is a DomainError.
+        source: optional cochain rho of the solved complex, degree and
+            fiber; solves K psi = rho.  rho must be orthogonal to the kernel
+            of K (for 0-forms: zero mean per component), otherwise
+            SolverError.
         tol: max-norm tolerance on the linear residual.
 
-    One conjugate-gradient iteration runs over a block with one row per
-    component (two on complex fibers: real and imaginary parts), each row
-    with its own recurrence.  Every row starts from zero, which fixes the
-    gauge: the solution is orthogonal to the kernel of K.  On a torus the
-    iteration is preconditioned by `_torus_preconditioner`, which keeps that
-    solution at any spacings, unless they leave K too ill-conditioned for
-    its exact pseudo-inverse; then the solve runs plain CG, as a box does.
+    Each component (each real and imaginary part on complex fibers) is one
+    row, solved by its own conjugate-gradient recurrence (`_cg`) from zero,
+    which fixes the gauge: the solution is orthogonal to the kernel of K.
+    On a torus the iteration is preconditioned by `_torus_preconditioner`,
+    which keeps that solution at any spacings, unless they leave K too
+    ill-conditioned for its exact pseudo-inverse; then the solve runs plain
+    CG, as a box does.
     """
     if degree >= complex.d:
         raise DomainError("no free-field operator at top degree")
     n = complex.cell_count(degree)
     comps = fiber.components
-    rhs = np.zeros((n, comps), dtype=fiber.dtype)
-    if source is not None:
-        if source.complex is not complex or source.degree != degree:
-            raise DomainError("source must be a cochain of the solved degree")
-        rhs = rhs + source.values
+    if source is not None and (source.complex, source.degree, source.fiber) != (complex, degree, fiber):
+        raise DomainError("source must be a cochain of the solved complex, degree and fiber")
+    rhs = np.zeros((n, comps), dtype=fiber.dtype) if source is None else source.values
 
     fixed = fixed or {}
     fixed_idx = np.array([int(key) for key in fixed], dtype=np.int64)
-    fixed_vals = [np.asarray(value, dtype=fiber.dtype).reshape(comps) for value in fixed.values()]
-    fixed_arr = np.asarray(fixed_vals, dtype=fiber.dtype).reshape(-1, comps)
-    if degree == 0 and not fixed_idx.size:
-        means = np.abs(rhs.sum(axis=0))
-        if np.any(means > tol * n):
-            raise SolverError(
-                "incompatible source: 0-form source must have zero mean per component"
-            )
-
-    def rows(values):
-        # one row per float of a value: a complex component is its (re, im) pair
-        return values.view(np.float64).T
+    fixed_vals = [_fiber_array(fiber, value) for value in fixed.values()]
+    if np.any((fixed_idx < 0) | (fixed_idx >= n)) or any(value.size != comps for value in fixed_vals):
+        raise DomainError(f"fixed cells need indices in [0, {n}) and values of {comps} components")
+    fixed_arr = np.array([value.reshape(comps) for value in fixed_vals], dtype=fiber.dtype).reshape(-1, comps)
+    if degree == 0 and not fixed_idx.size and np.any(np.abs(rhs.sum(axis=0)) > tol * n):
+        raise SolverError("incompatible source: 0-form source must have zero mean per component")
 
     w = complex.star_factors(degree + 1)
-    block_rows = comps * (2 if fiber.is_complex else 1)
-    # d x for up to every row, reused by each operator application
-    dx_block = np.empty((block_rows, complex.cell_count(degree + 1)))
 
-    def apply_k(x, out):
-        # K x = d^T(w * d x), with K psi = 0 equivalent to d star d psi = 0
-        # on a torus; zeroing the fixed rows keeps a block that is zero there
-        # so, which restricts K to the free cells
-        dx = dx_block[: len(x)]
-        dx.fill(0.0)
+    def apply_k(x):
+        # K x = d^T(w * d x) on the last axis of x, with K psi = 0 equivalent
+        # to d star d psi = 0 on a torus; zeroing the fixed cells keeps x zero
+        # there, which restricts K to the free cells
+        dx = np.zeros(x.shape[:-1] + (len(w),))
         complex.add_coboundary(degree, x, dx)
         dx *= w
-        out.fill(0.0)
+        out = np.zeros(x.shape)
         complex.add_coboundary(degree, dx, out, transpose=True)
-        out[:, fixed_idx] = 0.0
+        out[..., fixed_idx] = 0.0
         return out
 
     boundary_values = np.zeros((n, comps), dtype=fiber.dtype)
     boundary_values[fixed_idx] = fixed_arr
     apply_m = _torus_preconditioner(complex, degree, fixed_idx) if complex.topology == "torus" else None
-    # extreme spacings can overflow K; the residual test fails what overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = rows(rhs) - apply_k(rows(boundary_values), np.empty((block_rows, n)))
-        b[:, fixed_idx] = 0.0
-        # K is symmetric, so a right-hand side in its kernel cannot be in its
-        # range: fail fast instead of letting the iteration break down.  On
-        # the kernel K b is rounding, at most about eps * max(w) * max|b|, so
-        # the test scales with the star factors as K does
-        b_norm = np.max(np.abs(b), axis=1)
-        live = b_norm > 0.0
-        kb_norm = np.max(np.abs(apply_k(b[live], np.empty((np.count_nonzero(live), n)))), axis=1)
-        if np.any(kb_norm / w.max() <= 1e-14 * b_norm[live]):
-            raise SolverError(
-                "the source lies in the kernel of the operator to rounding: it is incompatible, "
-                "or the spacings leave the operator too ill-conditioned to solve"
-            )
-        x = _lockstep_cg(apply_k, b, tol, 10 * n + 100, apply_m)
+    # one row per float of a value: a complex component is its (re, im) pair
+    b = rhs.view(np.float64).T - apply_k(boundary_values.view(np.float64).T)
+    b[:, fixed_idx] = 0.0
+    # K is symmetric, so a right-hand side in its kernel cannot be in its
+    # range: fail fast instead of letting the iteration break down.  On the
+    # kernel K b is rounding, at most about eps * max(w) * max|b|, so the
+    # test scales with the star factors as K does
+    b_norm = np.max(np.abs(b), axis=1)
+    kb_norm = np.max(np.abs(apply_k(b)), axis=1)
+    if np.any((kb_norm / w.max() <= 1e-14 * b_norm) & (b_norm > 0.0)):
+        raise SolverError(
+            "the source lies in the kernel of the operator to rounding: it is incompatible, "
+            "or the spacings leave the operator too ill-conditioned to solve"
+        )
+    x = np.array([_cg(apply_k, row, tol, 10 * n + 100, apply_m) for row in b])
 
     out = np.ascontiguousarray(x.T).view(fiber.dtype)
     out[fixed_idx] = fixed_arr

@@ -168,14 +168,17 @@ def test_solve_command_reports_residuals(tmp_path, capsys):
     assert results["action"] >= 0.0
 
 
-def test_solve_command_writes_field_csv(tmp_path, capsys):
+@pytest.mark.parametrize("topology", ["torus", "box"])
+def test_solve_command_writes_field_csv(tmp_path, capsys, topology):
+    # a box solve runs plain CG; a torus solve is preconditioned
+    cfg = json.loads((CONFIG_DIR / "solve_so3.json").read_text())
+    cfg["mesh"]["topology"] = topology
     out_csv = tmp_path / "field.csv"
-    code = main(
-        ["solve", str(CONFIG_DIR / "solve_so3.json"), "--field-csv", str(out_csv), "--out", str(tmp_path / "r.json")]
-    )
+    code = main(["solve", write_config(tmp_path, cfg), "--field-csv", str(out_csv), "--out", str(tmp_path / "r.json")])
     assert code == 0
+    assert capsys.readouterr().err == ""
     lines = out_csv.read_text().splitlines()
-    cx = CubicalComplex([6, 6, 6])
+    cx = CubicalComplex([6, 6, 6], topology=topology)
     assert len(lines) == 1 + cx.cell_count(1) * 3
 
 
