@@ -10,11 +10,11 @@ Coefficient vectors are always real; for u(2) the basis is anti-hermitian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._records import record
 from .errors import ConfigError, DomainError
 
 UNITARITY_TOL = 1e-12
@@ -31,7 +31,7 @@ for _eye in _IDENTITY_MATRIX.values():
     _eye.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class LieAlgebra:
     """A concrete matrix Lie algebra with a fixed orthonormal generator basis."""
 
@@ -68,7 +68,7 @@ class LieAlgebra:
         return AlgebraElement(self, coeffs, matrix)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class AlgebraElement:
     """An algebra element as real coefficients over the generator basis."""
 
@@ -81,7 +81,7 @@ class AlgebraElement:
         self.matrix.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class GroupElement:
     """An orthogonal/unitary matrix, validated once where it enters: the
     public constructor checks it; products, inverses and identity() come

@@ -26,10 +26,10 @@ would break the CLI's contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import record
 from .algebra import LieAlgebra
 from .errors import DomainError, GeometryError, SolverError
 from .mesh import Chain, CubicalComplex
@@ -37,7 +37,7 @@ from .mesh import Chain, CubicalComplex
 DEFAULT_SOLVER_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiberSpec:
     """What a cochain's values are: scalars, C^2 pairs, or algebra elements."""
 
@@ -78,7 +78,10 @@ def algebra_fiber(algebra: LieAlgebra) -> FiberSpec:
 def _fiber_array(fiber: FiberSpec, values) -> np.ndarray:
     """A C-ordered copy in the fiber's dtype, so that a complex row views as its
     (re, im) float pairs; a real fiber refuses nonzero imaginary parts."""
-    values = np.asarray(values)
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting such as [[1.0], [0.0, 0.0]]
+        raise DomainError(f"fiber values must form a regular array: {exc}") from None
     if not fiber.is_complex and np.iscomplexobj(values):
         if np.any(values.imag != 0):
             raise DomainError("a real fiber cannot hold values with nonzero imaginary parts")
@@ -391,8 +394,9 @@ def solve_free(
 
     Args:
         fixed: optional mapping {cell index: fiber value} of Dirichlet
-            constraints, reproduced exactly in the output; an index outside
-            [0, n) or a value of another size is a DomainError.
+            constraints, reproduced exactly in the output; an index that is
+            not an integer in [0, n), such as a float or a bool, or a value
+            of another size is a DomainError.
         source: optional cochain rho of the solved complex, degree and
             fiber; solves K psi = rho.  rho must be orthogonal to the kernel
             of K (for 0-forms: zero mean per component), otherwise
@@ -416,10 +420,14 @@ def solve_free(
     rhs = np.zeros((n, comps), dtype=fiber.dtype) if source is None else source.values
 
     fixed = fixed or {}
-    fixed_idx = np.array([int(key) for key in fixed], dtype=np.int64)
     fixed_vals = [_fiber_array(fiber, value) for value in fixed.values()]
-    if np.any((fixed_idx < 0) | (fixed_idx >= n)) or any(value.size != comps for value in fixed_vals):
-        raise DomainError(f"fixed cells need indices in [0, {n}) and values of {comps} components")
+    # an index is an integer, never a truncated float or a bool
+    indices_ok = all(
+        isinstance(key, (int, np.integer)) and not isinstance(key, bool) and 0 <= key < n for key in fixed
+    )
+    if not indices_ok or any(value.size != comps for value in fixed_vals):
+        raise DomainError(f"fixed cells need integer indices in [0, {n}) and values of {comps} components")
+    fixed_idx = np.array(list(fixed), dtype=np.int64)
     fixed_arr = np.array([value.reshape(comps) for value in fixed_vals], dtype=fiber.dtype).reshape(-1, comps)
     if degree == 0 and not fixed_idx.size and np.any(np.abs(rhs.sum(axis=0)) > tol * n):
         raise SolverError("incompatible source: 0-form source must have zero mean per component")

@@ -12,11 +12,11 @@ report is byte-deterministic for a fixed config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as alg
+from ._records import record
 from .calculus import (
     Cochain,
     REAL_SCALAR,
@@ -50,7 +50,7 @@ from .mesh import Chain, Cobordism, boundary, named_cycle
 from .dsl import Diagnostic, parse, typecheck
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -137,7 +137,7 @@ def groupoid_law_violations(elements) -> int:
     return violations
 
 
-@dataclass
+@record()
 class _Ctx:
     scenario: Scenario
     field: Cochain | None

@@ -4,15 +4,16 @@ Commands: solve | charges | defect | compose | check.  Reports are JSON with
 a fixed key order and shortest round-trip float formatting, so a fixed
 config and seed produce byte-identical output.  Exit codes: 0 success with
 all checks passing, 1 a check or composition failed, 2 configuration or
-parse errors, a mesh too large for memory among them (message on stderr,
-no report written).
+parse errors, a mesh too large for memory or a report that cannot be
+written among them (message on stderr, no report written).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import atexit
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -145,7 +146,11 @@ def _cmd_check(scenario: Scenario, args):
 
     results = run_checks(scenario)
     code = 0 if all(r.passed for r in results) else 1
-    return code, {"command": "check", "checks": [dataclasses.asdict(r) for r in results]}
+    rows = [
+        {"name": r.name, "passed": r.passed, "lhs": r.lhs, "rhs": r.rhs, "tolerance": r.tolerance}
+        for r in results
+    ]
+    return code, {"command": "check", "checks": rows}
 
 
 _COMMANDS = {
@@ -194,16 +199,46 @@ def main(argv=None) -> int:
         print(f"error: not enough memory for this config: {exc or 'no detail'}", file=sys.stderr)
         return 2
     text = json.dumps(to_jsonable(report), indent=2) + "\n"
-    if args.out:
-        try:
+    try:
+        if args.out:
             Path(args.out).write_text(text)
-        except OSError as exc:
-            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        return _unwritable(args.out or "to stdout", exc)
     return code
 
 
+def _unwritable(target: str, exc: OSError) -> int:
+    print(f"error: cannot write report {target}: {exc}", file=sys.stderr)
+    return 2
+
+
+def run() -> None:
+    """The entry point of the `formlab` script and of `python -m formlab`.
+
+    Runs main(), then the atexit handlers, flushes stdout and stderr and
+    ends the process with main's exit code.  os._exit skips the interpreter's
+    teardown, which frees every module and object one at a time, a large
+    share of a short run.  An exception out of main, argparse's SystemExit
+    among them, takes the interpreter's usual exit path.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    # a stream is None when its descriptor was closed as the process started
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            # an exit 2 has printed its one error line: a report that main
+            # could not write is still in the buffer and fails this flush again
+            if code != 2:
+                code = _unwritable("to stdout", exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

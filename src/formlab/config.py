@@ -16,12 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import algebra as alg
+from ._records import field, record
 from .calculus import (
     COMPLEX_PAIR, DEFAULT_SOLVER_TOL, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, solve_free,
 )
@@ -38,7 +38,7 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass
+@record()
 class Scenario:
     complex: CubicalComplex | None
     algebra: alg.LieAlgebra

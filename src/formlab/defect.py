@@ -22,10 +22,9 @@ command rejects the same requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._records import field, record
 from .algebra import GroupElement
 from .calculus import Cochain, action, apply_fiber_map, d, eom_residual, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
@@ -33,7 +32,7 @@ from .graded import GroupoidRep, generator_shift, is_degree
 from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ChargedOperator:
     """A field cochain integrated over a p-cycle, with a degree tag."""
 
@@ -58,7 +57,7 @@ def _check_charged(degree: int, support: Chain, field_degree: int) -> None:
         raise DomainError("charged-operator supports must be cycles")
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class DefectOperator:
     """A group element attached to a degree tag and a q-cycle support."""
 
@@ -73,7 +72,7 @@ class DefectOperator:
             raise DomainError("defect supports must be cycles")
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class DefectMove:
     """A defect operator together with the cobordism sweeping its support."""
 
@@ -176,7 +175,7 @@ def check_charge(kind: str, field_degree: int, support: Chain) -> None:
             raise GeometryError("the trivial charge needs the Hodge star, which only tori have")
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ConservationReport:
     """Conservation diagnostics for a field configuration."""
 

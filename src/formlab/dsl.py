@@ -16,18 +16,18 @@ or a Diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
+from ._records import field, record
 from .graded import GradedMorphism, GroupoidRep, compose, primitive_morphism
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atom:
     name: str
     degree: int
@@ -37,7 +37,7 @@ class Atom:
         return f"{self.name}[{self.degree}]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompositionExpr:
     atoms: tuple
 
@@ -45,7 +45,7 @@ class CompositionExpr:
         return " . ".join(a.to_source() for a in self.atoms)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     kind: str  # "parse_error" | "unknown_symbol" | "degree_mismatch"
     offset: int
@@ -119,7 +119,7 @@ def typecheck(expr: CompositionExpr, table):
     return tuple(morphisms)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class EvaluatedWord:
     morphism: GradedMorphism
     matrix: np.ndarray

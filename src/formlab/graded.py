@@ -18,10 +18,9 @@ identities).  The matrix of a morphism is GroupoidRep.matrix of its element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._records import record
 from .algebra import GroupElement, adjoint_matrix
 from .calculus import FiberSpec
 from .errors import DegreeError, DomainError
@@ -37,7 +36,7 @@ def is_degree(value) -> bool:
     return not isinstance(value, (bool, np.bool_)) and value in (0, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class GradedMorphism:
     """A degree-tagged group action: source degree, parity shift, element."""
 
@@ -91,7 +90,7 @@ def inverse(m: GradedMorphism) -> GradedMorphism:
     return GradedMorphism(m.g.inverse(), m.target, m.shift)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class GroupoidRep:
     """Representation of the graded morphisms on a pair of identical fibers.
 

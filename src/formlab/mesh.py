@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._records import field, record
 from .errors import ConfigError, DomainError, parse_number
 
 if TYPE_CHECKING:
@@ -65,7 +65,7 @@ def perm_sign(seq) -> int:
     return sign
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cell:
     """An oriented elementary cube of the mesh."""
 
@@ -452,7 +452,7 @@ def is_cycle(chain: Chain) -> bool:
     return not boundary(chain)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cobordism:
     """A (q+1)-chain whose boundary is target - source, exactly."""
 

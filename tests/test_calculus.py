@@ -631,9 +631,16 @@ def test_solve_free_rejects_inputs_it_cannot_use(torus444):
         {"fixed": {n: [1.0, 0.0, 0.0]}},
         {"fixed": {0: [1.0, 0.0]}},
         {"fixed": {0: [1.0, 0.0, 0.0, 0.0]}},
+        {"fixed": {1.7: [1.0, 0.0, 0.0]}},  # never truncated to cell 1
+        {"fixed": {True: [1.0, 0.0, 0.0]}},
+        {"fixed": {np.True_: [1.0, 0.0, 0.0]}},
+        {"fixed": {0: [[1.0], [0.0, 0.0]]}},  # ragged
     ):
         with pytest.raises(DomainError):
             solve_free(torus444, SO3_FIBER, 1, **kwargs)
+    value = [1.0, 0.0, 0.0]
+    by_int = solve_free(torus444, SO3_FIBER, 1, fixed={1: value}).values
+    assert np.array_equal(solve_free(torus444, SO3_FIBER, 1, fixed={np.int64(1): value}).values, by_int)
     # a nan fixed value fails the solve rather than leave the free cells zero
     with pytest.raises(SolverError, match="residual nan"):
         solve_free(torus444, SO3_FIBER, 1, fixed={0: [np.nan] * 3, 5: [0.0, 1.0, 0.0]})
@@ -667,6 +674,8 @@ def test_real_fibers_refuse_nonzero_imaginary_parts(torus444):
 def test_cochain_validation(torus444):
     with pytest.raises(DomainError):
         Cochain(torus444, 1, REAL_SCALAR, np.zeros((5, 1)))
+    with pytest.raises(DomainError):
+        Cochain(torus444, 0, REAL_SCALAR, [[1.0], [0.0, 0.0]])
     a = Cochain.zeros(torus444, 1, REAL_SCALAR)
     b = Cochain.zeros(torus444, 2, REAL_SCALAR)
     with pytest.raises(DomainError):

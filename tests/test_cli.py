@@ -655,13 +655,14 @@ def test_command_starts_without_scipy(tmp_path, command, config):
     # scipy costs about 0.3 s per start-up and no command needs it: incidence
     # and the boundary-squared check run on numpy face tables, d and the
     # solver on shift maps; nor does a command load the checks or the DSL
-    # unless it runs them, or numpy.fft unless it solves
+    # unless it runs them, or numpy.fft unless it solves; dataclasses, whose
+    # classes exec-compile their methods as they import, stays unloaded
     script = (
         "import json, sys\n"
         "import formlab.cli\n"
         "argv = [sys.argv[1], sys.argv[2], '--out', sys.argv[3]]\n"
         "assert formlab.cli.main(argv) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'formlab')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'formlab', 'dataclasses')\n"
         "                        or m.startswith('numpy.fft'))))\n"
     )
     src = str(Path(formlab.__file__).resolve().parent.parent)
@@ -673,12 +674,115 @@ def test_command_starts_without_scipy(tmp_path, command, config):
     )
     loaded = set(json.loads(run.stdout))
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert "dataclasses" not in loaded
     unused = {"check": set(), "compose": {"formlab.checks"}}.get(command, {"formlab.checks", "formlab.dsl"})
     assert not loaded & unused
     # only the torus solve transforms; numpy loads numpy.fft lazily from 2.0 on
     if command != "solve" and int(np.__version__.split(".")[0]) >= 2:
         assert not {m for m in loaded if m.startswith("numpy.fft")}
     assert json.loads(out.read_text())  # a report was written
+
+
+def _child_env():
+    """The environment of a child that imports this checkout's formlab."""
+    src = str(Path(formlab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _compose_mismatch(tmp_path):
+    """A config whose compose expression fails to typecheck: exit 1."""
+    cfg = base_config(
+        group_elements={"g": {"type": "exp", "coeffs": [1.0, 0.0, 0.0]}}, compose="g[0] . g[0]"
+    )
+    return write_config(tmp_path, cfg, "mismatch.json")
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("check", "so3_check.json"),
+        ("compose", "u2_check.json"),
+        ("defect", "so3_defect.json"),
+        ("charges", "u2_charges.json"),
+        ("solve", "solve_so3.json"),
+        ("compose", None),  # exit 1
+    ],
+)
+def test_python_m_formlab_matches_main_in_process(tmp_path, capsys, command, config):
+    # the process ends with os._exit once main returns: the exit code, the
+    # report and both streams must be what main gives in-process
+    path = str(CONFIG_DIR / config) if config else _compose_mismatch(tmp_path)
+    for out in (tmp_path / "report.json", None):
+        argv = [command, path] + (["--out", str(out)] if out else [])
+        code = main(argv)
+        expected = capsys.readouterr()
+        report = out.read_bytes() if out else None
+        run = subprocess.run(
+            [sys.executable, "-m", "formlab", *argv], env=_child_env(), capture_output=True, text=True
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, expected.out, expected.err)
+        assert code == (1 if config is None else 0)
+        if out:
+            assert out.read_bytes() == report
+        else:
+            assert json.loads(run.stdout)
+
+
+# the formlab command line, run by run() with an atexit handler registered
+# first that prints to stdout
+RUN_WITH_HANDLER = (
+    "import atexit, sys\n"
+    "import formlab.cli\n"
+    "atexit.register(print, 'handler ran')\n"
+    "sys.argv = ['formlab'] + sys.argv[1:]\n"
+    "formlab.cli.run()\n"
+)
+
+
+def test_an_atexit_handler_registered_before_run_still_runs(tmp_path):
+    # run() ends with os._exit, which would skip the handler; it runs the
+    # handlers itself and flushes stdout after them
+    config = str(CONFIG_DIR / "so3_check.json")
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_WITH_HANDLER, "compose", config],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.endswith("}\nhandler ran\n")
+    assert json.loads(run.stdout.removesuffix("handler ran\n"))["ok"] is True
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_report_that_cannot_reach_stdout_exits_two(tmp_path):
+    config = str(CONFIG_DIR / "so3_check.json")
+    runs = [
+        [sys.executable, "-m", "formlab", "compose", config],
+        [sys.executable, "-m", "formlab", "check", config],
+        # the handler writes after main returned 0: run()'s own flush fails
+        [sys.executable, "-c", RUN_WITH_HANDLER, "compose", config, "--out", str(tmp_path / "report.json")],
+    ]
+    # with a buffered stdout: unbuffered, the handler's own print fails
+    env = {key: value for key, value in _child_env().items() if key != "PYTHONUNBUFFERED"}
+    for argv in runs:
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        err = run.stderr.splitlines()
+        assert run.returncode == 2, (argv, run.stderr)
+        assert len(err) == 1 and err[0].startswith("error: cannot write report to stdout: "), err
+
+
+def test_a_run_with_a_closed_standard_stream_writes_its_report(tmp_path):
+    # Python sets sys.stdout or sys.stderr to None when the descriptor was
+    # closed at start-up; run() flushes only the streams it has
+    config = str(CONFIG_DIR / "so3_check.json")
+    for fd in (1, 2):
+        out = tmp_path / f"report_{fd}.json"
+        run = subprocess.run(
+            [sys.executable, "-m", "formlab", "compose", config, "--out", str(out)],
+            env=_child_env(), capture_output=True, text=True, preexec_fn=lambda fd=fd: os.close(fd),
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(out.read_text())["ok"] is True
 
 
 def test_defect_run_leaves_numpy_ma_unloaded(tmp_path):
