@@ -378,6 +378,13 @@ def _torus_preconditioner(cx: CubicalComplex, degree: int, fixed_idx):
     return apply_m
 
 
+def check_free(complex: CubicalComplex, degree: int) -> None:
+    """Raise unless the free-field operator K acts on degree-p cochains of
+    the complex: p below the top degree."""
+    if degree >= complex.d:
+        raise DomainError("no free-field operator at top degree")
+
+
 # extreme values or spacings can overflow the source's sums and K; the mean
 # and residual tests fail what overflows, with no numpy warning
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -411,8 +418,7 @@ def solve_free(
     ill-conditioned for its exact pseudo-inverse; then the solve runs plain
     CG, as a box does.
     """
-    if degree >= complex.d:
-        raise DomainError("no free-field operator at top degree")
+    check_free(complex, degree)
     n = complex.cell_count(degree)
     comps = fiber.components
     if source is not None and (source.complex, source.degree, source.fiber) != (complex, degree, fiber):

@@ -30,6 +30,7 @@ from .config import (
 )
 from .defect import ChargedOperator, apply_defect, charge_eom, charge_trivial, conservation_report
 from .errors import ConfigError, FormlabError
+from .graded import GroupoidRep
 from .mesh import intersection_number
 
 
@@ -94,7 +95,7 @@ def _cmd_charges(scenario: Scenario, args):
 
 def _cmd_defect(scenario: Scenario, args):
     field = build_field(scenario)
-    rep = representation_for(scenario)
+    rep = GroupoidRep(scenario.fiber)
     results = []
     for i, req in enumerate(scenario.defects):
         move, charged_support = scenario.defect_moves[i]

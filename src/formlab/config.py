@@ -5,9 +5,10 @@ group_elements, charges, defects, compose, checks, tolerances and seed,
 read once.  Every cross-reference, each chain spec included, is resolved
 here once; malformed input raises ConfigError with a message naming the
 offending key.  A config is checked whole as it loads, so every command
-rejects the same configs: each charge and defect request is held to the
-rules its command applies (`defect.check_charge`, `defect.check_sweep`), and
-each defect's operator and move are built here once.  Only check names,
+rejects the same configs: each charge and defect request and a solve init
+are held to the rules their command applies (`defect.check_charge`,
+`defect.check_sweep`, `calculus.check_free`, `GroupoidRep`'s fiber rule),
+and each defect's operator and move are built here once.  Only check names,
 which `checks` owns, and the contents of a field CSV wait for their command.
 """
 
@@ -23,7 +24,8 @@ import numpy as np
 from . import algebra as alg
 from ._records import field, record
 from .calculus import (
-    COMPLEX_PAIR, DEFAULT_SOLVER_TOL, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, solve_free,
+    COMPLEX_PAIR, DEFAULT_SOLVER_TOL, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, check_free,
+    solve_free,
 )
 from .defect import DefectMove, DefectOperator, check_charge, check_sweep
 from .errors import ConfigError, DomainError, FormlabError, parse_number
@@ -192,6 +194,10 @@ def _parse_init(init: dict, cx: CubicalComplex | None, degree: int, fiber: Fiber
     if cx is not None and kind == "explicit" and "csv" not in init:
         init["cells"] = _cell_values(cx, degree, fiber, init.get("cells", []), "'cells'")
     if cx is not None and kind == "solve":
+        try:
+            check_free(cx, degree)
+        except FormlabError as exc:
+            raise ConfigError(f"'field.init' solve: {exc}") from exc
         init["fixed"] = _cell_values(cx, degree, fiber, init.get("fixed", []), "'fixed'")
         src = init.get("source")
         if src is not None:
@@ -301,6 +307,11 @@ def _resolve_requests(scenario: Scenario) -> None:
             raise ConfigError(f"charge request {i}: 'kind' must be 'eom' or 'trivial'")
         if "support" not in req:
             raise ConfigError(f"charge request {i}: missing 'support'")
+    if scenario.defects:
+        try:
+            GroupoidRep(scenario.fiber)  # a defect acts on the charged field's fiber
+        except FormlabError as exc:
+            raise ConfigError(f"'defects': {exc}") from exc
     for i, req in enumerate(scenario.defects):
         for key in ("g", "degree", "support", "move", "charged"):
             if not isinstance(req, dict) or key not in req:
@@ -341,6 +352,8 @@ def _resolve_requests(scenario: Scenario) -> None:
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:
+    """The representation compose and the checks evaluate words in: the
+    field's fiber, or the algebra's where a real scalar carries no action."""
     fiber = scenario.fiber
     if fiber.kind == "real_scalar":
         fiber = algebra_fiber(scenario.algebra)

@@ -19,7 +19,13 @@ degree, axes that name no cell of that degree, component indices out of
 range, base coordinates that name no cell (outside [0, n) on a torus, as
 a torus of another size would write them), non-zero imaginary parts for a
 real fiber, and files that leave a (cell, component) pair unset.  When a
-pair appears twice, the later row wins.
+pair appears twice, the later row wins.  The reader passes over the file
+twice: a chunked pass counts its lines, which catches the blank lines and
+quoted line breaks that `np.loadtxt` skips or joins, and `np.loadtxt` then
+reads the rows.  That counting pass keeps the reader's memory bounded, as
+the writer's chunks do: counting inside one pass, through a generator of
+lines, is slower than the two passes, and holding the text in a StringIO
+costs several times the file in memory.
 """
 
 from __future__ import annotations

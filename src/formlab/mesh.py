@@ -6,9 +6,10 @@ coefficient of -1 means the reversed cell.  Indexing groups cells by axis
 subset (lexicographic) and enumerates base vertices in C order, which makes
 every operator below reproducible bit for bit.  The block table of each
 degree is the one statement of this layout: it maps each axis subset to its
-block's index offset, its extents (on a box, one cell longer off its axes)
-and the primal volume and star factor that its cells share.  Indices, grid
-views, complement partners, the metric and the mesh rules all read it.
+block's index offset, its extents (on a box, one cell longer off its axes),
+the primal volume and star factor that its cells share and the C-order
+strides of its bases.  Indices, grid views, complement partners, the metric
+and the mesh rules all read it.
 
 Each convention is written once.  The boundary is written as the signed
 shift maps of the block grids (`CubicalComplex._shift_terms`): the
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -105,8 +107,8 @@ class CubicalComplex:
         self.spacing = spacing
         self.topology = topology
         self.d = len(shape)
-        # the block table: per degree, each axis subset maps to
-        # (index offset, extents, primal volume, star factor)
+        # the block table: per degree, each axis subset maps to (index
+        # offset, extents, primal volume, star factor, C-order strides)
         self._blocks = {}
         for p in range(self.d + 1):
             offset, blocks = 0, {}
@@ -118,12 +120,13 @@ class CubicalComplex:
                 star = math.prod((h for i, h in enumerate(spacing) if i not in axes), start=1.0)
                 for a in axes:
                     star /= spacing[a]
-                blocks[axes] = (offset, extents, volume, star)
+                strides = tuple(math.prod(extents[i + 1 :]) for i in range(self.d))
+                blocks[axes] = (offset, extents, volume, star, strides)
                 offset += math.prod(extents)
             self._blocks[p] = blocks
         # an infinite spacing, or one whose products over- or underflow,
         # would turn the star, the action and the solver into inf and nan
-        metric = [x for blocks in self._blocks.values() for row in blocks.values() for x in row[2:]]
+        metric = [x for blocks in self._blocks.values() for row in blocks.values() for x in row[2:4]]
         if not all(0 < x < math.inf for x in metric):
             raise ConfigError(
                 f"spacing {spacing} gives a cell volume or star factor that is not "
@@ -147,32 +150,31 @@ class CubicalComplex:
     def cell_count(self, degree: int) -> int:
         if not 0 <= degree <= self.d:
             raise DomainError(f"no cells of degree {degree} in dimension {self.d}")
-        offset, extents, _, _ = next(reversed(self._blocks[degree].values()))
+        offset, extents, *_ = next(reversed(self._blocks[degree].values()))
         return offset + math.prod(extents)
 
-    def cell_index(self, degree: int, base, axes) -> int:
-        axes = tuple(axes)
+    def _block(self, degree: int, axes) -> tuple:
+        """The block table row of the p-cells on `axes`."""
         try:
-            offset, extents, _, _ = self._blocks[degree][axes]
+            return self._blocks[degree][tuple(axes)]
         except KeyError:
-            raise DomainError(f"no degree-{degree} cells with axes {axes}") from None
+            raise DomainError(f"no degree-{degree} cells with axes {tuple(axes)}") from None
+
+    def cell_index(self, degree: int, base, axes) -> int:
+        """Index of the cell (base, axes).  On a torus any integer base wraps."""
+        offset, extents, _, _, strides = self._block(degree, axes)
         if len(base) != self.d:
             raise DomainError(f"a cell base needs {self.d} coordinates, got {len(base)}")
-        # Python ints, not numpy: this is the per-item path of config cell lists
-        idx, wrap = 0, self.topology == "torus"
-        for i, (b, n) in enumerate(zip(base, extents)):
-            b = int(b)
-            if wrap:
-                b %= n
-            elif not 0 <= b < n:
-                raise DomainError(f"base coordinate {b} out of range on axis {i}")
-            idx = idx * n + b
-        return offset + idx
+        # Python ints, not numpy: a scalar ravel costs more than this whole call
+        coords = [*map(operator.mod, base, extents)]
+        if self.topology == "box" and coords != [*base]:
+            raise DomainError(f"base {tuple(base)} lies outside the block of axes {tuple(axes)}")
+        return offset + sum(map(operator.mul, coords, strides))
 
     def cell(self, degree: int, index: int) -> Cell:
         if not 0 <= index < self.cell_count(degree):
             raise DomainError(f"cell index {index} out of range for degree {degree}")
-        for axes, (offset, extents, _, _) in self._blocks[degree].items():
+        for axes, (offset, extents, *_) in self._blocks[degree].items():
             if index < offset + math.prod(extents):
                 base = np.unravel_index(index - offset, extents)
                 return Cell(degree, tuple(map(int, base)), axes)
@@ -184,20 +186,16 @@ class CubicalComplex:
         Unlike cell_index it never wraps: a base outside the block's extents
         is an error on a torus too.
         """
-        axes = tuple(axes)
-        try:
-            offset, extents, _, _ = self._blocks[degree][axes]
-        except KeyError:
-            raise DomainError(f"no degree-{degree} cells with axes {axes}") from None
+        offset, extents, *_ = self._block(degree, axes)
         bases = np.asarray(bases, dtype=np.int64)
         try:
             return offset + np.ravel_multi_index(bases, extents)
         except ValueError:
-            raise DomainError(f"base coordinates out of range for axes {axes}") from None
+            raise DomainError(f"bases lie outside the block of axes {tuple(axes)}") from None
 
     def block_bases(self, degree: int, axes) -> np.ndarray:
         """Base coordinates (d, count) of the cells spanning `axes`, in index order."""
-        return np.indices(self._blocks[degree][tuple(axes)][1]).reshape(self.d, -1)
+        return np.indices(self._block(degree, axes)[1]).reshape(self.d, -1)
 
     # -- incidence ---------------------------------------------------------
 
@@ -207,7 +205,7 @@ class CubicalComplex:
         Column j holds the 2p faces of p-cell j in ascending index order and
         their incidence signs, so faces[t] is the t-th smallest face of every
         cell.  Each term of `_shift_terms(p - 1)` writes its face indices
-        and its sign into one row, at the cells it covers.  Faces are int32
+        and its sign into its row, at the cells it covers.  Faces are int32
         whenever the (p-1)-cell indices fit, signs int8.  Read-only.
         """
         if degree not in self._faces:
@@ -219,11 +217,7 @@ class CubicalComplex:
             signs = np.empty((2 * degree, n_cells), dtype=np.int8)
             face_grids = self._grid_views(degree - 1, index)
             face_rows, sign_rows = self._grid_views(degree, faces), self._grid_views(degree, signs)
-            # the row of each term, as _shift_terms lays them out
-            group = 4 if self.topology == "torus" else 2
-            terms = self._shift_terms(degree - 1)
-            for i, (axes, cell_slice, face_axes, face_slice, add) in enumerate(terms):
-                row = i // group % degree * 2 + i % 2
+            for row, axes, cell_slice, face_axes, face_slice, add in self._shift_terms(degree - 1):
                 face_rows[axes][row][cell_slice] = face_grids[face_axes][face_slice]
                 sign_rows[axes][row][cell_slice] = 1 if add else -1
             faces.setflags(write=False)
@@ -251,7 +245,7 @@ class CubicalComplex:
     def _shift_terms(self, degree: int) -> tuple:
         """The coboundary from degree p to p+1 as signed shift maps.
 
-        Each term (A, cell_slice, F, face_slice, add) pairs the cells of block
+        Each term (row, A, cell_slice, F, face_slice, add) pairs the cells of block
         A (a (p+1)-axis subset) picked by cell_slice with their faces in block
         F = A \\ a_t picked by face_slice, both indexing the block grids;
         `add` is true where that face's sign is +1.  The lower face (v, F)
@@ -259,10 +253,10 @@ class CubicalComplex:
         On a torus the wrap slab (v_{a_t} = n - 1, upper face at base 0) is
         a term of its own; on a box the face block is one cell longer along
         a_t.  Per block the terms run over decreasing t (ascending face
-        block), in pairs that cover every cell once, lower face index first
-        (upper, at base 0, first on the wrap slab).  So term i fills row
-        i // g % (p + 1) * 2 + i % 2 of the face table of degree p+1, with
-        g = 4 terms per t on a torus and 2 on a box.
+        block), in pairs that cover every cell once.  Each term carries the
+        row of the face table of degree p+1 that it fills: of each pair, the
+        lower face index (on the wrap slab, the upper face at base 0) takes
+        the first of t's two rows.
         """
         if degree not in self._shifts:
 
@@ -274,14 +268,16 @@ class CubicalComplex:
                 for t in reversed(range(degree + 1)):
                     a, n = axes[t], self.shape[axes[t]]
                     up = t % 2 == 0  # the upper face has sign (-1)^t
+                    row = 2 * (degree - t)
                     if self.topology == "torus":
                         inner, last = slice(0, n - 1), slice(n - 1, n)
-                        pairs = [(inner, inner, not up), (inner, slice(1, n), up),
-                                 (last, slice(0, 1), up), (last, last, not up)]
+                        pairs = [(row, inner, inner, not up), (row + 1, inner, slice(1, n), up),
+                                 (row, last, slice(0, 1), up), (row + 1, last, last, not up)]
                     else:
-                        pairs = [(slice(None), slice(0, n), not up), (slice(None), slice(1, n + 1), up)]
+                        pairs = [(row, slice(None), slice(0, n), not up),
+                                 (row + 1, slice(None), slice(1, n + 1), up)]
                     face = axes[:t] + axes[t + 1 :]
-                    terms += [(axes, along(a, c), face, along(a, f), add) for c, f, add in pairs]
+                    terms += [(r, axes, along(a, c), face, along(a, f), add) for r, c, f, add in pairs]
             self._shifts[degree] = tuple(terms)
         return self._shifts[degree]
 
@@ -296,7 +292,7 @@ class CubicalComplex:
         # splitting one axis is always a view, so writes reach arr
         return {
             axes: arr[..., offset : offset + math.prod(extents)].reshape(lead + extents)
-            for axes, (offset, extents, _, _) in self._blocks[degree].items()
+            for axes, (offset, extents, *_) in self._blocks[degree].items()
         }
 
     def add_coboundary(self, degree: int, x: np.ndarray, out: np.ndarray, transpose: bool = False) -> None:
@@ -313,7 +309,7 @@ class CubicalComplex:
             raise DomainError(f"no coboundary from degree {degree} in dimension {self.d}")
         cells = self._grid_views(degree + 1, x if transpose else out)
         faces = self._grid_views(degree, out if transpose else x)
-        for axes, cell_slice, face_axes, face_slice, add in self._shift_terms(degree):
+        for _, axes, cell_slice, face_axes, face_slice, add in self._shift_terms(degree):
             target, term = cells[axes][cell_slice], faces[face_axes][face_slice]
             if transpose:
                 target, term = term, target
@@ -346,9 +342,9 @@ class CubicalComplex:
             n = self.cell_count(degree)
             signs = np.empty(n, dtype=np.int8)
             partner = np.empty(n, dtype=np.int64)
-            for axes, (offset, extents, _, _) in self._blocks[degree].items():
+            for axes, (offset, extents, *_) in self._blocks[degree].items():
                 comp = tuple(i for i in range(self.d) if i not in axes)
-                comp_offset, comp_extents, _, _ = self._blocks[self.d - degree][comp]
+                comp_offset, comp_extents, *_ = self._blocks[self.d - degree][comp]
                 base = np.indices(extents).reshape(self.d, -1)
                 base[list(comp)] -= back
                 cols = slice(offset, offset + base.shape[1])
@@ -491,27 +487,14 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
             raise ConfigError(
                 f"loop offsets must give the {len(others)} transverse coordinates"
             )
-        for i, off in zip(others, offsets):
-            if not 0 <= off < complex.shape[i]:
-                raise ConfigError(f"loop offset {off} out of range on axis {i}")
-        bases = np.zeros((complex.d, complex.shape[axis]), dtype=np.int64)
-        bases[axis] = np.arange(complex.shape[axis])
-        bases[others] = np.array(offsets, dtype=np.int64)[:, None]
-        cells = complex.cell_indices(1, (axis,), bases)
-        return Chain(complex, 1, cells=cells, coefs=np.ones_like(cells))
+        return _unit_chain(complex, (axis,), offsets, f"loop offsets {offsets}")
     if kind == "plane":
         normal = parse_number(int, spec["normal"], "plane 'normal'")
         if not 0 <= normal < complex.d:
             raise ConfigError(f"plane normal {normal} out of range")
         offset = parse_number(int, spec["offset"], "plane 'offset'")
-        if not 0 <= offset < complex.shape[normal]:
-            raise ConfigError(f"plane offset {offset} out of range")
         axes = tuple(i for i in range(complex.d) if i != normal)
-        extents = [1 if i == normal else n for i, n in enumerate(complex.shape)]
-        bases = np.indices(extents).reshape(complex.d, -1)
-        bases[normal] = offset
-        cells = complex.cell_indices(complex.d - 1, axes, bases)
-        return Chain(complex, complex.d - 1, cells=cells, coefs=np.ones_like(cells))
+        return _unit_chain(complex, axes, [offset], f"plane offset {offset}")
     if kind == "cells":
         items = spec.get("items")
         if not items:
@@ -527,6 +510,20 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
             coefs.append(parse_number(int, item.get("coef", 1), "chain item 'coef'"))
         return Chain(complex, degree, cells=cells, coefs=coefs)
     raise ConfigError(f"unknown chain spec kind {kind!r}")
+
+
+def _unit_chain(complex: CubicalComplex, axes: tuple, offsets, what: str) -> Chain:
+    """The cells spanning `axes` at `offsets` on the other axes (in axis
+    order), each with coefficient 1.  The block table decides which offsets
+    name cells; a ConfigError naming `what` where one does not."""
+    extents = [n if i in axes else 1 for i, n in enumerate(complex.shape)]
+    bases = np.indices(extents).reshape(complex.d, -1)
+    try:
+        bases[[i for i in range(complex.d) if i not in axes]] = np.array(offsets)[:, None]
+        cells = complex.cell_indices(len(axes), axes, bases)
+    except (DomainError, OverflowError):  # OverflowError: an offset past int64
+        raise ConfigError(f"{what} out of range") from None
+    return Chain(complex, len(axes), cells=cells, coefs=np.ones_like(cells))
 
 
 def intersection_number(a: Chain, b: Chain) -> int:

@@ -255,11 +255,14 @@ def test_every_command_runs_the_combined_config(tmp_path, capsys, command):
         lambda c: c["charges"][2].update(support={"kind": "cells", "items": [{"degree": 1, "base": [0, 0, 0], "axes": [0]}]}),
         lambda c: c["defects"][0].update(support={"kind": "plane", "normal": 0, "offset": 0}),
         lambda c: c["defects"][0]["charged"].update(degree=1),
+        # a defect acts on the field's fiber, and a real scalar carries no action
+        lambda c: c["field"].update(fiber="real_scalar"),
     ],
     ids=[
         "degree", "stddev", "init", "seed", "cells", "fixed", "source", "csv",
         "defect_kind", "loop_axis", "plane_normal",
         "eom_on_a_loop", "trivial_off_a_cycle", "defect_on_a_plane", "charged_parity",
+        "defect_on_a_scalar_field",
     ],
 )
 def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, command, edit):
@@ -271,6 +274,33 @@ def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, comma
     assert main([command, write_config(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # no free-field operator acts on top-degree fields: compose, which
+        # builds no field, rejects the config too
+        (lambda c: c["field"].update(degree=3, init={"init": "solve"}), "no free-field operator at top degree"),
+        (
+            lambda c: c.update(
+                mesh={**c["mesh"], "topology": "box"},
+                field={**c["field"], "init": {"init": "explicit", "cells": _one_cell(base=[10**30, 0, 0])}},
+            ),
+            "bad cell reference",
+        ),
+    ],
+    ids=["solve_at_top_degree", "box_base_past_int64"],
+)
+def test_every_command_rejects_one_fault_of_so3_check(tmp_path, capsys, command, edit, message):
+    cfg = json.loads((CONFIG_DIR / "so3_check.json").read_text())
+    edit(cfg)
+    out = tmp_path / "report.json"
+    assert main([command, write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
     assert not out.exists()
 
 

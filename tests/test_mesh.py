@@ -169,6 +169,16 @@ def test_cell_index_roundtrip():
                 for i in range(cx.cell_count(p)):
                     c = cx.cell(p, i)
                     assert cx.cell_index(c.degree, c.base, c.axes) == i
+                    assert cx.cell_indices(p, c.axes, np.array(c.base)[:, None]).tolist() == [i]
+                    if topology == "torus":  # any Python int wraps, past int64 too
+                        for k in (1, -1, 3, -3, 10**30):
+                            assert cx.cell_index(p, [b + k * n for b, n in zip(c.base, shape)], c.axes) == i
+                    else:  # a box base out of range, of any size, is an error
+                        for axis, n in enumerate(shape):
+                            for b in (-1, n + (axis not in c.axes), 10**30, -(10**30)):
+                                base = [*c.base[:axis], b, *c.base[axis + 1 :]]
+                                with pytest.raises(DomainError, match="outside the block"):
+                                    cx.cell_index(p, base, c.axes)
                 start = 0
                 for axes in cx.axis_subsets(p):
                     bases = cx.block_bases(p, axes)
@@ -315,6 +325,26 @@ def test_named_cycle_rejects_bad_specs():
         named_cycle(cx, {"kind": "plane", "normal": 5, "offset": 0})
     with pytest.raises(ConfigError):
         named_cycle(cx, {"kind": "frob"})
+
+
+def test_named_offsets_follow_the_block_table():
+    # a box has n + 1 vertex layers along an axis, a torus n: offset n is a
+    # loop or plane on a box alone, and n + 1 and -1 name no cells on either
+    n = 4
+    box = CubicalComplex([n] * 3, topology="box")
+    plane = named_cycle(box, {"kind": "plane", "normal": 2, "offset": n})
+    items = [{"degree": 2, "base": [i, j, n], "axes": [0, 1]} for i in range(n) for j in range(n)]
+    assert plane == named_cycle(box, {"kind": "cells", "items": items})
+    loop = named_cycle(box, {"kind": "loop", "axis": 0, "offsets": [n, 1]})
+    items = [{"degree": 1, "base": [i, n, 1], "axes": [0]} for i in range(n)]
+    assert loop == named_cycle(box, {"kind": "cells", "items": items})
+    for cx in (box, CubicalComplex([n] * 3)):
+        bad = [n + 1, -1, 10**30] + ([n] if cx.topology == "torus" else [])
+        for off in bad:
+            with pytest.raises(ConfigError, match="out of range"):
+                named_cycle(cx, {"kind": "plane", "normal": 2, "offset": off})
+            with pytest.raises(ConfigError, match="out of range"):
+                named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, off]})
 
 
 def test_intersection_loop_against_planes():
@@ -508,6 +538,11 @@ def test_torus_base_reduction():
     for base in ((1,), (1, 2, 0)):  # one coordinate per axis, no more, no fewer
         with pytest.raises(DomainError):
             cx.cell_index(1, base, (0,))
+    # the one block lookup rejects an axis subset that names no block
+    with pytest.raises(DomainError, match="no degree-1 cells with axes"):
+        cx.cell_index(1, (0, 0), (2,))
+    with pytest.raises(DomainError, match="no degree-1 cells with axes"):
+        cx.block_bases(1, [2])
 
 
 def test_chain_normal_form():
