@@ -31,7 +31,7 @@ for _eye in _IDENTITY_MATRIX.values():
     _eye.setflags(write=False)
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class LieAlgebra:
     """A concrete matrix Lie algebra with a fixed orthonormal generator basis."""
 
@@ -68,7 +68,7 @@ class LieAlgebra:
         return AlgebraElement(self, coeffs, matrix)
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class AlgebraElement:
     """An algebra element as real coefficients over the generator basis."""
 
@@ -81,7 +81,7 @@ class AlgebraElement:
         self.matrix.setflags(write=False)
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class GroupElement:
     """An orthogonal/unitary matrix, validated once where it enters: the
     public constructor checks it; products, inverses and identity() come

@@ -37,12 +37,12 @@ from .mesh import Chain, CubicalComplex
 DEFAULT_SOLVER_TOL = 1e-10
 
 
-@record(frozen=True)
+@record()
 class FiberSpec:
     """What a cochain's values are: scalars, C^2 pairs, or algebra elements."""
 
     kind: str  # "real_scalar" | "complex_pair" | "algebra"
-    algebra: LieAlgebra | None = None
+    algebra: LieAlgebra | None
 
     def __post_init__(self):
         if self.kind not in ("real_scalar", "complex_pair", "algebra"):
@@ -67,8 +67,8 @@ class FiberSpec:
         return self.kind == "complex_pair"
 
 
-REAL_SCALAR = FiberSpec("real_scalar")
-COMPLEX_PAIR = FiberSpec("complex_pair")
+REAL_SCALAR = FiberSpec("real_scalar", None)
+COMPLEX_PAIR = FiberSpec("complex_pair", None)
 
 
 def algebra_fiber(algebra: LieAlgebra) -> FiberSpec:

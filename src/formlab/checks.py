@@ -50,7 +50,7 @@ from .mesh import Chain, Cobordism, boundary, named_cycle
 from .dsl import Diagnostic, parse, typecheck
 
 
-@record(frozen=True)
+@record()
 class CheckResult:
     name: str
     passed: bool

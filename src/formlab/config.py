@@ -18,11 +18,11 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import algebra as alg
-from ._records import field, record
 from .calculus import (
     COMPLEX_PAIR, DEFAULT_SOLVER_TOL, REAL_SCALAR, Cochain, FiberSpec, algebra_fiber, check_free,
     solve_free,
@@ -40,8 +40,12 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@record()
-class Scenario:
+class Scenario(SimpleNamespace):
+    """A loaded config, built by keyword with every field below.  It stays
+    mutable: `load_scenario` sets `config_digest`, the request resolution
+    fills `charge_chains` and `defect_moves`, and the CLI may override
+    `seed` and `tolerances`."""
+
     complex: CubicalComplex | None
     algebra: alg.LieAlgebra
     fiber: FiberSpec
@@ -54,11 +58,11 @@ class Scenario:
     checks: list | None
     tolerances: dict
     seed: int
-    base_dir: Path = field(default_factory=Path)
-    config_digest: str = ""
+    base_dir: Path
+    config_digest: str
     # per charge its support; per defect its DefectMove and charged support
-    charge_chains: list = field(default_factory=list)
-    defect_moves: list = field(default_factory=list)
+    charge_chains: list
+    defect_moves: list
 
 
 def load_scenario(path) -> Scenario:
@@ -141,6 +145,9 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         tolerances=tolerances,
         seed=parse_seed(cfg.get("seed", 0), "'seed'"),
         base_dir=Path(base_dir),
+        config_digest="",
+        charge_chains=[],
+        defect_moves=[],
     )
     _resolve_requests(scenario)
     return scenario

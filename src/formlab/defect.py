@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._records import field, record
+from ._records import record
 from .algebra import GroupElement
 from .calculus import Cochain, action, apply_fiber_map, d, eom_residual, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
@@ -32,14 +32,16 @@ from .graded import GroupoidRep, generator_shift, is_degree
 from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class ChargedOperator:
-    """A field cochain integrated over a p-cycle, with a degree tag."""
+    """A field cochain integrated over a p-cycle, with a degree tag.
+
+    `observable`, the integral, is set by `__post_init__`: it is never an
+    argument."""
 
     support: Chain
     field: Cochain
     degree: int
-    observable: object = field(init=False)
 
     def __post_init__(self):
         if self.field.complex is not self.support.complex:
@@ -57,7 +59,7 @@ def _check_charged(degree: int, support: Chain, field_degree: int) -> None:
         raise DomainError("charged-operator supports must be cycles")
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class DefectOperator:
     """A group element attached to a degree tag and a q-cycle support."""
 
@@ -72,7 +74,7 @@ class DefectOperator:
             raise DomainError("defect supports must be cycles")
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class DefectMove:
     """A defect operator together with the cobordism sweeping its support."""
 
@@ -175,14 +177,14 @@ def check_charge(kind: str, field_degree: int, support: Chain) -> None:
             raise GeometryError("the trivial charge needs the Hodge star, which only tori have")
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class ConservationReport:
     """Conservation diagnostics for a field configuration."""
 
     trivial_current_norm: float | None
     dynamical_current_norm: float | None
     action: float | None
-    charges: dict = field(default_factory=dict)
+    charges: dict
 
 
 def conservation_report(psi: Cochain) -> ConservationReport:
@@ -190,7 +192,7 @@ def conservation_report(psi: Cochain) -> ConservationReport:
     charges over the coordinate planes and axis loops (3d, 1-form fields)."""
     cx = psi.complex
     if psi.degree >= cx.d:
-        return ConservationReport(None, None, None)
+        return ConservationReport(None, None, None, {})
     trivial = max_norm(d(d(psi))) if psi.degree + 2 <= cx.d else None
     # the residual d star d psi needs the reindexing star, which only exists on tori
     dynamical = max_norm(eom_residual(psi)) if cx.topology == "torus" else None

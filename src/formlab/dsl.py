@@ -27,17 +27,17 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 
 
-@record(frozen=True)
+@record()
 class Atom:
     name: str
     degree: int
-    offset: int = field(compare=False, default=0)
+    offset: int = field(compare=False)
 
     def to_source(self) -> str:
         return f"{self.name}[{self.degree}]"
 
 
-@record(frozen=True)
+@record()
 class CompositionExpr:
     atoms: tuple
 
@@ -45,7 +45,7 @@ class CompositionExpr:
         return " . ".join(a.to_source() for a in self.atoms)
 
 
-@record(frozen=True)
+@record()
 class Diagnostic:
     kind: str  # "parse_error" | "unknown_symbol" | "degree_mismatch"
     offset: int
@@ -119,7 +119,7 @@ def typecheck(expr: CompositionExpr, table):
     return tuple(morphisms)
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class EvaluatedWord:
     morphism: GradedMorphism
     matrix: np.ndarray

@@ -36,7 +36,7 @@ def is_degree(value) -> bool:
     return not isinstance(value, (bool, np.bool_)) and value in (0, 1)
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class GradedMorphism:
     """A degree-tagged group action: source degree, parity shift, element."""
 
@@ -90,7 +90,7 @@ def inverse(m: GradedMorphism) -> GradedMorphism:
     return GradedMorphism(m.g.inverse(), m.target, m.shift)
 
 
-@record(frozen=True, eq=False)
+@record(eq=False)
 class GroupoidRep:
     """Representation of the graded morphisms on a pair of identical fibers.
 

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._records import field, record
+from ._records import record
 from .errors import ConfigError, DomainError, parse_number
 
 if TYPE_CHECKING:
@@ -67,7 +67,7 @@ def perm_sign(seq) -> int:
     return sign
 
 
-@record(frozen=True)
+@record()
 class Cell:
     """An oriented elementary cube of the mesh."""
 
@@ -448,14 +448,16 @@ def is_cycle(chain: Chain) -> bool:
     return not boundary(chain)
 
 
-@record(frozen=True)
+@record()
 class Cobordism:
-    """A (q+1)-chain whose boundary is target - source, exactly."""
+    """A (q+1)-chain whose boundary is target - source, exactly.
+
+    `target`, source + boundary(filling), is set by `__post_init__`: it
+    follows from the fields, so equality compares those alone."""
 
     complex: CubicalComplex
     filling: Chain
     source: Chain
-    target: Chain = field(init=False)
 
     def __post_init__(self):
         if self.filling.degree != self.source.degree + 1:
@@ -519,7 +521,7 @@ def _unit_chain(complex: CubicalComplex, axes: tuple, offsets, what: str) -> Cha
     extents = [n if i in axes else 1 for i, n in enumerate(complex.shape)]
     bases = np.indices(extents).reshape(complex.d, -1)
     try:
-        bases[[i for i in range(complex.d) if i not in axes]] = np.array(offsets)[:, None]
+        bases[[i for i in range(complex.d) if i not in axes]] = np.array(offsets, dtype=np.int64)[:, None]
         cells = complex.cell_indices(len(axes), axes, bases)
     except (DomainError, OverflowError):  # OverflowError: an offset past int64
         raise ConfigError(f"{what} out of range") from None

@@ -30,7 +30,7 @@ def table():
 
 def test_parse_single_atom():
     expr = parse("g[0]")
-    assert expr == CompositionExpr((Atom("g", 0),))
+    assert expr == CompositionExpr((Atom("g", 0, 0),))
     assert expr.atoms[0].offset == 0
 
 

@@ -36,6 +36,8 @@ SHIPPED = {name: json.loads((CONFIG_DIR / name).read_text()) for name in SERVED}
 ODD_VALUES = [
     "x", "", 0, -1, 2, 1.5, True, False, None, [], {}, [1, 2], {"k": 1},
     float("nan"), 1e300, -1e300, 1e308,
+    # past int64 on either side, and past it as an integral float
+    2**63, 2**64 - 1, -(2**63) - 1, 1e19,
 ]
 # A mesh shape entry is a cell count per axis.  Meshes that fit run in full,
 # so their entries stay small: their cost is a question of time, not of
@@ -147,6 +149,8 @@ def _run_commands(name, cfg) -> list:
 # finite values that random runs found overflowing into numpy warnings
 @example(_swapped("so3_check.json", ("mesh", "spacing", 0), 1e308))
 @example(_swapped("so3_defect.json", ("field", "init", "stddev"), 1e308))
+# a loop offset that numpy would read as uint64
+@example(_swapped("so3_defect.json", ("defects", 0, "charged", "support", "offsets", 0), 2**63))
 def test_every_mutated_config_keeps_the_exit_code_contract(case):
     _run_commands(*case)
 
