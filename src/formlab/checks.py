@@ -2,7 +2,7 @@
 
 Each check is one registry row: its name, the tolerance it is held to and a
 measure, which returns the deviation or None when the check does not apply
-to the scenario (wrong dimension, missing mesh, scalar fiber).  A check
+to the scenario (wrong dimension or topology, scalar fiber).  A check
 passes when its deviation (lhs, against the reference value rhs = 0) is at
 most its tolerance.
 Randomized checks derive their generator from (seed, check index) so that a
@@ -140,7 +140,7 @@ def groupoid_law_violations(elements) -> int:
 @record()
 class _Ctx:
     scenario: Scenario
-    field: Cochain | None
+    field: Cochain
 
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng([self.scenario.seed, index])
@@ -152,8 +152,6 @@ class _Ctx:
 
 def _check_boundary_squared(ctx: _Ctx):
     cx = ctx.complex
-    if cx is None:
-        return None
     worst = 0.0
     for p in range(2, cx.d + 1):
         faces, signs = cx.face_table(p)
@@ -170,8 +168,6 @@ def _check_boundary_squared(ctx: _Ctx):
 
 def _check_coboundary_squared(ctx: _Ctx):
     cx = ctx.complex
-    if cx is None:
-        return None
     rng = ctx.rng(1)
     worst = 0.0
     for p in range(0, cx.d - 1):
@@ -183,7 +179,7 @@ def _check_coboundary_squared(ctx: _Ctx):
 
 def _check_star_double(ctx: _Ctx):
     cx = ctx.complex
-    if cx is None or cx.topology != "torus":
+    if cx.topology != "torus":
         return None
     rng = ctx.rng(2)
     worst = 0.0
@@ -196,8 +192,6 @@ def _check_star_double(ctx: _Ctx):
 
 def _check_stokes(ctx: _Ctx):
     cx = ctx.complex
-    if cx is None:
-        return None
     rng = ctx.rng(3)
     worst = 0.0
     for p in range(cx.d):
@@ -244,7 +238,7 @@ def _check_ad_invariance(ctx: _Ctx):
 
 
 def _check_action_invariance(ctx: _Ctx):
-    if ctx.field is None or ctx.field.degree >= ctx.complex.d:
+    if ctx.field.degree >= ctx.complex.d:
         return None
     if ctx.scenario.fiber.kind == "real_scalar":
         return None
@@ -257,17 +251,13 @@ def _check_action_invariance(ctx: _Ctx):
 
 
 def _check_trivial_current(ctx: _Ctx):
-    if ctx.field is None or ctx.field.degree + 2 > ctx.complex.d:
+    if ctx.field.degree + 2 > ctx.complex.d:
         return None
     return max_norm(d(d(ctx.field)))
 
 
-def _applicable_charges(ctx: _Ctx) -> bool:
-    return ctx.field is not None and charges_apply(ctx.field)
-
-
 def _check_charge_homology(ctx: _Ctx):
-    if not _applicable_charges(ctx):
+    if not charges_apply(ctx.field):
         return None
     cx = ctx.complex
     patch = Chain(cx, 2, {cx.cell_index(2, (i, j, 0), (0, 1)): 1 for i in range(2) for j in range(2)})
@@ -279,7 +269,7 @@ def _check_charge_homology(ctx: _Ctx):
 
 
 def _check_flux_identity(ctx: _Ctx):
-    if not _applicable_charges(ctx):
+    if not charges_apply(ctx.field):
         return None
     cx = ctx.complex
     loop0 = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
@@ -297,7 +287,7 @@ def _check_flux_identity(ctx: _Ctx):
 
 
 def _check_defect_gating(ctx: _Ctx):
-    if not _applicable_charges(ctx) or ctx.scenario.fiber.kind == "real_scalar":
+    if not charges_apply(ctx.field) or ctx.scenario.fiber.kind == "real_scalar":
         return None
     cx = ctx.complex
     rep = representation_for(ctx.scenario)
@@ -395,8 +385,7 @@ def run_checks(scenario: Scenario, names=None) -> list:
         unknown = [n for n in names if n not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
-    field = build_field(scenario) if scenario.complex is not None else None
-    ctx = _Ctx(scenario, field)
+    ctx = _Ctx(scenario, build_field(scenario))
     results = []
     for name, key, measure in _REGISTRY:
         if explicit and name not in names:

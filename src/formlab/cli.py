@@ -30,7 +30,6 @@ from .config import (
 )
 from .defect import ChargedOperator, apply_defect, charge_eom, charge_trivial, conservation_report
 from .errors import ConfigError, FormlabError
-from .graded import GroupoidRep
 from .mesh import intersection_number
 
 
@@ -81,30 +80,23 @@ def _cmd_solve(scenario: Scenario, args):
 def _cmd_charges(scenario: Scenario, args):
     field = build_field(scenario)
     results = []
-    for i, req in enumerate(scenario.charges):
-        charge = charge_eom if req["kind"] == "eom" else charge_trivial
-        results.append(
-            {
-                "name": req.get("name", f"charge_{i}"),
-                "kind": req["kind"],
-                "value": charge(field, scenario.charge_chains[i]),
-            }
-        )
+    for name, kind, support in scenario.charge_chains:
+        charge = charge_eom if kind == "eom" else charge_trivial
+        results.append({"name": name, "kind": kind, "value": charge(field, support)})
     return 0, {"command": "charges", "results": results}
 
 
 def _cmd_defect(scenario: Scenario, args):
     field = build_field(scenario)
-    rep = GroupoidRep(scenario.fiber)
+    rep = representation_for(scenario)
     results = []
-    for i, req in enumerate(scenario.defects):
-        move, charged_support = scenario.defect_moves[i]
-        charged = ChargedOperator(charged_support, field, req["charged"]["degree"])
+    for name, move, charged_support, charged_degree in scenario.defect_moves:
+        charged = ChargedOperator(charged_support, field, charged_degree)
         crossings = intersection_number(charged_support, move.cobordism.filling)
         outcome = apply_defect(move.operator, charged, move, rep)
         results.append(
             {
-                "name": req.get("name", f"defect_{i}"),
+                "name": name,
                 "crossings": crossings,
                 "degree_before": charged.degree,
                 "degree_after": outcome.degree,

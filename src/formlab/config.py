@@ -1,15 +1,16 @@
 """Scenario configuration loading and resolution.
 
-A scenario is one UTF-8 JSON document with the keys mesh, algebra, field,
-group_elements, charges, defects, compose, checks, tolerances and seed,
-read once.  Every cross-reference, each chain spec included, is resolved
-here once; malformed input raises ConfigError with a message naming the
-offending key.  A config is checked whole as it loads, so every command
-rejects the same configs: each charge and defect request and a solve init
-are held to the rules their command applies (`defect.check_charge`,
-`defect.check_sweep`, `calculus.check_free`, `GroupoidRep`'s fiber rule),
-and each defect's operator and move are built here once.  Only check names,
-which `checks` owns, and the contents of a field CSV wait for their command.
+A scenario is one UTF-8 JSON document with the keys mesh (required),
+algebra, field, group_elements, charges, defects, compose, checks,
+tolerances and seed, read once and left as written.  Every cross-reference,
+each chain spec included, is resolved here once; malformed input raises
+ConfigError with a message naming the offending key.  A config is checked
+whole as it loads, so every command rejects the same configs: each charge
+and defect request and a solve init are held to the rules their command
+applies (`defect.check_charge`, `defect.check_sweep`, `calculus.check_free`,
+`GroupoidRep`'s fiber rule), and each defect's operator and move are built
+here once.  Only check names, which `checks` owns, and the contents of a
+field CSV wait for their command.
 """
 
 from __future__ import annotations
@@ -41,17 +42,19 @@ DEFAULT_TOLERANCES = {
 
 
 class Scenario(SimpleNamespace):
-    """A loaded config, built by keyword with every field below.  It stays
-    mutable: `load_scenario` sets `config_digest`, the request resolution
-    fills `charge_chains` and `defect_moves`, and the CLI may override
-    `seed` and `tolerances`."""
+    """A loaded config, built by keyword with every field below, whole from
+    the start: it always has its mesh, and each request is resolved into the
+    entry its command reads.  It stays mutable: `load_scenario` sets
+    `config_digest`, the request resolution fills `charge_chains` and
+    `defect_moves`, and the CLI may override `seed` and `tolerances`."""
 
-    complex: CubicalComplex | None
+    complex: CubicalComplex
     algebra: alg.LieAlgebra
     fiber: FiberSpec
     field_degree: int
     field_init: dict
     group_elements: dict
+    # the config's own request lists, as written
     charges: list
     defects: list
     compose_source: str | None
@@ -60,7 +63,8 @@ class Scenario(SimpleNamespace):
     seed: int
     base_dir: Path
     config_digest: str
-    # per charge its support; per defect its DefectMove and charged support
+    # per charge (name, kind, support); per defect (name, DefectMove,
+    # charged support, charged degree)
     charge_chains: list
     defect_moves: list
 
@@ -94,7 +98,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    complex_ = _build_mesh(cfg.get("mesh")) if "mesh" in cfg else None
+    complex_ = _build_mesh(cfg.get("mesh"))
     algebra_name = cfg.get("algebra", "so3")
     if not isinstance(algebra_name, str):
         raise ConfigError(f"'algebra' must be a name, got {algebra_name!r}")
@@ -107,7 +111,7 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     fiber = _build_fiber(field_cfg.get("fiber", "algebra"), algebra)
     if fiber.kind == "complex_pair" and algebra.name != "u2":
         raise ConfigError("the complex pair fiber needs the u2 scenario algebra")
-    if complex_ is not None and not 0 <= field_degree <= complex_.d:
+    if not 0 <= field_degree <= complex_.d:
         raise ConfigError(f"'field.degree' must lie in 0..{complex_.d}, got {field_degree}")
     field_init = field_cfg.get("init", {"init": "zero"})
     if not isinstance(field_init, dict) or "init" not in field_init:
@@ -184,9 +188,9 @@ def parse_tolerance(value, what: str) -> float:
     return tol
 
 
-def _parse_init(init: dict, cx: CubicalComplex | None, degree: int, fiber: FiberSpec) -> dict:
-    """The field init spec with its numbers parsed and, once there is a mesh
-    to place them on, its cell lists as (cell index, fiber value) pairs."""
+def _parse_init(init: dict, cx: CubicalComplex, degree: int, fiber: FiberSpec) -> dict:
+    """The field init spec with its numbers parsed and its cell lists as
+    (cell index, fiber value) pairs."""
     kind = init["init"]
     if kind not in ("zero", "random_gaussian", "explicit", "solve"):
         raise ConfigError(f"unknown field init {kind!r}")
@@ -198,9 +202,9 @@ def _parse_init(init: dict, cx: CubicalComplex | None, degree: int, fiber: Fiber
             raise ConfigError(f"'field.init.stddev' must be a finite number >= 0, got {stddev!r}")
     if kind == "explicit" and not isinstance(init.get("csv", ""), str):
         raise ConfigError(f"'field.init.csv' must be a file name, got {init['csv']!r}")
-    if cx is not None and kind == "explicit" and "csv" not in init:
+    if kind == "explicit" and "csv" not in init:
         init["cells"] = _cell_values(cx, degree, fiber, init.get("cells", []), "'cells'")
-    if cx is not None and kind == "solve":
+    if kind == "solve":
         try:
             check_free(cx, degree)
         except FormlabError as exc:
@@ -309,11 +313,19 @@ def resolve_chain(scenario: Scenario, spec) -> Chain:
 
 
 def _resolve_requests(scenario: Scenario) -> None:
+    """Check each charge and defect request, parse its numbers and resolve its
+    chains into the entry its command reads; the request dicts stay as written."""
     for i, req in enumerate(scenario.charges):
         if not isinstance(req, dict) or req.get("kind") not in ("eom", "trivial"):
             raise ConfigError(f"charge request {i}: 'kind' must be 'eom' or 'trivial'")
         if "support" not in req:
             raise ConfigError(f"charge request {i}: missing 'support'")
+        support = resolve_chain(scenario, req["support"])
+        try:
+            check_charge(req["kind"], scenario.field_degree, support)
+        except FormlabError as exc:
+            raise ConfigError(f"charge request {i}: {exc}") from exc
+        scenario.charge_chains.append((req.get("name", f"charge_{i}"), req["kind"], support))
     if scenario.defects:
         try:
             GroupoidRep(scenario.fiber)  # a defect acts on the charged field's fiber
@@ -330,32 +342,23 @@ def _resolve_requests(scenario: Scenario) -> None:
         charged = req["charged"]
         if not isinstance(charged, dict) or "support" not in charged:
             raise ConfigError(f"defect request {i}: 'charged' needs a 'support'")
-        # parsed once here; the charged degree defaults to the defect's
-        req["degree"] = parse_number(int, req["degree"], f"defect request {i}: 'degree'")
-        charged["degree"] = parse_number(
-            int, charged.get("degree", req["degree"]), f"defect request {i}: 'charged.degree'"
+        degree = parse_number(int, req["degree"], f"defect request {i}: 'degree'")
+        charged_degree = parse_number(
+            int, charged.get("degree", degree), f"defect request {i}: 'charged.degree'"
         )
-    if scenario.complex is None:
-        return
-    for i, req in enumerate(scenario.charges):
-        support = resolve_chain(scenario, req["support"])
-        try:
-            check_charge(req["kind"], scenario.field_degree, support)
-        except FormlabError as exc:
-            raise ConfigError(f"charge request {i}: {exc}") from exc
-        scenario.charge_chains.append(support)
-    for i, req in enumerate(scenario.defects):
-        support, filling, charged = (
+        support, filling, charged_support = (
             resolve_chain(scenario, spec)
-            for spec in (req["support"], req["move"]["filling"], req["charged"]["support"])
+            for spec in (req["support"], req["move"]["filling"], charged["support"])
         )
         try:
-            operator = DefectOperator(scenario.group_elements[req["g"]], req["degree"], support)
+            operator = DefectOperator(scenario.group_elements[req["g"]], degree, support)
             move = DefectMove(operator, Cobordism(scenario.complex, filling, support))
-            check_sweep(move, req["charged"]["degree"], charged, scenario.field_degree)
+            check_sweep(move, charged_degree, charged_support, scenario.field_degree)
         except FormlabError as exc:
             raise ConfigError(f"defect request {i}: {exc}") from exc
-        scenario.defect_moves.append((move, charged))
+        scenario.defect_moves.append(
+            (req.get("name", f"defect_{i}"), move, charged_support, charged_degree)
+        )
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:
@@ -369,8 +372,6 @@ def representation_for(scenario: Scenario) -> GroupoidRep:
 
 def build_field(scenario: Scenario) -> Cochain:
     """Build the scenario's field cochain from its init spec."""
-    if scenario.complex is None:
-        raise ConfigError("this command needs a 'mesh' entry in the config")
     cx = scenario.complex
     degree = scenario.field_degree
     fiber = scenario.fiber

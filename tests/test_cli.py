@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -151,8 +152,8 @@ def test_defect_degrees_are_parsed_once(tmp_path, capsys):
     req["degree"] = "1"  # a numeric string counts as its number
     del req["charged"]["degree"]  # defaults to the defect's degree
     path = write_config(tmp_path, cfg)
-    parsed = load_scenario(path).defects[0]
-    assert (parsed["degree"], parsed["charged"]["degree"]) == (1, 1)
+    _, move, _, charged_degree = load_scenario(path).defect_moves[0]
+    assert (move.operator.degree, charged_degree) == (1, 1)
     assert main(["defect", path]) == 0
     crossing = json.loads(capsys.readouterr().out)["results"][0]
     assert (crossing["degree_before"], crossing["degree_after"]) == (1, 0)
@@ -235,6 +236,19 @@ def test_every_command_runs_the_combined_config(tmp_path, capsys, command):
     assert out.exists()
 
 
+def test_loading_leaves_the_config_dict_as_written():
+    from formlab.config import scenario_from_dict
+
+    cfg = _every_command_config()
+    req = cfg["defects"][0]
+    req["degree"] = "1"
+    del req["charged"]["degree"]
+    written = copy.deepcopy(cfg)
+    scenario = scenario_from_dict(cfg)
+    assert cfg == written
+    assert scenario.defects[0] is req
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
     "edit",
@@ -257,12 +271,14 @@ def test_every_command_runs_the_combined_config(tmp_path, capsys, command):
         lambda c: c["defects"][0]["charged"].update(degree=1),
         # a defect acts on the field's fiber, and a real scalar carries no action
         lambda c: c["field"].update(fiber="real_scalar"),
+        # every config has a mesh: no command runs without one
+        lambda c: c.pop("mesh"),
     ],
     ids=[
         "degree", "stddev", "init", "seed", "cells", "fixed", "source", "csv",
         "defect_kind", "loop_axis", "plane_normal",
         "eom_on_a_loop", "trivial_off_a_cycle", "defect_on_a_plane", "charged_parity",
-        "defect_on_a_scalar_field",
+        "defect_on_a_scalar_field", "no_mesh",
     ],
 )
 def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, command, edit):
