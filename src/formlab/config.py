@@ -1,16 +1,15 @@
 """Scenario configuration loading and resolution.
 
-A scenario is one UTF-8 JSON document with the keys mesh (required),
-algebra, field, group_elements, charges, defects, compose, checks,
-tolerances and seed, read once and left as written.  Every cross-reference,
-each chain spec included, is resolved here once; malformed input raises
-ConfigError with a message naming the offending key.  A config is checked
-whole as it loads, so every command rejects the same configs: each charge
-and defect request and a solve init are held to the rules their command
-applies (`defect.check_charge`, `defect.check_sweep`, `calculus.check_free`,
-`GroupoidRep`'s fiber rule), and each defect's operator and move are built
-here once.  Only check names, which `checks` owns, and the contents of a
-field CSV wait for their command.
+A scenario is one UTF-8 JSON document, read once and left as written.  Each
+JSON object in it, at any depth, is read through `errors.parse_object` with
+its own key set, so a missing or misspelled key is a ConfigError naming it,
+as is every other malformed input.  Every cross-reference, each chain spec
+included, is resolved here once.  A config is checked whole as it loads, so
+every command rejects the same configs: each charge and defect request and a
+solve init are held to the rules their command applies (`defect.check_charge`,
+`defect.check_sweep`, `calculus.check_free`, `GroupoidRep`'s fiber rule), and
+each defect's operator and move are built here once.  Only check names, which
+`checks` owns, and the contents of a field CSV wait for their command.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .calculus import (
     solve_free,
 )
 from .defect import DefectMove, DefectOperator, check_charge, check_sweep
-from .errors import ConfigError, DomainError, FormlabError, parse_number
+from .errors import ConfigError, DomainError, FormlabError, parse_number, parse_object
 from .graded import GroupoidRep
 from .mesh import Chain, Cobordism, CubicalComplex, named_cycle
 
@@ -38,6 +37,10 @@ DEFAULT_TOLERANCES = {
     "exact": 1e-13,
     "star": 1e-14,
     "solver": DEFAULT_SOLVER_TOL,
+}
+_INIT_KEYS = {  # per kind of field init, the keys it may hold besides "init"
+    "zero": (), "random_gaussian": ("seed", "stddev"), "explicit": ("cells", "csv"),
+    "solve": ("fixed", "source"),
 }
 
 
@@ -88,40 +91,29 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
-    if not isinstance(cfg, dict):
-        raise ConfigError("the config root must be a JSON object")
-    known = {
-        "mesh", "algebra", "field", "group_elements", "charges", "defects",
-        "compose", "checks", "tolerances", "seed",
-    }
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    complex_ = _build_mesh(cfg.get("mesh"))
+    parse_object(cfg, "the config root", ("mesh",), (
+        "algebra", "field", "group_elements", "charges", "defects", "compose", "checks", "tolerances", "seed",
+    ))
+    mesh = parse_object(cfg["mesh"], "'mesh'", ("shape",), ("spacing", "topology"))
+    if not isinstance(mesh["shape"], list):
+        raise ConfigError(f"'mesh.shape' must be a list, got {mesh['shape']!r}")
+    complex_ = CubicalComplex(mesh["shape"], mesh.get("spacing"), mesh.get("topology", "torus"))
     algebra_name = cfg.get("algebra", "so3")
     if not isinstance(algebra_name, str):
         raise ConfigError(f"'algebra' must be a name, got {algebra_name!r}")
     algebra = alg.algebra_by_name(algebra_name)
 
-    field_cfg = cfg.get("field", {})
-    if not isinstance(field_cfg, dict):
-        raise ConfigError("'field' must be an object")
+    field_cfg = parse_object(cfg.get("field", {}), "'field'", (), ("degree", "fiber", "init"))
     field_degree = parse_number(int, field_cfg.get("degree", 1), "'field.degree'")
     fiber = _build_fiber(field_cfg.get("fiber", "algebra"), algebra)
     if fiber.kind == "complex_pair" and algebra.name != "u2":
         raise ConfigError("the complex pair fiber needs the u2 scenario algebra")
     if not 0 <= field_degree <= complex_.d:
         raise ConfigError(f"'field.degree' must lie in 0..{complex_.d}, got {field_degree}")
-    field_init = field_cfg.get("init", {"init": "zero"})
-    if not isinstance(field_init, dict) or "init" not in field_init:
-        raise ConfigError("'field.init' must be an object with an 'init' key")
-    field_init = _parse_init(dict(field_init), complex_, field_degree, fiber)
+    field_init = _parse_init(field_cfg.get("init", {"init": "zero"}), complex_, field_degree, fiber)
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in _container(cfg, "tolerances", dict).items():
-        if key not in tolerances:
-            raise ConfigError(f"unknown tolerance {key!r}")
+    for key, value in parse_object(cfg.get("tolerances", {}), "'tolerances'", (), DEFAULT_TOLERANCES).items():
         tolerances[key] = parse_tolerance(value, f"tolerance {key!r}")
 
     group_elements = {}
@@ -188,12 +180,13 @@ def parse_tolerance(value, what: str) -> float:
     return tol
 
 
-def _parse_init(init: dict, cx: CubicalComplex, degree: int, fiber: FiberSpec) -> dict:
-    """The field init spec with its numbers parsed and its cell lists as
-    (cell index, fiber value) pairs."""
-    kind = init["init"]
-    if kind not in ("zero", "random_gaussian", "explicit", "solve"):
+def _parse_init(spec, cx: CubicalComplex, degree: int, fiber: FiberSpec) -> dict:
+    """A copy of the field init spec with its numbers parsed and its cell
+    lists as (cell index, fiber value) pairs."""
+    kind = parse_object(spec, "'field.init'", ("init",), sum(_INIT_KEYS.values(), ()))["init"]
+    if not isinstance(kind, str) or kind not in _INIT_KEYS:
         raise ConfigError(f"unknown field init {kind!r}")
+    init = dict(parse_object(spec, f"a {kind} 'field.init'", ("init",), _INIT_KEYS[kind]))
     if kind == "random_gaussian":
         if "seed" in init:
             init["seed"] = parse_seed(init["seed"], "'field.init.seed'")
@@ -212,16 +205,9 @@ def _parse_init(init: dict, cx: CubicalComplex, degree: int, fiber: FiberSpec) -
         init["fixed"] = _cell_values(cx, degree, fiber, init.get("fixed", []), "'fixed'")
         src = init.get("source")
         if src is not None:
-            if not isinstance(src, dict) or "cells" not in src:
-                raise ConfigError("solve source must be an object with a 'cells' list")
-            init["source"] = _cell_values(cx, degree, fiber, src["cells"], "source 'cells'")
+            cells = parse_object(src, "solve 'source'", ("cells",))["cells"]
+            init["source"] = _cell_values(cx, degree, fiber, cells, "source 'cells'")
     return init
-
-
-def _build_mesh(spec) -> CubicalComplex:
-    if not isinstance(spec, dict) or not isinstance(spec.get("shape"), list):
-        raise ConfigError("'mesh' must be an object with a 'shape' list")
-    return CubicalComplex(spec["shape"], spec.get("spacing"), spec.get("topology", "torus"))
 
 
 def _build_fiber(name, algebra: alg.LieAlgebra) -> FiberSpec:
@@ -235,10 +221,10 @@ def _build_fiber(name, algebra: alg.LieAlgebra) -> FiberSpec:
 
 
 def _build_group_element(name, spec, algebra: alg.LieAlgebra) -> alg.GroupElement:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"group element {name!r} must be an object with a 'type'")
+    parse_object(spec, f"group element {name!r}", ("type",), ("coeffs", "algebra", "rows"))
     try:
         if spec["type"] == "exp":
+            parse_object(spec, "an exp element", ("type", "coeffs"), ("algebra",))
             source = alg.algebra_by_name(spec.get("algebra", algebra.name))
             if source is not algebra:
                 raise ConfigError(
@@ -252,14 +238,12 @@ def _build_group_element(name, spec, algebra: alg.LieAlgebra) -> alg.GroupElemen
                 x = source.element(coeffs)
             return alg.exponential(x)
         if spec["type"] == "matrix":
-            rows = spec["rows"]
+            rows = parse_object(spec, "a matrix element", ("type", "rows"))["rows"]
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise ConfigError(f"'rows' must be a list of lists, got {rows!r}")
             matrix = np.array([[_complex_entry(v, "matrix entry") for v in row] for row in rows])
             return alg.GroupElement(algebra.group, matrix)
-    except FormlabError as exc:
-        raise ConfigError(f"bad group element {name!r}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (FormlabError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad group element {name!r}: {exc}") from exc
     raise ConfigError(f"group element {name!r}: unknown type {spec['type']!r}")
 
@@ -300,8 +284,6 @@ def parse_fiber_value(fiber: FiberSpec, raw) -> np.ndarray:
 def resolve_chain(scenario: Scenario, spec) -> Chain:
     try:
         chain = named_cycle(scenario.complex, spec)
-    except KeyError as exc:
-        raise ConfigError(f"bad chain spec: missing key {exc}") from exc
     except (DomainError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad chain spec: {exc}") from exc
     # integer boundaries run in int64 and integrals scale float values, so a
@@ -316,10 +298,9 @@ def _resolve_requests(scenario: Scenario) -> None:
     """Check each charge and defect request, parse its numbers and resolve its
     chains into the entry its command reads; the request dicts stay as written."""
     for i, req in enumerate(scenario.charges):
-        if not isinstance(req, dict) or req.get("kind") not in ("eom", "trivial"):
+        parse_object(req, f"charge request {i}", ("kind", "support"), ("name",))
+        if req["kind"] not in ("eom", "trivial"):
             raise ConfigError(f"charge request {i}: 'kind' must be 'eom' or 'trivial'")
-        if "support" not in req:
-            raise ConfigError(f"charge request {i}: missing 'support'")
         support = resolve_chain(scenario, req["support"])
         try:
             check_charge(req["kind"], scenario.field_degree, support)
@@ -332,23 +313,17 @@ def _resolve_requests(scenario: Scenario) -> None:
         except FormlabError as exc:
             raise ConfigError(f"'defects': {exc}") from exc
     for i, req in enumerate(scenario.defects):
-        for key in ("g", "degree", "support", "move", "charged"):
-            if not isinstance(req, dict) or key not in req:
-                raise ConfigError(f"defect request {i}: missing {key!r}")
+        parse_object(req, f"defect request {i}", ("g", "degree", "support", "move", "charged"), ("name",))
         if not isinstance(req["g"], str) or req["g"] not in scenario.group_elements:
             raise ConfigError(f"defect request {i}: unknown group element {req['g']!r}")
-        if not isinstance(req["move"], dict) or "filling" not in req["move"]:
-            raise ConfigError(f"defect request {i}: 'move' needs a 'filling'")
-        charged = req["charged"]
-        if not isinstance(charged, dict) or "support" not in charged:
-            raise ConfigError(f"defect request {i}: 'charged' needs a 'support'")
+        filling = parse_object(req["move"], f"defect request {i}: 'move'", ("filling",))["filling"]
+        charged = parse_object(req["charged"], f"defect request {i}: 'charged'", ("support",), ("degree",))
         degree = parse_number(int, req["degree"], f"defect request {i}: 'degree'")
         charged_degree = parse_number(
             int, charged.get("degree", degree), f"defect request {i}: 'charged.degree'"
         )
         support, filling, charged_support = (
-            resolve_chain(scenario, spec)
-            for spec in (req["support"], req["move"]["filling"], charged["support"])
+            resolve_chain(scenario, spec) for spec in (req["support"], filling, charged["support"])
         )
         try:
             operator = DefectOperator(scenario.group_elements[req["g"]], degree, support)
@@ -359,6 +334,12 @@ def _resolve_requests(scenario: Scenario) -> None:
         scenario.defect_moves.append(
             (req.get("name", f"defect_{i}"), move, charged_support, charged_degree)
         )
+    for kind, entries in (("charge", scenario.charge_chains), ("defect", scenario.defect_moves)):
+        names = set()
+        for i, (name, *_) in enumerate(entries):
+            if not isinstance(name, str) or name in names:
+                raise ConfigError(f"{kind} request {i}: 'name' must be a distinct string, got {name!r}")
+            names.add(name)
 
 
 def representation_for(scenario: Scenario) -> GroupoidRep:
@@ -410,13 +391,12 @@ def _cell_values(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what:
         raise ConfigError(f"{what} must be a list of cells, got {items!r}")
     pairs = []
     for item in items:
-        if not isinstance(item, dict) or "value" not in item:
-            raise ConfigError(f"{what} items must be objects with a 'value', got {item!r}")
+        parse_object(item, f"a {what} item", ("base", "axes", "value"))
         try:
             base = [parse_number(int, b, "cell 'base'") for b in item["base"]]
             axes = [parse_number(int, a, "cell 'axes'") for a in item["axes"]]
             index = cx.cell_index(degree, base, axes)
-        except (FormlabError, KeyError, TypeError, ValueError) as exc:
+        except (FormlabError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad cell reference {item!r}: {exc}") from exc
         pairs.append((index, parse_fiber_value(fiber, item["value"])))
     return pairs

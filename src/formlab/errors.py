@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rule for config numbers."""
+"""Exception types shared across the package, and the rules for config numbers and objects."""
 
 
 class FormlabError(Exception):
@@ -38,3 +38,17 @@ def parse_number(kind, value, what: str):
     if isinstance(value, bool) or (kind is int and isinstance(value, float) and number != value):
         raise ConfigError(f"{what} must be {noun}, got {value!r}")
     return number
+
+
+def parse_object(value, what: str, required=(), optional=()):
+    """`value` if it is a JSON object with every key of `required` and no key
+    outside `required` and `optional`, else a ConfigError naming `what` and the key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{what} has an unknown key {key!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{what} needs a {key!r} key")
+    return value

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._records import record
-from .errors import ConfigError, DomainError, parse_number
+from .errors import ConfigError, DomainError, parse_number, parse_object
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -473,13 +473,13 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
       {"kind": "plane", "normal": n, "offset": o}
       {"kind": "cells", "items": [{"degree": p, "base": [..], "axes": [..], "coef": c}]}
 
-    Loop and plane specs produce cycles on torus topology.  Every number of
-    a spec is an integer under `errors.parse_number`.
+    Loop and plane specs produce cycles on torus topology.  A spec holds the
+    keys shown (`coef` may go), and every number is an integer under `errors.parse_number`.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"chain spec must be a dict with a 'kind' key, got {spec!r}")
+    parse_object(spec, "chain spec", ("kind",), ("axis", "offsets", "normal", "offset", "items"))
     kind = spec["kind"]
     if kind == "loop":
+        parse_object(spec, "a loop spec", ("kind", "axis", "offsets"))
         axis = parse_number(int, spec["axis"], "loop 'axis'")
         if not 0 <= axis < complex.d:
             raise ConfigError(f"loop axis {axis} out of range")
@@ -491,6 +491,7 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
             )
         return _unit_chain(complex, (axis,), offsets, f"loop offsets {offsets}")
     if kind == "plane":
+        parse_object(spec, "a plane spec", ("kind", "normal", "offset"))
         normal = parse_number(int, spec["normal"], "plane 'normal'")
         if not 0 <= normal < complex.d:
             raise ConfigError(f"plane normal {normal} out of range")
@@ -498,19 +499,20 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
         axes = tuple(i for i in range(complex.d) if i != normal)
         return _unit_chain(complex, axes, [offset], f"plane offset {offset}")
     if kind == "cells":
-        items = spec.get("items")
+        items = parse_object(spec, "a cells spec", ("kind", "items"))["items"]
         if not items:
             raise ConfigError("cells spec needs a non-empty 'items' list")
-        degree = parse_number(int, items[0]["degree"], "chain item 'degree'")
-        cells, coefs = [], []
+        cells, coefs, degrees = [], [], []
         for item in items:
-            if parse_number(int, item["degree"], "chain item 'degree'") != degree:
+            parse_object(item, "chain item", ("degree", "base", "axes"), ("coef",))
+            degrees.append(parse_number(int, item["degree"], "chain item 'degree'"))
+            if degrees[-1] != degrees[0]:
                 raise DomainError("all cells of a chain must share one degree")
             base = [parse_number(int, b, "chain item 'base'") for b in item["base"]]
             axes = [parse_number(int, a, "chain item 'axes'") for a in item["axes"]]
-            cells.append(complex.cell_index(degree, base, axes))
+            cells.append(complex.cell_index(degrees[0], base, axes))
             coefs.append(parse_number(int, item.get("coef", 1), "chain item 'coef'"))
-        return Chain(complex, degree, cells=cells, coefs=coefs)
+        return Chain(complex, degrees[0], cells=cells, coefs=coefs)
     raise ConfigError(f"unknown chain spec kind {kind!r}")
 
 

@@ -229,6 +229,33 @@ def _one_cell(**item):
     return [{"base": [0, 0, 0], "axes": [0], "value": [1, 0, 0], **item}]
 
 
+def _naming(key, edit):
+    """`edit`, marked with the key that the error line it causes must name."""
+    edit.key = key
+    return edit
+
+
+def _stray(where, key, value=0):
+    """An edit that writes `key`, which that object does not hold, into the
+    config object that `where` picks."""
+    return _naming(key, lambda c: where(c).__setitem__(key, value))
+
+
+def _field_init(c, **init):
+    """Give the config the field init `init`, and return it."""
+    c["field"]["init"] = init
+    return init
+
+
+def _rename_default(c):
+    # charge 2 loses its name, and its default is what charge 0 is named
+    c["charges"][0]["name"] = "charge_2"
+    del c["charges"][2]["name"]
+
+
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_runs_the_combined_config(tmp_path, capsys, command):
     out = tmp_path / "report.json"
@@ -273,12 +300,44 @@ def test_loading_leaves_the_config_dict_as_written():
         lambda c: c["field"].update(fiber="real_scalar"),
         # every config has a mesh: no command runs without one
         lambda c: c.pop("mesh"),
+        # one misspelled key per kind of config object, or a key that its
+        # kind does not hold though another kind does
+        _stray(lambda c: c["mesh"], "topolgy", "box"),
+        _stray(lambda c: c["field"], "fibre", "real_scalar"),
+        _stray(lambda c: _field_init(c, init="zero"), "seed", 3),
+        _stray(lambda c: c["field"]["init"], "stdev", 5.0),
+        _stray(lambda c: _field_init(c, init="explicit", cells=_one_cell()), "cvs"),
+        _stray(lambda c: _field_init(c, init="solve", fixed=_one_cell()), "seed"),
+        _stray(lambda c: _field_init(c, init="solve", source={"cells": _one_cell()})["source"], "cell"),
+        _stray(lambda c: _field_init(c, init="explicit", cells=_one_cell())["cells"][0], "valeu"),
+        _stray(lambda c: c["group_elements"]["g"], "rows", IDENTITY),
+        _stray(lambda c: c["group_elements"].setdefault("m", {"type": "matrix", "rows": IDENTITY}), "row"),
+        _stray(lambda c: c["charges"][0], "nmae", "q"),
+        _stray(lambda c: c["defects"][0], "suport"),
+        _stray(lambda c: c["defects"][0]["move"], "filing"),
+        _stray(lambda c: c["defects"][0]["charged"], "degre", 1),
+        _stray(lambda c: c["defects"][0]["support"], "offset"),
+        _stray(lambda c: c["charges"][1]["support"], "offest"),
+        _stray(lambda c: c["charges"][0]["support"], "item", []),
+        _stray(lambda c: c["charges"][0]["support"]["items"][0], "coeff", 1),
+        # a request name is a string that no other request of its kind has
+        _naming("name", lambda c: c["charges"][0].update(name=None)),
+        _naming("name", lambda c: c["charges"][1].update(name=5)),
+        _naming("name", lambda c: c["defects"][0].update(name={"x": 1})),
+        _naming("name", lambda c: c["defects"][1].update(name=c["defects"][0]["name"])),
+        _naming("name", _rename_default),
     ],
     ids=[
         "degree", "stddev", "init", "seed", "cells", "fixed", "source", "csv",
         "defect_kind", "loop_axis", "plane_normal",
         "eom_on_a_loop", "trivial_off_a_cycle", "defect_on_a_plane", "charged_parity",
         "defect_on_a_scalar_field", "no_mesh",
+        "mesh_key", "field_key", "zero_init_key", "random_gaussian_init_key", "explicit_init_key",
+        "solve_init_key", "source_key", "cell_item_key", "exp_element_key", "matrix_element_key",
+        "charge_key", "defect_key", "move_key", "charged_key", "loop_key", "plane_key", "cells_key",
+        "chain_item_key",
+        "null_charge_name", "number_charge_name", "object_defect_name", "shared_defect_name",
+        "name_shared_with_a_default",
     ],
 )
 def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, command, edit):
@@ -291,6 +350,8 @@ def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, comma
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not out.exists()
+    if hasattr(edit, "key"):
+        assert repr(edit.key) in err[0], err
 
 
 @pytest.mark.parametrize("command", COMMANDS)

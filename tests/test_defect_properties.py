@@ -9,6 +9,10 @@ sweeps the defect loop one step along the third axis, with a coefficient
 in {-1, 1, 2}.  The charged loop is placed so that about half the sweeps
 cross it.  The crossing count n is `intersection_number` of the charged
 loop and the filling.
+
+Two more strategies draw on the same meshes and fibers: a closed field that
+is not exact with a charged cycle moved by a boundary, and two sweeps, by g
+and by h, that each cross the charged loop once.
 """
 
 import numpy as np
@@ -27,9 +31,13 @@ from formlab import (
     GroupoidRep,
     algebra_fiber,
     apply_defect,
+    apply_fiber_map,
     boundary,
+    compose,
+    d,
     intersection_number,
     named_cycle,
+    primitive_morphism,
     so3,
     u2,
 )
@@ -45,15 +53,32 @@ def _loop(cx, axis, point):
     return named_cycle(cx, {"kind": "loop", "axis": axis, "offsets": offsets})
 
 
+def _strip(cx, b, c, y, coef):
+    """The 2-chain that sweeps the loop along axis b through y one step along
+    axis c, each face with coefficient coef."""
+    faces = {}
+    for j in range(cx.shape[b]):
+        base = list(y)
+        base[b] = j
+        faces[cx.cell_index(2, base, sorted((b, c)))] = coef
+    return Chain(cx, 2, faces)
+
+
+def _torus(draw):
+    """A torus, the algebra of the group elements, a fiber and a generator."""
+    shape = draw(st.lists(st.integers(3, 6), min_size=3, max_size=3))
+    spacing = [2.0 ** e for e in draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))]
+    algebra, fiber = draw(st.sampled_from(FIBERS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return CubicalComplex(shape, spacing=spacing), algebra, fiber, rng
+
+
 @st.composite
 def sweeps(draw):
     """(rep, charged operator, defect, filling, bump): the filling sweeps the
     defect's loop, and bump is the boundary of a random 3-chain."""
-    shape = draw(st.lists(st.integers(3, 6), min_size=3, max_size=3))
-    spacing = [2.0 ** e for e in draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))]
-    cx = CubicalComplex(shape, spacing=spacing)
-    algebra, fiber = draw(st.sampled_from(FIBERS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cx, algebra, fiber, rng = _torus(draw)
+    shape = cx.shape
     g = random_group_element(algebra, rng)
     field = Cochain.random_gaussian(cx, 1, fiber, rng)
     # the charged loop runs along axis a, the defect loop along b, and the
@@ -65,13 +90,7 @@ def sweeps(draw):
     degree = draw(st.integers(0, 1))
     charged = ChargedOperator(_loop(cx, a, x), field, degree)
     defect = DefectOperator(g, degree, _loop(cx, b, y))
-    coef = draw(st.sampled_from([-1, 1, 2]))
-    axes = sorted((b, c))
-    strip = {}
-    for j in range(shape[b]):
-        base = list(y)
-        base[b] = j
-        strip[cx.cell_index(2, base, axes)] = coef
+    strip = _strip(cx, b, c, y, draw(st.sampled_from([-1, 1, 2])))
     # cubes along the charged loop, whose boundaries it crosses
     near = st.tuples(
         *(st.integers(0, n - 1) if i == a else st.integers(v - 1, v) for i, (n, v) in enumerate(zip(shape, x)))
@@ -79,7 +98,7 @@ def sweeps(draw):
     volume = draw(st.dictionaries(near, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=4))
     cubes = {cx.cell_index(3, base, (0, 1, 2)): k for base, k in volume.items()}
     bump = boundary(Chain(cx, 3, cubes))
-    return GroupoidRep(fiber), charged, defect, Chain(cx, 2, strip), bump
+    return GroupoidRep(fiber), charged, defect, strip, bump
 
 
 def _sweep(rep, charged, defect, filling):
@@ -115,3 +134,78 @@ def test_a_sweep_acts_by_the_group_element_once_per_crossing(case):
     expected = np.linalg.matrix_power(rep.matrix(defect.g), n) @ charged.observable
     scale = max(1.0, float(np.max(np.abs(charged.observable))))
     assert np.max(np.abs(outcome.observable - expected)) <= 1e-12 * scale
+
+
+@st.composite
+def closed_fields(draw):
+    """(field, cycle, moved cycle): a closed 1-form that is not exact, d of a
+    random integer 0-cochain plus a nonzero integer constant on the edges of
+    each axis; an integer sum of named loops; and that sum plus the boundary
+    of a random integer 2-chain."""
+    cx, _, fiber, rng = _torus(draw)
+    k = fiber.components
+    potential = Cochain(cx, 0, fiber, rng.integers(-4, 5, (cx.cell_count(0), k)).astype(fiber.dtype))
+    values = d(potential).values.copy()
+    every = np.indices(cx.shape).reshape(3, -1)
+    for axis in range(3):
+        values[cx.cell_indices(1, (axis,), every)] += rng.choice([-3, -2, -1, 1, 2, 3], k)
+    loops = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=3))
+    cycle = Chain(cx, 1, {})
+    for axis, coef in loops:
+        cycle = cycle + coef * _loop(cx, axis, [int(rng.integers(n)) for n in cx.shape])
+    faces = rng.integers(cx.cell_count(2), size=draw(st.integers(1, 8)))
+    surface = Chain(cx, 2, {int(f): int(rng.choice([-2, -1, 1, 2])) for f in faces})
+    return Cochain(cx, 1, fiber, values), cycle, cycle + boundary(surface)
+
+
+@SETTINGS
+@given(closed_fields())
+def test_a_closed_field_is_observed_through_the_homology_of_the_support(case):
+    # Stokes on integer data: the boundary adds the integral of d psi = 0
+    # over the surface, exactly, so the observable is the same to the bit
+    field, cycle, moved = case
+    before = ChargedOperator(cycle, field, 0).observable
+    assert np.array_equal(ChargedOperator(moved, field, 0).observable, before)
+
+
+@st.composite
+def two_sweeps(draw):
+    """(rep, charged operator, g, h, defect loop, filling): the filling sweeps
+    the defect loop across the charged loop once, with crossing number 1."""
+    cx, algebra, fiber, rng = _torus(draw)
+    g, h = random_group_element(algebra, rng), random_group_element(algebra, rng)
+    field = Cochain.random_gaussian(cx, 1, fiber, rng)
+    a, b, c = draw(st.permutations(range(3)))
+    y = [draw(st.integers(0, n - 1)) for n in cx.shape]
+    x = [draw(st.integers(0, n - 1)) for n in cx.shape]
+    strip = _strip(cx, b, c, y, 1)
+    # of the two charged loops on either side of y[c], one crosses the strip
+    for step in (0, 1):
+        x[c] = (y[c] + step) % cx.shape[c]
+        n = intersection_number(_loop(cx, a, x), strip)
+        if n:
+            break
+    assert n in (-1, 1)
+    charged = ChargedOperator(_loop(cx, a, x), field, draw(st.integers(0, 1)))
+    return GroupoidRep(fiber), charged, g, h, _loop(cx, b, y), n * strip
+
+
+@SETTINGS
+@given(two_sweeps())
+def test_two_sweeps_act_by_their_graded_composite_in_order(case):
+    # g then h acts by compose(h, g), which lands where the sweeps do; the
+    # order shows, since random elements do not commute
+    rep, charged, g, h, loop, strip = case
+    s = charged.degree
+
+    def twice(first, second):
+        once = _sweep(rep, charged, DefectOperator(first, s, loop), strip)
+        return _sweep(rep, once, DefectOperator(second, s ^ 1, loop), strip)
+
+    composite = compose(primitive_morphism(h, s ^ 1), primitive_morphism(g, s))
+    expected = apply_fiber_map(charged.field, rep.matrix(composite.g)).values
+    scale = max(1.0, float(np.max(np.abs(charged.field.values))))
+    g_then_h, h_then_g = twice(g, h), twice(h, g)
+    assert g_then_h.degree == composite.target
+    assert np.max(np.abs(g_then_h.field.values - expected)) <= 1e-12 * scale
+    assert np.max(np.abs(h_then_g.field.values - expected)) > 1e-6 * scale

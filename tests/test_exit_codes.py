@@ -3,7 +3,8 @@
 One key or value of a shipped config is dropped, renamed, swapped for a value
 of another type, nested, or duplicated in its list; or the mesh gets a shape
 past the size rule, or a spacing anywhere from 1e-308 to 1e308 on one axis.
-Then every command the config serves runs in-process.  Whatever the input, a
+Then every command the config serves runs in-process.  A renamed key of any
+config object exits 2, naming the key.  Whatever the input, a
 run exits 0, 1 or 2, raises nothing, warns nothing, writes no report on exit
 2 and a JSON report on exit 1.  Whether a non-finite result should exit 2 is
 not asked here: an overflowing field reports Infinity and exits 0.
@@ -17,10 +18,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formlab.cli import main
+from formlab.config import scenario_from_dict
+from formlab.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,6 +99,19 @@ def mutated(draw):
 
 
 @st.composite
+def renamed(draw):
+    """A shipped config with one key of one object renamed as `mutated` does,
+    and the new key.  The keys of group_elements are names, not fixed keys."""
+    name = draw(st.sampled_from(sorted(SERVED)))
+    cfg = copy.deepcopy(SHIPPED[name])
+    paths = [p for p in _paths(cfg) if isinstance(_parent(cfg, p), dict) and p[:-1] != ("group_elements",)]
+    path = draw(st.sampled_from(paths))
+    parent = _parent(cfg, path)
+    parent[path[-1] + "_"] = parent.pop(path[-1])
+    return name, cfg, path[-1] + "_"
+
+
+@st.composite
 def oversized(draw):
     """A shipped config whose mesh has at least 2**63 vertices: past the size
     rule, and so far past it that numpy refuses even one float per cell
@@ -153,6 +170,16 @@ def _run_commands(name, cfg) -> list:
 @example(_swapped("so3_defect.json", ("defects", 0, "charged", "support", "offsets", 0), 2**63))
 def test_every_mutated_config_keeps_the_exit_code_contract(case):
     _run_commands(*case)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(renamed())
+def test_every_renamed_key_exits_two_naming_it(case):
+    name, cfg, key = case
+    assert set(_run_commands(name, cfg)) == {2}
+    with pytest.raises(ConfigError) as raised:
+        scenario_from_dict(cfg, base_dir=CONFIG_DIR)
+    assert repr(key) in str(raised.value)
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
