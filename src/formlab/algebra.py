@@ -191,10 +191,10 @@ def u1() -> LieAlgebra:
 
 
 def algebra_by_name(name: str) -> LieAlgebra:
-    try:
-        return {"so3": so3, "u2": u2, "u1": u1}[name]()
-    except KeyError:
-        raise ConfigError(f"unknown algebra {name!r}") from None
+    # a tuple test, not a dict lookup: a JSON list or object is unknown, not unhashable
+    if name not in ("so3", "u2", "u1"):
+        raise ConfigError(f"unknown algebra {name!r}")
+    return {"so3": so3, "u2": u2, "u1": u1}[name]()
 
 
 def _same_algebra(x: AlgebraElement, y: AlgebraElement) -> None:

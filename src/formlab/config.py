@@ -2,14 +2,16 @@
 
 A scenario is one UTF-8 JSON document, read once and left as written.  Each
 JSON object in it, at any depth, is read through `errors.parse_object` with
-its own key set, so a missing or misspelled key is a ConfigError naming it,
-as is every other malformed input.  Every cross-reference, each chain spec
-included, is resolved here once.  A config is checked whole as it loads, so
-every command rejects the same configs: each charge and defect request and a
-solve init are held to the rules their command applies (`defect.check_charge`,
-`defect.check_sweep`, `calculus.check_free`, `GroupoidRep`'s fiber rule), and
-each defect's operator and move are built here once.  Only check names, which
-`checks` owns, and the contents of a field CSV wait for their command.
+its own key set, and each JSON array through `errors.parse_list`, so a
+missing or misspelled key, or a string where a list belongs, is a
+ConfigError naming the key, as is every other malformed input.  Every
+cross-reference, each chain spec included, is resolved here once.  A config
+is checked whole as it loads, so every command rejects the same configs:
+each charge and defect request and a solve init are held to the rules their
+command applies (`defect.check_charge`, `defect.check_sweep`,
+`calculus.check_free`, `GroupoidRep`'s fiber rule), and each defect's
+operator and move are built here once.  Only check names, which `checks`
+owns, and the contents of a field CSV wait for their command.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .calculus import (
     solve_free,
 )
 from .defect import DefectMove, DefectOperator, check_charge, check_sweep
-from .errors import ConfigError, DomainError, FormlabError, parse_number, parse_object
+from .errors import (
+    ConfigError, DomainError, FormlabError, parse_integers, parse_list, parse_number, parse_object,
+)
 from .graded import GroupoidRep
 from .mesh import Chain, Cobordism, CubicalComplex, named_cycle
 
@@ -95,13 +99,9 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         "algebra", "field", "group_elements", "charges", "defects", "compose", "checks", "tolerances", "seed",
     ))
     mesh = parse_object(cfg["mesh"], "'mesh'", ("shape",), ("spacing", "topology"))
-    if not isinstance(mesh["shape"], list):
-        raise ConfigError(f"'mesh.shape' must be a list, got {mesh['shape']!r}")
-    complex_ = CubicalComplex(mesh["shape"], mesh.get("spacing"), mesh.get("topology", "torus"))
-    algebra_name = cfg.get("algebra", "so3")
-    if not isinstance(algebra_name, str):
-        raise ConfigError(f"'algebra' must be a name, got {algebra_name!r}")
-    algebra = alg.algebra_by_name(algebra_name)
+    shape = parse_list(mesh["shape"], "'mesh.shape'")
+    complex_ = CubicalComplex(shape, mesh.get("spacing"), mesh.get("topology", "torus"))
+    algebra = alg.algebra_by_name(cfg.get("algebra", "so3"))
 
     field_cfg = parse_object(cfg.get("field", {}), "'field'", (), ("degree", "fiber", "init"))
     field_degree = parse_number(int, field_cfg.get("degree", 1), "'field.degree'")
@@ -117,12 +117,14 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         tolerances[key] = parse_tolerance(value, f"tolerance {key!r}")
 
     group_elements = {}
-    for name, spec in _container(cfg, "group_elements", dict).items():
+    elements = _optional(cfg, "group_elements", {})
+    # the keys of group_elements are names: every key is allowed
+    for name, spec in parse_object(elements, "'group_elements'", (), elements).items():
         group_elements[name] = _build_group_element(name, spec, algebra)
 
     checks = cfg.get("checks")
-    if not (checks is None or checks == "all" or isinstance(checks, list)):
-        raise ConfigError(f"'checks' must be a list of check names or \"all\", got {checks!r}")
+    if checks not in (None, "all"):
+        parse_list(checks, "'checks' (if not \"all\")")
     compose_source = cfg.get("compose")
     if not (compose_source is None or isinstance(compose_source, str)):
         raise ConfigError(f"'compose' must be a string, got {compose_source!r}")
@@ -134,8 +136,8 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
         field_degree=field_degree,
         field_init=field_init,
         group_elements=group_elements,
-        charges=list(_container(cfg, "charges", list)),
-        defects=list(_container(cfg, "defects", list)),
+        charges=list(parse_list(_optional(cfg, "charges", []), "'charges'")),
+        defects=list(parse_list(_optional(cfg, "defects", []), "'defects'")),
         compose_source=compose_source,
         checks=checks,
         tolerances=tolerances,
@@ -149,16 +151,10 @@ def scenario_from_dict(cfg: dict, base_dir=Path(".")) -> Scenario:
     return scenario
 
 
-def _container(cfg: dict, key: str, kind):
-    """cfg[key] when it is a JSON object (kind dict) or array (kind list);
-    an empty one when the key is absent or null."""
+def _optional(cfg: dict, key: str, empty):
+    """cfg[key], or `empty` when the key is absent or null."""
     value = cfg.get(key)
-    if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a list"
-        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
-    return value
+    return empty if value is None else value
 
 
 def parse_seed(value, what: str) -> int:
@@ -231,7 +227,7 @@ def _build_group_element(name, spec, algebra: alg.LieAlgebra) -> alg.GroupElemen
                     f"group element {name!r} uses algebra {source.name!r} but the "
                     f"scenario algebra is {algebra.name!r}"
                 )
-            coeffs = _numbers(spec["coeffs"], "'coeffs'")
+            coeffs = [parse_number(float, v, "'coeffs'") for v in parse_list(spec["coeffs"], "'coeffs'")]
             # coefficients near the float limit overflow the algebra matrix,
             # whose exponential is then rejected as non-finite
             with np.errstate(over="ignore", invalid="ignore"):
@@ -239,20 +235,13 @@ def _build_group_element(name, spec, algebra: alg.LieAlgebra) -> alg.GroupElemen
             return alg.exponential(x)
         if spec["type"] == "matrix":
             rows = parse_object(spec, "a matrix element", ("type", "rows"))["rows"]
-            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-                raise ConfigError(f"'rows' must be a list of lists, got {rows!r}")
+            n = algebra.generators.shape[-1]  # the group's matrices are n x n
+            rows = [parse_list(row, "a row of 'rows'", n) for row in parse_list(rows, "'rows'", n)]
             matrix = np.array([[_complex_entry(v, "matrix entry") for v in row] for row in rows])
             return alg.GroupElement(algebra.group, matrix)
-    except (FormlabError, TypeError, ValueError) as exc:
+    except FormlabError as exc:
         raise ConfigError(f"bad group element {name!r}: {exc}") from exc
     raise ConfigError(f"group element {name!r}: unknown type {spec['type']!r}")
-
-
-def _numbers(raw, what: str) -> np.ndarray:
-    """A JSON list of numbers as a float64 array."""
-    if not isinstance(raw, list):
-        raise ConfigError(f"{what} must be a list of numbers, got {raw!r}")
-    return np.array([parse_number(float, v, what) for v in raw], dtype=np.float64)
 
 
 def _complex_entry(value, what: str) -> complex:
@@ -264,27 +253,20 @@ def _complex_entry(value, what: str) -> complex:
 
 def parse_fiber_value(fiber: FiberSpec, raw) -> np.ndarray:
     """Parse one fiber value from its JSON form."""
-    what = "fiber value"
+    what = "cell 'value'"
     if fiber.kind == "real_scalar":
         if isinstance(raw, list) and len(raw) == 1:
             (raw,) = raw
         return np.array([parse_number(float, raw, what)])
     if fiber.kind == "complex_pair":
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError(f"complex pair values need two entries, got {raw!r}")
-        return np.array([_complex_entry(v, what) for v in raw])
-    vals = _numbers(raw, what)
-    if vals.shape != (fiber.components,):
-        raise ConfigError(
-            f"algebra values need {fiber.components} coefficients, got {raw!r}"
-        )
-    return vals
+        return np.array([_complex_entry(v, what) for v in parse_list(raw, what, 2)])
+    return np.array([parse_number(float, v, what) for v in parse_list(raw, what, fiber.components)])
 
 
 def resolve_chain(scenario: Scenario, spec) -> Chain:
     try:
         chain = named_cycle(scenario.complex, spec)
-    except (DomainError, TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"bad chain spec: {exc}") from exc
     # integer boundaries run in int64 and integrals scale float values, so a
     # coefficient must be an integer that a float holds exactly
@@ -387,16 +369,14 @@ def _cells_cochain(cx: CubicalComplex, degree: int, fiber: FiberSpec, pairs) -> 
 
 def _cell_values(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what: str):
     """(cell index, fiber value) for each {"base", "axes", "value"} item of a list."""
-    if not isinstance(items, list):
-        raise ConfigError(f"{what} must be a list of cells, got {items!r}")
     pairs = []
-    for item in items:
+    for item in parse_list(items, what):
         parse_object(item, f"a {what} item", ("base", "axes", "value"))
         try:
-            base = [parse_number(int, b, "cell 'base'") for b in item["base"]]
-            axes = [parse_number(int, a, "cell 'axes'") for a in item["axes"]]
+            base = parse_integers(item["base"], "cell 'base'")
+            axes = parse_integers(item["axes"], "cell 'axes'")
             index = cx.cell_index(degree, base, axes)
-        except (FormlabError, TypeError, ValueError) as exc:
+        except FormlabError as exc:
             raise ConfigError(f"bad cell reference {item!r}: {exc}") from exc
         pairs.append((index, parse_fiber_value(fiber, item["value"])))
     return pairs

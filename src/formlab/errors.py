@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rules for config numbers and objects."""
+"""Exception types shared across the package, and the rules for config numbers, objects and arrays."""
 
 
 class FormlabError(Exception):
@@ -52,3 +52,18 @@ def parse_object(value, what: str, required=(), optional=()):
         if key not in value:
             raise ConfigError(f"{what} needs a {key!r} key")
     return value
+
+
+def parse_list(value, what: str, length=None):
+    """`value` if it is a JSON array, of `length` entries where the schema
+    fixes one, else a ConfigError naming `what`.  A string is no array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{what} must have {length} entries, got {len(value)}")
+    return value
+
+
+def parse_integers(value, what: str, length=None) -> list:
+    """A JSON array of integers: `parse_list`, then `parse_number` on each entry."""
+    return [parse_number(int, v, what) for v in parse_list(value, what, length)]

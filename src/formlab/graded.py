@@ -48,6 +48,14 @@ class GradedMorphism:
         if not (is_degree(self.source) and is_degree(self.shift)):
             raise DegreeError("source and shift must be 0 or 1")
 
+    @classmethod
+    def _trusted(cls, g: GroupElement, source: int, shift: int) -> GradedMorphism:
+        """A morphism whose degrees follow from checked ones, unchecked, as
+        GroupElement._trusted is for products."""
+        m = object.__new__(cls)
+        m.__dict__.update(g=g, source=source, shift=shift)
+        return m
+
     @property
     def target(self) -> int:
         return (self.source + self.shift) % 2
@@ -82,12 +90,12 @@ def compose(second: GradedMorphism, first: GradedMorphism) -> GradedMorphism:
             f"cannot compose: first maps degree {first.source} to {first.target}, "
             f"second expects source degree {second.source}"
         )
-    return GradedMorphism(second.g @ first.g, first.source, (first.shift + second.shift) % 2)
+    return GradedMorphism._trusted(second.g @ first.g, first.source, (first.shift + second.shift) % 2)
 
 
 def inverse(m: GradedMorphism) -> GradedMorphism:
     """Two-sided inverse: swaps source and target, inverts the element."""
-    return GradedMorphism(m.g.inverse(), m.target, m.shift)
+    return GradedMorphism._trusted(m.g.inverse(), m.target, m.shift)
 
 
 @record(eq=False)

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._records import record
-from .errors import ConfigError, DomainError, parse_number, parse_object
+from .errors import ConfigError, DomainError, parse_integers, parse_list, parse_number, parse_object
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -86,17 +86,17 @@ class CubicalComplex:
     """A cubical mesh on a flat torus or box with a diagonal metric."""
 
     def __init__(self, shape, spacing=None, topology: str = "torus"):
-        shape = tuple(parse_number(int, n, "a shape entry") for n in shape)
+        shape = tuple(parse_number(int, n, "a 'shape' entry") for n in shape)
         if len(shape) not in (1, 2, 3):
             raise ConfigError(f"dimension must be 1, 2 or 3, got {len(shape)}")
         if any(n < 2 for n in shape):
             raise ConfigError(f"every shape entry must be >= 2, got {shape}")
         if spacing is None:
             spacing = (1.0,) * len(shape)
-        elif np.isscalar(spacing):
-            spacing = (parse_number(float, spacing, "the spacing"),) * len(shape)
-        else:
-            spacing = tuple(parse_number(float, h, "a spacing entry") for h in spacing)
+        elif isinstance(spacing, (list, tuple)):
+            spacing = tuple(parse_number(float, h, "a 'spacing' entry") for h in spacing)
+        else:  # one number for every axis
+            spacing = (parse_number(float, spacing, "'spacing'"),) * len(shape)
         if len(spacing) != len(shape):
             raise ConfigError("spacing must have one entry per axis")
         if not all(h > 0 for h in spacing):  # NaN fails too
@@ -474,7 +474,8 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
       {"kind": "cells", "items": [{"degree": p, "base": [..], "axes": [..], "coef": c}]}
 
     Loop and plane specs produce cycles on torus topology.  A spec holds the
-    keys shown (`coef` may go), and every number is an integer under `errors.parse_number`.
+    keys shown (`coef` may go), each list is a JSON array under `errors.parse_list`,
+    and every number is an integer under `errors.parse_number`.
     """
     parse_object(spec, "chain spec", ("kind",), ("axis", "offsets", "normal", "offset", "items"))
     kind = spec["kind"]
@@ -483,12 +484,7 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
         axis = parse_number(int, spec["axis"], "loop 'axis'")
         if not 0 <= axis < complex.d:
             raise ConfigError(f"loop axis {axis} out of range")
-        offsets = [parse_number(int, off, "loop 'offsets'") for off in spec["offsets"]]
-        others = [i for i in range(complex.d) if i != axis]
-        if len(offsets) != len(others):
-            raise ConfigError(
-                f"loop offsets must give the {len(others)} transverse coordinates"
-            )
+        offsets = parse_integers(spec["offsets"], "loop 'offsets'", complex.d - 1)
         return _unit_chain(complex, (axis,), offsets, f"loop offsets {offsets}")
     if kind == "plane":
         parse_object(spec, "a plane spec", ("kind", "normal", "offset"))
@@ -500,6 +496,7 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
         return _unit_chain(complex, axes, [offset], f"plane offset {offset}")
     if kind == "cells":
         items = parse_object(spec, "a cells spec", ("kind", "items"))["items"]
+        items = parse_list(items, "cells spec 'items'")
         if not items:
             raise ConfigError("cells spec needs a non-empty 'items' list")
         cells, coefs, degrees = [], [], []
@@ -508,8 +505,8 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
             degrees.append(parse_number(int, item["degree"], "chain item 'degree'"))
             if degrees[-1] != degrees[0]:
                 raise DomainError("all cells of a chain must share one degree")
-            base = [parse_number(int, b, "chain item 'base'") for b in item["base"]]
-            axes = [parse_number(int, a, "chain item 'axes'") for a in item["axes"]]
+            base = parse_integers(item["base"], "chain item 'base'")
+            axes = parse_integers(item["axes"], "chain item 'axes'")
             cells.append(complex.cell_index(degrees[0], base, axes))
             coefs.append(parse_number(int, item.get("coef", 1), "chain item 'coef'"))
         return Chain(complex, degrees[0], cells=cells, coefs=coefs)

@@ -247,6 +247,11 @@ def _field_init(c, **init):
     return init
 
 
+def _filling(c):
+    """The cells spec that fills the first defect's move."""
+    return c["defects"][0]["move"]["filling"]
+
+
 def _rename_default(c):
     # charge 2 loses its name, and its default is what charge 0 is named
     c["charges"][0]["name"] = "charge_2"
@@ -326,6 +331,17 @@ def test_loading_leaves_the_config_dict_as_written():
         _naming("name", lambda c: c["defects"][0].update(name={"x": 1})),
         _naming("name", lambda c: c["defects"][1].update(name=c["defects"][0]["name"])),
         _naming("name", _rename_default),
+        # a string, number or object where an array belongs: never read as a list
+        _naming("offsets", lambda c: c["defects"][0]["charged"]["support"].update(offsets="03")),
+        _naming("offsets", lambda c: c["defects"][0]["support"].update(offsets=5)),
+        _naming("items", lambda c: _filling(c).update(items=5)),
+        _naming("base", lambda c: _filling(c)["items"][0].update(base="003")),
+        _naming("axes", lambda c: _filling(c)["items"][0].update(axes="12")),
+        _naming("base", lambda c: _field_init(c, init="explicit", cells=_one_cell(base="000"))),
+        _naming("axes", lambda c: _field_init(c, init="solve", fixed=_one_cell(axes="0"))),
+        _naming("value", lambda c: _field_init(c, init="explicit", cells=_one_cell(value="100"))),
+        _naming("rows", lambda c: c["group_elements"].update(m={"type": "matrix", "rows": [[1, 0, 0], [0, 1], [0, 0, 1]]})),
+        _naming("spacing", lambda c: c["mesh"].update(spacing={"1": 1, "2": 1, "3": 1})),
     ],
     ids=[
         "degree", "stddev", "init", "seed", "cells", "fixed", "source", "csv",
@@ -338,6 +354,8 @@ def test_loading_leaves_the_config_dict_as_written():
         "chain_item_key",
         "null_charge_name", "number_charge_name", "object_defect_name", "shared_defect_name",
         "name_shared_with_a_default",
+        "string_offsets", "number_offsets", "number_items", "string_chain_base", "string_chain_axes",
+        "string_cell_base", "string_fixed_axes", "string_cell_value", "ragged_rows", "object_spacing",
     ],
 )
 def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, command, edit):

@@ -2,17 +2,18 @@
 operator through the homology of the sweep alone.
 
 A strategy draws a 3-dimensional torus with 3-6 cells per axis and
-power-of-two spacings, a fiber with its group (so(3) and u(2) on algebra
-fibers, U(2) on the complex pair), a random group element and field, a
+power-of-two spacings, a fiber with its group (so(3), u(2) and u(1) on
+algebra fibers, U(2) on the complex pair), a random group element and field, a
 charged loop, a defect loop of the same degree tag and the strip that
 sweeps the defect loop one step along the third axis, with a coefficient
 in {-1, 1, 2}.  The charged loop is placed so that about half the sweeps
 cross it.  The crossing count n is `intersection_number` of the charged
 loop and the filling.
 
-Two more strategies draw on the same meshes and fibers: a closed field that
-is not exact with a charged cycle moved by a boundary, and two sweeps, by g
-and by h, that each cross the charged loop once.
+Two more strategies draw on the same meshes: a closed field that is not
+exact with a charged cycle moved by a boundary, on the same fibers, and two
+sweeps, by g and by h, that each cross the charged loop once, on the
+non-abelian ones.
 """
 
 import numpy as np
@@ -39,12 +40,14 @@ from formlab import (
     named_cycle,
     primitive_morphism,
     so3,
+    u1,
     u2,
 )
 from formlab.algebra import random_group_element
 
 # (algebra the group elements come from, fiber the field takes values in)
-FIBERS = [(so3(), algebra_fiber(so3())), (u2(), algebra_fiber(u2())), (u2(), COMPLEX_PAIR)]
+NON_ABELIAN = [(so3(), algebra_fiber(so3())), (u2(), algebra_fiber(u2())), (u2(), COMPLEX_PAIR)]
+FIBERS = NON_ABELIAN + [(u1(), algebra_fiber(u1()))]
 SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
@@ -64,11 +67,11 @@ def _strip(cx, b, c, y, coef):
     return Chain(cx, 2, faces)
 
 
-def _torus(draw):
-    """A torus, the algebra of the group elements, a fiber and a generator."""
+def _torus(draw, fibers=FIBERS):
+    """A torus, the algebra of the group elements, a fiber from `fibers` and a generator."""
     shape = draw(st.lists(st.integers(3, 6), min_size=3, max_size=3))
     spacing = [2.0 ** e for e in draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))]
-    algebra, fiber = draw(st.sampled_from(FIBERS))
+    algebra, fiber = draw(st.sampled_from(fibers))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return CubicalComplex(shape, spacing=spacing), algebra, fiber, rng
 
@@ -171,8 +174,9 @@ def test_a_closed_field_is_observed_through_the_homology_of_the_support(case):
 @st.composite
 def two_sweeps(draw):
     """(rep, charged operator, g, h, defect loop, filling): the filling sweeps
-    the defect loop across the charged loop once, with crossing number 1."""
-    cx, algebra, fiber, rng = _torus(draw)
+    the defect loop across the charged loop once, with crossing number 1;
+    g and h come from a non-abelian group, so their order shows."""
+    cx, algebra, fiber, rng = _torus(draw, NON_ABELIAN)
     g, h = random_group_element(algebra, rng), random_group_element(algebra, rng)
     field = Cochain.random_gaussian(cx, 1, fiber, rng)
     a, b, c = draw(st.permutations(range(3)))

@@ -39,6 +39,8 @@ SHIPPED = {name: json.loads((CONFIG_DIR / name).read_text()) for name in SERVED}
 
 ODD_VALUES = [
     "x", "", 0, -1, 2, 1.5, True, False, None, [], {}, [1, 2], {"k": 1},
+    # digit strings, which a loader that iterates a string reads as a list
+    "03", "012",
     float("nan"), 1e300, -1e300, 1e308,
     # past int64 on either side, and past it as an integral float
     2**63, 2**64 - 1, -(2**63) - 1, 1e19,

@@ -137,6 +137,28 @@ def test_products_inverses_and_identity_are_not_revalidated(monkeypatch):
     assert checked == []
 
 
+def test_composites_and_inverses_are_not_rechecked(monkeypatch):
+    # their degrees follow from operands already checked; the public
+    # constructor still rejects a degree outside {0, 1}
+    a, b = primitive_morphism(so3_rotation(0, 0.7), 0), primitive_morphism(so3_rotation(2, 1.1), 1)
+    checked = []
+    validate = GradedMorphism.__post_init__
+
+    def counting(self):
+        checked.append((self.source, self.shift))
+        validate(self)
+
+    monkeypatch.setattr(GradedMorphism, "__post_init__", counting)
+    ba, back = compose(b, a), inverse(a)
+    assert checked == []
+    assert (ba.source, ba.shift, ba.target) == (0, 0, 0)
+    assert (back.source, back.shift, back.target) == (1, 1, 0)
+    assert compose(back, a).g.is_identity()
+    with pytest.raises(DegreeError):
+        GradedMorphism(ba.g, 2, 0)
+    assert checked == [(2, 0)]
+
+
 def test_groupoid_laws_on_quaternion_closure():
     assert groupoid_law_violations(quaternion_elements()) == 0
 
