@@ -46,7 +46,7 @@ from .graded import (
     inverse,
     primitive_morphism,
 )
-from .mesh import Chain, Cobordism, boundary, named_cycle
+from .mesh import Chain, Cobordism, _unit_chain, boundary
 from .dsl import Diagnostic, parse, typecheck
 
 
@@ -257,11 +257,13 @@ def _check_trivial_current(ctx: _Ctx):
 
 
 def _check_charge_homology(ctx: _Ctx):
-    if not charges_apply(ctx.field):
+    p, cx = ctx.field.degree, ctx.complex
+    if not charges_apply(ctx.field) or p + 2 > cx.d:
         return None
-    cx = ctx.complex
-    patch = Chain(cx, 2, {cx.cell_index(2, (i, j, 0), (0, 1)): 1 for i in range(2) for j in range(2)})
-    bump = Chain(cx, 3, {cx.cell_index(3, (0, 0, 0), (0, 1, 2)): 1})
+    # the 2^(p+1) unit (p+1)-cells on axes 0..p, and the (p+2)-cell on axes 0..p+1
+    corners = [c + (0,) * (cx.d - p - 1) for c in np.ndindex((2,) * (p + 1))]
+    patch = Chain(cx, p + 1, {cx.cell_index(p + 1, c, range(p + 1)): 1 for c in corners})
+    bump = Chain(cx, p + 2, {cx.cell_index(p + 2, (0,) * cx.d, range(p + 2)): 1})
     moved = patch + boundary(bump)
     q0 = np.atleast_1d(charge_eom(ctx.field, patch))
     q1 = np.atleast_1d(charge_eom(ctx.field, moved))
@@ -271,34 +273,32 @@ def _check_charge_homology(ctx: _Ctx):
 def _check_flux_identity(ctx: _Ctx):
     if not charges_apply(ctx.field):
         return None
-    cx = ctx.complex
-    loop0 = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
-    loop1 = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [1, 0]})
-    strip = Chain(
-        cx, 2, {cx.cell_index(2, (i, 0, 0), (0, 1)): -1 for i in range(cx.shape[0])}
-    )
+    cx, m = ctx.complex, ctx.complex.d - ctx.field.degree - 1
+    # the sub-tori on axes 0..m-1 at offsets 0 and 1 on axis m, and the (m+1)-cells between
+    rest = (0,) * (cx.d - m - 1)
+    loop0, loop1 = (_unit_chain(cx, range(m), (k,) + rest, "offset") for k in (0, 1))
+    cells = [cx.cell_index(m + 1, c + (0,) + rest, range(m + 1)) for c in np.ndindex(cx.shape[:m])]
+    strip = Chain(cx, m + 1, {c: (-1) ** m for c in cells})
     assert boundary(strip) == loop1 - loop0
-    delta = np.atleast_1d(charge_trivial(ctx.field, loop1)) - np.atleast_1d(
-        charge_trivial(ctx.field, loop0)
-    )
+    delta = np.atleast_1d(charge_trivial(ctx.field, loop1) - charge_trivial(ctx.field, loop0))
     flux = np.atleast_1d(integrate(eom_residual(ctx.field), strip))
     scale = 1.0 + float(np.max(np.abs(flux)))
     return float(np.max(np.abs(delta - flux))) / scale
 
 
 def _check_defect_gating(ctx: _Ctx):
-    if not charges_apply(ctx.field) or ctx.scenario.fiber.kind == "real_scalar":
+    p, cx = ctx.field.degree, ctx.complex
+    q = cx.d - p - 1
+    # defect._check_crossing's rule, on a torus, for a fiber a group acts on
+    if not (charges_apply(ctx.field) and q >= p >= 1) or ctx.scenario.fiber.kind == "real_scalar":
         return None
-    cx = ctx.complex
     rep = representation_for(ctx.scenario)
     g = alg.exponential(ctx.scenario.algebra.element([0.7] + [0.0] * (ctx.scenario.algebra.dim - 1)))
-    gamma = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
-    charged = ChargedOperator(gamma, ctx.field, 0)
-    z0 = 1 if cx.shape[2] - 1 != 1 else 0  # keep the sweep away from gamma
-    support = named_cycle(cx, {"kind": "loop", "axis": 1, "offsets": [0, z0]})
-    filling = Chain(
-        cx, 2, {cx.cell_index(2, (0, j, z0), (1, 2)): 1 for j in range(cx.shape[1])}
-    )
+    charged = ChargedOperator(_unit_chain(cx, range(p), [0] * (q + 1), "offset"), ctx.field, 0)
+    z0 = 1 if cx.shape[-1] - 1 != 1 else 0  # sweep a q-torus along the last axis, away from it
+    support = _unit_chain(cx, range(p, cx.d - 1), [0] * p + [z0], "offset")
+    cells = [cx.cell_index(q + 1, (0,) * p + c + (z0,), range(p, cx.d)) for c in np.ndindex(cx.shape[p:-1])]
+    filling = Chain(cx, q + 1, {c: 1 for c in cells})
     defect = DefectOperator(g, 0, support)
     move = DefectMove(defect, Cobordism(cx, filling, support))
     return 0.0 if apply_defect(defect, charged, move, rep) is charged else 1.0

@@ -9,11 +9,11 @@ bit, which is the discrete form of the operators being topological.
 
 Supported geometry: the sweep region must be complementary to the charged
 support, i.e. defects of dimension q = d - p - 1 with q >= p >= 1 acting on
-p-dimensional charged operators (on the meshes shipped here: d = 3 with
-p = q = 1).  Anything else raises GeometryError.
+p-dimensional charged operators.  Anything else raises GeometryError.
 
-The charges integrate the field strength d psi ('eom', over a 2-chain) and
-its dual star d psi ('trivial', over a 1-cycle); `d` and `star` keep their
+The charges of a p-form field psi below the top degree integrate its field
+strength d psi ('eom', over a (p+1)-chain) and its dual star d psi
+('trivial', over a (d-p-1)-cycle on a torus); `d` and `star` keep their
 result on the field, so every charge of one field shares one of each.  The
 rules of a charge or defect request that need no field values
 (`check_charge`, `check_sweep`) are what config loading checks, so every
@@ -29,7 +29,7 @@ from .algebra import GroupElement
 from .calculus import Cochain, action, apply_fiber_map, d, eom_residual, integrate, max_norm, star
 from .errors import DegreeError, DomainError, GeometryError
 from .graded import GroupoidRep, generator_shift, is_degree
-from .mesh import Chain, Cobordism, intersection_number, is_cycle, named_cycle
+from .mesh import Chain, Cobordism, _unit_chain, intersection_number, is_cycle
 
 
 @record(eq=False)
@@ -139,40 +139,37 @@ def check_sweep(move: DefectMove, degree: int, support: Chain, field_degree: int
 
 def charge_eom(psi: Cochain, sigma2: Chain):
     """Charge of the dynamical current: the field strength integrated over a
-    2-chain; depends only on the homology class (exactly, for any field)."""
+    (p+1)-chain; depends only on the homology class (exactly, for any field)."""
     check_charge("eom", psi.degree, sigma2)
     return integrate(d(psi), sigma2)
 
 
 def charge_trivial(psi: Cochain, sigma1: Chain):
     """Charge of the trivial current: star of the field strength integrated
-    over a 1-cycle; homologous supports agree on shell."""
+    over a (d-p-1)-cycle; homologous supports agree on shell."""
     check_charge("trivial", psi.degree, sigma1)
     return integrate(star(d(psi)), sigma1)
 
 
 def charges_apply(psi: Cochain) -> bool:
     """Whether the sample charges and the charge checks apply to a field:
-    a 1-form on a 3-dimensional torus."""
-    cx = psi.complex
-    return cx.d == 3 and cx.topology == "torus" and psi.degree == 1
+    one below the top degree on a torus."""
+    return psi.complex.topology == "torus" and psi.degree < psi.complex.d
 
 
 def check_charge(kind: str, field_degree: int, support: Chain) -> None:
     """Raise unless a charge of this kind can be taken over the support from a
-    field of field_degree: a 1-form on a 3-dimensional mesh, and a degree-2
-    support for 'eom' or a 1-cycle on a torus for 'trivial'."""
+    field of degree p below the top degree d: a degree-(p+1) support for
+    'eom', a (d-p-1)-cycle on a torus for 'trivial'."""
     cx = support.complex
-    if cx.d != 3:
-        raise DomainError("charges are defined on 3-dimensional meshes")
-    if field_degree != 1:
-        raise DomainError(f"charges need a 1-form field, got degree {field_degree}")
-    want = 2 if kind == "eom" else 1
+    if not field_degree < cx.d:
+        raise DomainError(f"charges need a field below the top degree {cx.d}, got degree {field_degree}")
+    want = field_degree + 1 if kind == "eom" else cx.d - field_degree - 1
     if support.degree != want:
         raise DomainError(f"expected a degree-{want} chain, got degree {support.degree}")
     if kind == "trivial":
         if not is_cycle(support):
-            raise DomainError("the trivial charge needs a 1-cycle support")
+            raise DomainError(f"the trivial charge needs a {want}-cycle support")
         if cx.topology != "torus":
             raise GeometryError("the trivial charge needs the Hodge star, which only tori have")
 
@@ -188,20 +185,22 @@ class ConservationReport:
 
 
 def conservation_report(psi: Cochain) -> ConservationReport:
-    """Report d(d psi) and d star d psi max-norms, the action, and sample
-    charges over the coordinate planes and axis loops (3d, 1-form fields)."""
-    cx = psi.complex
-    if psi.degree >= cx.d:
+    """Report d(d psi) and d star d psi max-norms, the action and, where
+    `charges_apply`, per set B of d - p - 1 axes the eom charge over the
+    sub-torus normal to B and the trivial charge over the one on B, at offset 0."""
+    cx, p = psi.complex, psi.degree
+    if p >= cx.d:
         return ConservationReport(None, None, None, {})
-    trivial = max_norm(d(d(psi))) if psi.degree + 2 <= cx.d else None
+    trivial = max_norm(d(d(psi))) if p + 2 <= cx.d else None
     # the residual d star d psi needs the reindexing star, which only exists on tori
     dynamical = max_norm(eom_residual(psi)) if cx.topology == "torus" else None
     charges = {}
     if charges_apply(psi):
-        for axis in range(3):
-            plane = named_cycle(cx, {"kind": "plane", "normal": axis, "offset": 0})
-            charges[f"q_eom_plane_normal{axis}"] = charge_eom(psi, plane)
-            offsets = [0] * (cx.d - 1)
-            loop = named_cycle(cx, {"kind": "loop", "axis": axis, "offsets": offsets})
-            charges[f"q_trivial_loop_axis{axis}"] = charge_trivial(psi, loop)
+        for axes in cx.axis_subsets(cx.d - p - 1):
+            others = tuple(i for i in range(cx.d) if i not in axes)
+            name = "".join(map(str, axes))
+            normal = _unit_chain(cx, others, [0] * len(axes), "offset 0")
+            charges[f"q_eom_plane_normal{name}"] = charge_eom(psi, normal)
+            along = _unit_chain(cx, axes, [0] * len(others), "offset 0")
+            charges[f"q_trivial_loop_axis{name}"] = charge_trivial(psi, along)
     return ConservationReport(trivial, dynamical, action(psi), charges)

@@ -4,12 +4,14 @@ Columns: degree, base coordinate per axis, the spanned axes as a digit
 string, the fiber component index, and the value as re/im.  Rows are sorted
 by cell index then component; values are printed with 17 significant digits
 so the round trip is bit exact.  The writer streams the rows in chunks of
-cells, so a large field is never held as text in memory.  Each axis-subset
-block has one template for the rows of a cell (per component: the base
-coordinates as %d and the value as %.17g, two of them on complex fibers),
-and each chunk is formatted with that template by a single `%` over the
-chunk's base coordinates and values.  The format is unchanged: the bytes
-are those of formatting each value with f"{v:.17g}".
+cells, so the rows of a large field are never held as text in memory.  The
+base coordinates are formatted once per block extents, as one "b0,b1,...,"
+string per cell (on a torus every block of a degree shares them), and each
+block has one template for the rows of a cell (per component: that string
+and the value as %.17g, two of them on complex fibers); each chunk is
+formatted with the template by a single `%` over the chunk's strings and
+values.  The format is unchanged: the bytes are those of formatting each
+value with f"{v:.17g}".
 
 The reader takes the exact header, then one row per line: fields may be
 quoted, integers may carry a sign or surrounding spaces and must fit in 64
@@ -59,26 +61,31 @@ def emit_field_csv(psi: Cochain, path) -> None:
     """Write a cochain as CSV; see the module docstring for the layout."""
     cx = psi.complex
     d, k = cx.d, psi.fiber.components
-    # per row: d base coordinates, then re (and im on complex fibers); a
-    # float's imaginary part is always +0.0, printed as 0
+    # per row: the base coordinates as one string, then re (and im on complex
+    # fibers); a float's imaginary part is always +0.0, printed as 0
     im = ",%.17g" if psi.fiber.is_complex else ",0"
-    width = d + 1 + psi.fiber.is_complex
+    width = 2 + psi.fiber.is_complex
+    formatted = {}  # block extents -> the "b0,b1,...," string of each base, in C order
     with open(path, "w", newline="") as handle:
         handle.write(",".join(_header(d)) + "\r\n")
         for axes in cx.axis_subsets(psi.degree):
-            prefix = f"{psi.degree}," + "%d," * d + "".join(str(a) for a in axes) + ","
+            prefix = f"{psi.degree},%s" + "".join(str(a) for a in axes) + ","
             cell = "".join(f"{prefix}{comp},%.17g{im}\r\n" for comp in range(k))
             bases = cx.block_bases(psi.degree, axes)
+            extents = tuple(bases[:, -1] + 1)  # the last base in C order
+            if extents not in formatted:
+                text = ("%d," * d + "\n") * bases.shape[1] % tuple(bases.T.ravel().tolist())
+                formatted[extents] = np.array(text.split("\n")[:-1], dtype=object)
             # the index of the block's first cell, its base the origin
             offset = cx.cell_indices(psi.degree, axes, bases[:, :1])[0]
             for start in range(0, bases.shape[1], _CHUNK_CELLS):
                 stop = min(start + _CHUNK_CELLS, bases.shape[1])
                 values = psi.values[offset + start : offset + stop]
                 args = np.empty((stop - start, k, width), dtype=object)
-                args[:, :, :d] = bases[:, start:stop].T[:, None, :]
-                args[:, :, d] = values.real
+                args[:, :, 0] = formatted[extents][start:stop, None]
+                args[:, :, 1] = values.real
                 if psi.fiber.is_complex:
-                    args[:, :, d + 1] = values.imag
+                    args[:, :, 2] = values.imag
                 handle.write(cell * (stop - start) % tuple(args.ravel().tolist()))
 
 

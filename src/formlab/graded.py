@@ -31,9 +31,9 @@ MATCH_TOL = 1e-12
 
 
 def is_degree(value) -> bool:
-    """A Z/2 degree is the integer 0 or 1; a boolean is not one, though
-    True in (0, 1) holds."""
-    return not isinstance(value, (bool, np.bool_)) and value in (0, 1)
+    """A Z/2 degree is the integer 0 or 1; a boolean or a float is not one,
+    though True and 1.0 are both in (0, 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in (0, 1)
 
 
 @record(eq=False)

@@ -64,6 +64,28 @@ def test_tiny_tol_fails_the_checks_held_to_it(tmp_path):
     assert all(c["tolerance"] == 1e-300 for c in report if not c["passed"])
 
 
+@pytest.mark.parametrize("shape, degree", [([4, 5], 0), ([5, 3], 1), ([3, 4, 5], 0), ([3, 4, 2], 2)])
+def test_check_runs_exactly_the_charge_checks_that_apply(tmp_path, shape, degree):
+    # a p-form on a d-torus: the eom charge's move needs a (p+2)-cell, the
+    # flux identity needs only the star, and the defect gating needs
+    # q = d - p - 1 >= p >= 1
+    cfg = json.loads((CONFIG_DIR / "so3_check.json").read_text())
+    cfg["mesh"] = {"shape": shape, "topology": "torus"}
+    cfg["field"]["degree"] = degree
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--out", str(out)]) == 0
+    names = {c["name"] for c in json.loads(out.read_text())["checks"]}
+    d, q = len(shape), len(shape) - degree - 1
+    applies = {
+        "charge_homology_invariance": degree + 2 <= d,
+        "trivial_charge_flux_identity": True,
+        "defect_topological_gating": q >= degree >= 1,
+    }
+    assert names & applies.keys() == {name for name, ok in applies.items() if ok}
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
 def test_every_result_obeys_the_pass_rule(config):
     results = run_checks(load_scenario(CONFIG_DIR / config))

@@ -131,6 +131,22 @@ def test_charges_on_constant_field_vanish(tmp_path, capsys):
     assert np.max(np.abs(values)) == 0.0
 
 
+def test_charges_of_a_0_form_take_a_loop_for_eom_and_a_plane_for_trivial(tmp_path, capsys):
+    # a p-form's eom charge needs a (p+1)-chain and its trivial charge a
+    # (d-p-1)-cycle: on a 3-D torus, a loop and a plane for a 0-form
+    cfg = json.loads((CONFIG_DIR / "so3_check.json").read_text())
+    cfg["field"]["degree"] = 0
+    cfg["charges"] = [
+        {"kind": "eom", "support": {"kind": "loop", "axis": 1, "offsets": [2, 3]}},
+        {"kind": "trivial", "support": {"kind": "plane", "normal": 0, "offset": 1}},
+    ]
+    assert main(["charges", write_config(tmp_path, cfg)]) == 0
+    eom, trivial = json.loads(capsys.readouterr().out)["results"]
+    # d psi integrates to 0 over a closed loop, to rounding
+    assert np.max(np.abs(eom["value"])) <= 1e-12
+    assert np.max(np.abs(trivial["value"])) > 1e-3
+
+
 def test_defect_command_matches_direct_api(tmp_path, capsys):
     code = main(["defect", str(CONFIG_DIR / "so3_defect.json")])
     assert code == 0
@@ -386,8 +402,16 @@ def test_every_command_rejects_the_same_malformed_config(tmp_path, capsys, comma
             ),
             "bad cell reference",
         ),
+        # a 0-form's eom charge takes a 1-chain
+        (
+            lambda c: c.update(
+                field={**c["field"], "degree": 0},
+                charges=[{"kind": "eom", "support": {"kind": "plane", "normal": 0, "offset": 0}}],
+            ),
+            "expected a degree-1 chain, got degree 2",
+        ),
     ],
-    ids=["solve_at_top_degree", "box_base_past_int64"],
+    ids=["solve_at_top_degree", "box_base_past_int64", "eom_on_a_plane_for_a_0_form"],
 )
 def test_every_command_rejects_one_fault_of_so3_check(tmp_path, capsys, command, edit, message):
     cfg = json.loads((CONFIG_DIR / "so3_check.json").read_text())

@@ -14,6 +14,12 @@ Two more strategies draw on the same meshes: a closed field that is not
 exact with a charged cycle moved by a boundary, on the same fibers, and two
 sweeps, by g and by h, that each cross the charged loop once, on the
 non-abelian ones.
+
+The charges follow from the degrees alone.  A last strategy draws a p-form
+on a d-torus, (d, p) one of (2, 0), (3, 0), (3, 1) and (3, 2), with random
+supports: the eom charge does not see a boundary added to its (p+1)-chain,
+and the trivial charge over a (d-p-1)-cycle moves by the flux of the
+equation-of-motion residual through the region the cycle sweeps.
 """
 
 import numpy as np
@@ -34,8 +40,12 @@ from formlab import (
     apply_defect,
     apply_fiber_map,
     boundary,
+    charge_eom,
+    charge_trivial,
     compose,
     d,
+    eom_residual,
+    integrate,
     intersection_number,
     named_cycle,
     primitive_morphism,
@@ -213,3 +223,57 @@ def test_two_sweeps_act_by_their_graded_composite_in_order(case):
     assert g_then_h.degree == composite.target
     assert np.max(np.abs(g_then_h.field.values - expected)) <= 1e-12 * scale
     assert np.max(np.abs(h_then_g.field.values - expected)) > 1e-6 * scale
+
+
+def _random_chain(cx, degree, rng):
+    cells = rng.integers(cx.cell_count(degree), size=int(rng.integers(1, 9)))
+    return Chain(cx, degree, cells=cells, coefs=rng.choice([-2, -1, 1, 2], cells.size))
+
+
+@st.composite
+def charge_cases(draw):
+    """(field, eom support, the same plus a boundary, trivial support, region):
+    a Gaussian p-form on a d-torus; a random (p+1)-chain and that chain plus
+    the boundary of a random (p+2)-chain (nothing added where p + 2 > d); a
+    (d-p-1)-cycle, which is a random 0-chain, a named loop or a named plane;
+    and a random (d-p)-chain for the cycle to sweep."""
+    dim, p = draw(st.sampled_from([(2, 0), (3, 0), (3, 1), (3, 2)]))
+    shape = draw(st.lists(st.integers(3, 6), min_size=dim, max_size=dim))
+    spacing = [2.0 ** e for e in draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))]
+    cx = CubicalComplex(shape, spacing=spacing)
+    _, fiber = draw(st.sampled_from(FIBERS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = Cochain.random_gaussian(cx, p, fiber, rng)
+    sigma = _random_chain(cx, p + 1, rng)
+    moved = sigma + boundary(_random_chain(cx, p + 2, rng)) if p + 2 <= dim else sigma
+    m = dim - p - 1
+    point = [draw(st.integers(0, n - 1)) for n in shape]
+    axis = draw(st.integers(0, dim - 1))
+    if m == 0:
+        cycle = _random_chain(cx, 0, rng)
+    elif m == 1:
+        cycle = _loop(cx, axis, point)
+    else:
+        cycle = named_cycle(cx, {"kind": "plane", "normal": axis, "offset": point[axis]})
+    return field, sigma, moved, cycle, _random_chain(cx, m + 1, rng)
+
+
+@SETTINGS
+@given(charge_cases())
+def test_an_eom_charge_depends_only_on_the_homology_class_of_its_support(case):
+    # integrate(d psi, boundary(tau)) = integrate(d d psi, tau) = 0, to the
+    # check command's default tolerance
+    field, sigma, moved, _, _ = case
+    q0, q1 = charge_eom(field, sigma), charge_eom(field, moved)
+    assert np.max(np.abs(q1 - q0)) <= 1e-12 * (1.0 + np.max(np.abs(q0)))
+
+
+@SETTINGS
+@given(charge_cases())
+def test_a_trivial_charge_moves_by_the_residual_flux_through_the_swept_region(case):
+    # Stokes for star d psi: the charge over cycle + boundary(region) less the
+    # charge over cycle is the integral of d star d psi over region
+    field, _, _, cycle, region = case
+    delta = charge_trivial(field, cycle + boundary(region)) - charge_trivial(field, cycle)
+    flux = integrate(eom_residual(field), region)
+    assert np.max(np.abs(delta - flux)) <= 1e-12 * (1.0 + np.max(np.abs(flux)))

@@ -69,8 +69,8 @@ def test_primitive_rejects_identity_with_shift():
     assert primitive_morphism(e, 0).shift == 0
     m = GradedMorphism(e, 0, 1)
     assert m.shift != generator_shift(m.g)
-    # a boolean is not a degree, though True in (0, 1) holds
-    for source, shift in ((True, 0), (0, True), (np.False_, 0)):
+    # neither a boolean nor a float is a degree, though True and 1.0 are in (0, 1)
+    for source, shift in ((True, 0), (0, True), (np.False_, 0), (1.0, 0), (np.float64(1.0), 0)):
         with pytest.raises(DegreeError):
             GradedMorphism(e, source, shift)
 

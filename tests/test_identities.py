@@ -160,11 +160,10 @@ def _operations(psi) -> dict:
         ops.update(d=d, action=action)
     if p < cx.d and cx.topology == "torus":
         ops.update(star_d=lambda f: star(d(f)), eom_residual=eom_residual)
-    if cx.d == 3 and p == 1 and cx.topology == "torus":
-        plane = named_cycle(cx, {"kind": "plane", "normal": 2, "offset": 0})
-        loop = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
+        # a (p+1)-chain and a (d-p-1)-cycle: one cell, and the boundary of one
+        cell, cycle = Chain(cx, p + 1, {0: 1}), boundary(Chain(cx, cx.d - p, {0: 1}))
         ops.update(
-            charge_eom=lambda f: charge_eom(f, plane), charge_trivial=lambda f: charge_trivial(f, loop)
+            charge_eom=lambda f: charge_eom(f, cell), charge_trivial=lambda f: charge_trivial(f, cycle)
         )
     return ops
 
