@@ -16,10 +16,6 @@ or a Diagnostic.
 
 from __future__ import annotations
 
-from functools import reduce
-
-import numpy as np
-
 from ._records import field, record
 from .graded import GradedMorphism, GroupoidRep, compose, primitive_morphism
 
@@ -122,20 +118,16 @@ def typecheck(expr: CompositionExpr, table):
 @record(eq=False)
 class EvaluatedWord:
     morphism: GradedMorphism
-    matrix: np.ndarray
 
 
 def evaluate(morphisms, rep: GroupoidRep) -> EvaluatedWord:
-    """Fold a typechecked chain into one morphism and its matrix.
-
-    The matrix is the ordered product of the atom matrices (leftmost atom
-    leftmost in the product); cannot raise on a chain that typechecked.
-    """
+    """Fold a typechecked chain into one morphism, composed right to left;
+    cannot raise on a chain that typechecked.  `rep` is not read: the
+    word's matrix in it is `rep.matrix(word.morphism.g)`."""
     total = morphisms[-1]
     for m in reversed(morphisms[:-1]):
         total = compose(m, total)
-    matrix = reduce(lambda a, b: a @ b, (rep.matrix(m.g) for m in morphisms))
-    return EvaluatedWord(total, matrix)
+    return EvaluatedWord(total)
 
 
 def compose_word(source: str, table, rep: GroupoidRep):

@@ -7,9 +7,12 @@ subset (lexicographic) and enumerates base vertices in C order, which makes
 every operator below reproducible bit for bit.  The block table of each
 degree is the one statement of this layout: it maps each axis subset to its
 block's index offset, its extents (on a box, one cell longer off its axes),
-the primal volume and star factor that its cells share and the C-order
-strides of its bases.  Indices, grid views, complement partners, the metric
-and the mesh rules all read it.
+and the primal volume and star factor that its cells share.  A cell's index
+is its block's offset plus the C-order rank of its base in the block's
+extents (`cell_indices`; `cell_index` calls it for one cell), and neither
+wraps a base: one outside its block is an error on a torus as on a box.
+Indices, grid views, complement partners, the metric and the mesh rules
+all read the table.
 
 Each convention is written once.  The boundary is written as the signed
 shift maps of the block grids (`CubicalComplex._shift_terms`): the
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -108,7 +110,7 @@ class CubicalComplex:
         self.topology = topology
         self.d = len(shape)
         # the block table: per degree, each axis subset maps to (index
-        # offset, extents, primal volume, star factor, C-order strides)
+        # offset, extents, primal volume, star factor)
         self._blocks = {}
         for p in range(self.d + 1):
             offset, blocks = 0, {}
@@ -120,13 +122,12 @@ class CubicalComplex:
                 star = math.prod((h for i, h in enumerate(spacing) if i not in axes), start=1.0)
                 for a in axes:
                     star /= spacing[a]
-                strides = tuple(math.prod(extents[i + 1 :]) for i in range(self.d))
-                blocks[axes] = (offset, extents, volume, star, strides)
+                blocks[axes] = (offset, extents, volume, star)
                 offset += math.prod(extents)
             self._blocks[p] = blocks
         # an infinite spacing, or one whose products over- or underflow,
         # would turn the star, the action and the solver into inf and nan
-        metric = [x for blocks in self._blocks.values() for row in blocks.values() for x in row[2:4]]
+        metric = [x for blocks in self._blocks.values() for row in blocks.values() for x in row[2:]]
         if not all(0 < x < math.inf for x in metric):
             raise ConfigError(
                 f"spacing {spacing} gives a cell volume or star factor that is not "
@@ -161,15 +162,14 @@ class CubicalComplex:
             raise DomainError(f"no degree-{degree} cells with axes {tuple(axes)}") from None
 
     def cell_index(self, degree: int, base, axes) -> int:
-        """Index of the cell (base, axes).  On a torus any integer base wraps."""
-        offset, extents, _, _, strides = self._block(degree, axes)
+        """Index of the one cell (base, axes), by `cell_indices`: the base
+        lies in its block, on a torus as on a box."""
         if len(base) != self.d:
             raise DomainError(f"a cell base needs {self.d} coordinates, got {len(base)}")
-        # Python ints, not numpy: a scalar ravel costs more than this whole call
-        coords = [*map(operator.mod, base, extents)]
-        if self.topology == "box" and coords != [*base]:
-            raise DomainError(f"base {tuple(base)} lies outside the block of axes {tuple(axes)}")
-        return offset + sum(map(operator.mul, coords, strides))
+        try:
+            return int(self.cell_indices(degree, axes, base))
+        except DomainError as exc:
+            raise DomainError(f"base {tuple(base)}: {exc}") from None
 
     def cell(self, degree: int, index: int) -> Cell:
         if not 0 <= index < self.cell_count(degree):
@@ -180,17 +180,16 @@ class CubicalComplex:
                 return Cell(degree, tuple(map(int, base)), axes)
 
     def cell_indices(self, degree: int, axes, bases) -> np.ndarray:
-        """Vectorised cell_index: indices of the cells spanning `axes` at the
-        base coordinates given as the columns of a (d, m) integer array.
-
-        Unlike cell_index it never wraps: a base outside the block's extents
-        is an error on a torus too.
+        """Indices of the cells spanning `axes` at the base coordinates given
+        as the columns of a (d, m) integer array (one base as a (d,) array
+        gives one index).  Every base lies in the block's extents, on a
+        torus as on a box: nothing wraps, and a base outside, past int64
+        too, is a DomainError.
         """
         offset, extents, *_ = self._block(degree, axes)
-        bases = np.asarray(bases, dtype=np.int64)
         try:
-            return offset + np.ravel_multi_index(bases, extents)
-        except ValueError:
+            return offset + np.ravel_multi_index(np.asarray(bases, dtype=np.int64), extents)
+        except (ValueError, OverflowError):
             raise DomainError(f"bases lie outside the block of axes {tuple(axes)}") from None
 
     def block_bases(self, degree: int, axes) -> np.ndarray:

@@ -263,8 +263,8 @@ def test_criterion_8_noncommutative_defect_witness():
     h = so3_rotation(2, np.pi / 2)
     rep = GroupoidRep(algebra_fiber(so3()))
     table = {"g": g, "h": h}
-    m1 = evaluate(typecheck(parse("g[1] . h[0]"), table), rep).matrix
-    m2 = evaluate(typecheck(parse("h[1] . g[0]"), table), rep).matrix
+    m1 = rep.matrix(evaluate(typecheck(parse("g[1] . h[0]"), table), rep).morphism.g)
+    m2 = rep.matrix(evaluate(typecheck(parse("h[1] . g[0]"), table), rep).morphism.g)
     # matrix-product oracle from the literal quarter-turn matrices
     rx = np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]])
     rz = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]])
@@ -376,7 +376,7 @@ def test_criterion_10_dsl_roundtrip_offsets_and_soundness():
             continue
         accepted += 1
         out = evaluate(chain, rep)
-        assert out.matrix.shape == (3, 3)
+        assert rep.matrix(out.morphism.g).shape == (3, 3)
     assert accepted > 100
     report(10, "DSL round trip, offsets, soundness")
 

@@ -109,7 +109,8 @@ def sweeps(draw):
         *(st.integers(0, n - 1) if i == a else st.integers(v - 1, v) for i, (n, v) in enumerate(zip(shape, x)))
     )
     volume = draw(st.dictionaries(near, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=4))
-    cubes = {cx.cell_index(3, base, (0, 1, 2)): k for base, k in volume.items()}
+    # a base at v - 1 = -1 names the cube at n - 1: the torus's periodicity, stated here
+    cubes = {cx.cell_index(3, [v % n for v, n in zip(base, shape)], (0, 1, 2)): k for base, k in volume.items()}
     bump = boundary(Chain(cx, 3, cubes))
     return GroupoidRep(fiber), charged, defect, strip, bump
 

@@ -117,25 +117,27 @@ def test_typecheck_unknown_symbol(table):
 def test_evaluate_identity_word(table):
     out = compose_word("e[0]", table, REP)
     assert out.morphism.source == 0 and out.morphism.target == 0
-    assert np.allclose(out.matrix, np.eye(3), atol=1e-14)
+    assert np.allclose(REP.matrix(out.morphism.g), np.eye(3), atol=1e-14)
 
 
 def test_evaluate_inverse_word(table):
     out = compose_word("ginv[1] . g[0]", table, REP)
-    assert np.max(np.abs(out.matrix - np.eye(3))) <= 1e-12
+    assert np.max(np.abs(REP.matrix(out.morphism.g) - np.eye(3))) <= 1e-12
     assert out.morphism.g.is_identity()
 
 
 def test_evaluate_noncommuting_words_differ(table):
-    m1 = compose_word("g[1] . h[0]", table, REP).matrix
-    m2 = compose_word("h[1] . g[0]", table, REP).matrix
+    m1 = REP.matrix(compose_word("g[1] . h[0]", table, REP).morphism.g)
+    m2 = REP.matrix(compose_word("h[1] . g[0]", table, REP).morphism.g)
     assert np.linalg.norm(m1 - m2, 2) > 0.1
 
 
 def test_evaluate_matches_ordered_matrix_product(table):
+    # the element compose reports: leftmost atom leftmost in the product,
+    # which folds from the right as the atoms apply
     out = compose_word("g[0] . h[1] . k[0]", table, REP)
-    expected = REP.matrix(table["g"]) @ REP.matrix(table["h"]) @ REP.matrix(table["k"])
-    assert np.max(np.abs(out.matrix - expected)) == 0.0
+    expected = table["g"].matrix @ (table["h"].matrix @ table["k"].matrix)
+    assert np.max(np.abs(out.morphism.g.matrix - expected)) == 0.0
     assert (out.morphism.source, out.morphism.target) == (0, 1)
 
 

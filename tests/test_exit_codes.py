@@ -4,9 +4,10 @@ One key or value of a shipped config is dropped, renamed, swapped for a value
 of another type, nested, or duplicated in its list; or the mesh gets a shape
 past the size rule, or a spacing anywhere from 1e-308 to 1e308 on one axis.
 Then every command the config serves runs in-process.  A renamed key of any
-config object exits 2, naming the key.  Whatever the input, a
-run exits 0, 1 or 2, raises nothing, warns nothing, writes no report on exit
-2 and a JSON report on exit 1.  Whether a non-finite result should exit 2 is
+config object exits 2, naming the key, as does a cell base outside its
+block on a torus, naming the base.  Whatever the input, a run exits 0, 1 or
+2, raises nothing, warns nothing, writes one `error:` line and no report on
+exit 2 and a JSON report on exit 1.  Whether a non-finite result should exit 2 is
 not asked here: an overflowing field reports Infinity and exits 0.
 """
 
@@ -156,6 +157,7 @@ def _run_commands(name, cfg) -> list:
             if code == 2:
                 assert not out.exists(), (command, cfg)
                 assert stderr.getvalue().startswith("error: "), (command, cfg)
+                assert stderr.getvalue().count("\n") == 1, (command, cfg)
             else:
                 json.loads(out.read_text())
                 out.unlink()
@@ -182,6 +184,31 @@ def test_every_renamed_key_exits_two_naming_it(case):
     with pytest.raises(ConfigError) as raised:
         scenario_from_dict(cfg, base_dir=CONFIG_DIR)
     assert repr(key) in str(raised.value)
+
+
+# a cell item of a shipped torus config, by the key that reads it, and its path
+CELL_ITEMS = {
+    "filling": ("so3_defect.json", ("defects", 0, "move", "filling", "items", 0)),
+    "fixed": ("solve_so3.json", ("field", "init", "fixed", 0)),
+    "explicit": ("solve_so3.json", ("field", "init", "cells", 0)),
+}
+
+
+@pytest.mark.parametrize("coordinate", [-1, "n", 2**63, 10**30])
+@pytest.mark.parametrize("place", sorted(CELL_ITEMS))
+def test_a_torus_cell_base_outside_its_block_exits_two_naming_it(place, coordinate):
+    # nothing wraps a cell base, as nothing wraps a loop offset or a CSV row:
+    # a config written for a torus of another size names no cell of this one
+    name, path = CELL_ITEMS[place]
+    cfg = copy.deepcopy(SHIPPED[name])
+    if place == "explicit":
+        cfg["field"]["init"] = {"init": "explicit", "cells": cfg["field"]["init"]["fixed"]}
+    base = _parent(cfg, path)[path[-1]]["base"]
+    base[0] = cfg["mesh"]["shape"][0] if coordinate == "n" else coordinate
+    assert set(_run_commands(name, cfg)) == {2}
+    with pytest.raises(ConfigError, match="outside the block") as raised:
+        scenario_from_dict(cfg, base_dir=CONFIG_DIR)
+    assert str(tuple(base)) in str(raised.value)
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
