@@ -14,7 +14,6 @@ from .algebra import (
     identity,
     pairing,
     so3,
-    so3_rotation,
     u1,
     u2,
 )
@@ -60,7 +59,6 @@ from .graded import (
     primitive_morphism,
 )
 from .mesh import (
-    Cell,
     Chain,
     Cobordism,
     CubicalComplex,

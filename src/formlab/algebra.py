@@ -277,13 +277,6 @@ def _rodrigues(x: AlgebraElement) -> np.ndarray:
     return _IDENTITY_MATRIX["SO3"] + s * a + c * (a @ a)
 
 
-def so3_rotation(axis: int, angle: float) -> GroupElement:
-    """Rotation by `angle` about coordinate axis 0, 1 or 2."""
-    coeffs = np.zeros(3)
-    coeffs[axis] = np.sqrt(2.0) * angle
-    return exponential(so3().element(coeffs))
-
-
 def random_element(algebra: LieAlgebra, rng: np.random.Generator) -> AlgebraElement:
     return algebra.element(rng.standard_normal(algebra.dim))
 

@@ -186,8 +186,10 @@ class ConservationReport:
 
 def conservation_report(psi: Cochain) -> ConservationReport:
     """Report d(d psi) and d star d psi max-norms, the action and, where
-    `charges_apply`, per set B of d - p - 1 axes the eom charge over the
-    sub-torus normal to B and the trivial charge over the one on B, at offset 0."""
+    `charges_apply`, one sample charge per set B of d - p - 1 axes, in
+    `axis_subsets` order: the trivial charge over the coordinate sub-torus on
+    B at offset 0, keyed `q_trivial_axes` and B's digits.  No eom sample: d psi
+    over a closed sub-torus is zero by Stokes for every field."""
     cx, p = psi.complex, psi.degree
     if p >= cx.d:
         return ConservationReport(None, None, None, {})
@@ -197,10 +199,6 @@ def conservation_report(psi: Cochain) -> ConservationReport:
     charges = {}
     if charges_apply(psi):
         for axes in cx.axis_subsets(cx.d - p - 1):
-            others = tuple(i for i in range(cx.d) if i not in axes)
-            name = "".join(map(str, axes))
-            normal = _unit_chain(cx, others, [0] * len(axes), "offset 0")
-            charges[f"q_eom_plane_normal{name}"] = charge_eom(psi, normal)
-            along = _unit_chain(cx, axes, [0] * len(others), "offset 0")
-            charges[f"q_trivial_loop_axis{name}"] = charge_trivial(psi, along)
+            along = _unit_chain(cx, axes, [0] * (cx.d - len(axes)), "offset 0")
+            charges["q_trivial_axes" + "".join(map(str, axes))] = charge_trivial(psi, along)
     return ConservationReport(trivial, dynamical, action(psi), charges)

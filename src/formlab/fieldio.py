@@ -19,7 +19,8 @@ bits, and values are anything numpy parses as a float (including nan and
 inf).  It rejects blank and comment lines, rows of the wrong length or
 degree, axes that name no cell of that degree, component indices out of
 range, base coordinates that name no cell (outside [0, n) on a torus, as
-a torus of another size would write them), non-zero imaginary parts for a
+a torus of another size would write them; the error names the first such
+row's line and base), non-zero imaginary parts for a
 real fiber, and files that leave a (cell, component) pair unset.  When a
 pair appears twice, the later row wins.  The reader passes over the file
 twice: a chunked pass counts its lines, which catches the blank lines and
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import Cochain, FiberSpec
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .mesh import CubicalComplex
 
 # cells formatted per write; bounds the text held in memory by the writer
@@ -131,9 +132,20 @@ def load_field_csv(cx: CubicalComplex, degree: int, fiber: FiberSpec, path) -> C
 
     bases = np.stack([rows[f"base{i}"] for i in range(cx.d)])
     idx = np.full(len(rows), -1, dtype=np.int64)
+    outside = np.zeros(len(rows), dtype=bool)
     for axes in cx.axis_subsets(degree):
         mask = rows["axes"] == "".join(str(a) for a in axes)
-        idx[mask] = cx.cell_indices(degree, axes, bases[:, mask])
+        try:
+            idx[mask] = cx.cell_indices(degree, axes, bases[:, mask])
+        except DomainError:
+            last = cx.block_bases(degree, axes)[:, -1:]  # the block's last base in C order
+            outside |= mask & ((bases < 0) | (bases > last)).any(axis=0)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ConfigError(
+            f"field CSV {path}, line {row + 2}: base {tuple(bases[:, row].tolist())} lies "
+            f"outside the block of axes {tuple(map(int, rows['axes'][row]))}"
+        )
     if (idx < 0).any():
         bad_axes = rows["axes"][idx < 0][0]
         raise ConfigError(f"CSV axes {bad_axes!r} name no cell of degree {degree}")

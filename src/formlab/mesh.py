@@ -69,21 +69,6 @@ def perm_sign(seq) -> int:
     return sign
 
 
-@record()
-class Cell:
-    """An oriented elementary cube of the mesh."""
-
-    degree: int
-    base: tuple
-    axes: tuple
-
-    def __post_init__(self):
-        if tuple(sorted(set(self.axes))) != tuple(self.axes):
-            raise DomainError(f"cell axes must be strictly increasing, got {self.axes}")
-        if len(self.axes) != self.degree:
-            raise DomainError("cell degree must equal the number of spanned axes")
-
-
 class CubicalComplex:
     """A cubical mesh on a flat torus or box with a diagonal metric."""
 
@@ -170,14 +155,6 @@ class CubicalComplex:
             return int(self.cell_indices(degree, axes, base))
         except DomainError as exc:
             raise DomainError(f"base {tuple(base)}: {exc}") from None
-
-    def cell(self, degree: int, index: int) -> Cell:
-        if not 0 <= index < self.cell_count(degree):
-            raise DomainError(f"cell index {index} out of range for degree {degree}")
-        for axes, (offset, extents, *_) in self._blocks[degree].items():
-            if index < offset + math.prod(extents):
-                base = np.unravel_index(index - offset, extents)
-                return Cell(degree, tuple(map(int, base)), axes)
 
     def cell_indices(self, degree: int, axes, bases) -> np.ndarray:
         """Indices of the cells spanning `axes` at the base coordinates given

@@ -43,7 +43,6 @@ from formlab import (
     named_cycle,
     pairing,
     so3,
-    so3_rotation,
     solve_free,
     star,
     u2,
@@ -52,6 +51,8 @@ from formlab.algebra import adjoint_matrix, random_element, random_group_element
 from formlab.cli import main
 from formlab.dsl import CompositionExpr, Diagnostic, evaluate, parse, typecheck
 from formlab.graded import primitive_morphism
+
+from helpers import cells_in_order, rotation
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -63,7 +64,7 @@ def report(criterion, label):
 def closed_one_form(cx, fiber, rng):
     psi = d(Cochain.random_gaussian(cx, 0, fiber, rng))
     vals = np.array(psi.values)
-    axis_of = np.array([cx.cell(1, i).axes[0] for i in range(cx.cell_count(1))])
+    axis_of = np.array([axes[0] for _, axes in cells_in_order(cx, 1)])
     for axis in range(cx.d):
         shift = rng.standard_normal(fiber.components)
         if fiber.is_complex:
@@ -259,8 +260,8 @@ def test_criterion_7_groupoid_laws_quaternion():
 
 
 def test_criterion_8_noncommutative_defect_witness():
-    g = so3_rotation(0, np.pi / 2)
-    h = so3_rotation(2, np.pi / 2)
+    g = rotation(0, np.pi / 2)
+    h = rotation(2, np.pi / 2)
     rep = GroupoidRep(algebra_fiber(so3()))
     table = {"g": g, "h": h}
     m1 = rep.matrix(evaluate(typecheck(parse("g[1] . h[0]"), table), rep).morphism.g)
@@ -284,7 +285,7 @@ def test_criterion_9_defect_topologicality():
     psi = Cochain.random_gaussian(cx, 1, fiber, rng)
     gamma = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
     op = ChargedOperator(gamma, psi, 0)
-    g = so3_rotation(1, 0.9)
+    g = rotation(1, 0.9)
 
     def sweep(z, coef=1):
         src = named_cycle(cx, {"kind": "loop", "axis": 1, "offsets": [0, z]})
@@ -318,9 +319,9 @@ def test_criterion_10_dsl_roundtrip_offsets_and_soundness():
     rng = np.random.default_rng(10)
     table = {
         "e": identity("SO3"),
-        "g": so3_rotation(0, 1.0),
-        "h": so3_rotation(2, -0.5),
-        "rot": so3_rotation(1, 2.0),
+        "g": rotation(0, 1.0),
+        "h": rotation(2, -0.5),
+        "rot": rotation(1, 2.0),
     }
     rep = GroupoidRep(algebra_fiber(so3()))
     names = list(table)

@@ -10,7 +10,6 @@ from formlab import (
     identity,
     pairing,
     so3,
-    so3_rotation,
     u1,
     u2,
 )
@@ -22,6 +21,8 @@ from formlab.algebra import (
     random_element,
     random_group_element,
 )
+
+from helpers import rotation
 
 ALGEBRAS = [so3(), u2(), u1()]
 
@@ -135,7 +136,7 @@ def test_adjoint_identity_and_inverse(rng):
 
 
 def test_adjoint_quarter_turn_sends_j1_to_j2():
-    rz = so3_rotation(2, np.pi / 2)
+    rz = rotation(2, np.pi / 2)
     # oracle: conjugate the independently built generator by the literal matrix
     o = oracle_so3_generators()
     r = rotation_matrix(2, np.pi / 2)

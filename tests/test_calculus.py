@@ -31,6 +31,8 @@ from formlab import (
 from formlab import calculus
 from formlab.algebra import adjoint_matrix, random_group_element
 
+from helpers import cells_in_order
+
 SO3_FIBER = algebra_fiber(so3())
 
 
@@ -56,8 +58,8 @@ def closed_cochain(cx, fiber, rng):
         shift = rng.standard_normal(fiber.components)
         if fiber.is_complex:
             shift = shift + 1j * rng.standard_normal(fiber.components)
-        for i in range(cx.cell_count(1)):
-            if cx.cell(1, i).axes == (axis,):
+        for i, (_, axes) in enumerate(cells_in_order(cx, 1)):
+            if axes == (axis,):
                 vals[i] += shift
     return Cochain(cx, 1, fiber, vals)
 
@@ -367,8 +369,8 @@ def test_star_factors_anisotropic():
     cx = CubicalComplex([2, 2, 2], spacing=[2.0, 1.0, 1.0])
     factors = cx.star_factors(1)
     by_axis = {}
-    for i in range(cx.cell_count(1)):
-        by_axis.setdefault(cx.cell(1, i).axes[0], set()).add(factors[i])
+    for i, (_, axes) in enumerate(cells_in_order(cx, 1)):
+        by_axis.setdefault(axes[0], set()).add(factors[i])
     assert by_axis[0] == {0.5}  # (1*1)/2 for an x-edge
     assert by_axis[1] == {2.0}
     assert by_axis[2] == {2.0}
@@ -529,8 +531,8 @@ def test_eom_residual_constant_and_harmonic(torus444):
     # translation-invariant 1-cochain: one value per parallel cell class
     vals = np.zeros((torus444.cell_count(1), 1))
     per_axis = [2.0, -0.75, 0.3]
-    for i in range(torus444.cell_count(1)):
-        vals[i] = per_axis[torus444.cell(1, i).axes[0]]
+    for i, (_, axes) in enumerate(cells_in_order(torus444, 1)):
+        vals[i] = per_axis[axes[0]]
     harmonic = Cochain(torus444, 1, REAL_SCALAR, vals)
     assert max_norm(eom_residual(harmonic)) <= 1e-13
 
@@ -581,8 +583,8 @@ def test_solver_incompatible_source():
         solve_free(cx, REAL_SCALAR, 0, source=ones)
     # a closed 1-form source is orthogonal to the range of the operator
     vals = np.zeros((cx.cell_count(1), 1))
-    for i in range(cx.cell_count(1)):
-        if cx.cell(1, i).axes == (0,):
+    for i, (_, axes) in enumerate(cells_in_order(cx, 1)):
+        if axes == (0,):
             vals[i] = 1.0
     closed = Cochain(cx, 1, REAL_SCALAR, vals)
     with pytest.raises(SolverError):
@@ -617,7 +619,7 @@ def test_solver_kernel_probe_scales_with_the_operator(spacing):
     scaled = solve_free(CubicalComplex([8], spacing=spacing), REAL_SCALAR, 0, fixed=fixed)
     assert np.max(np.abs(scaled.values - reference.values)) <= 1e-12
     cx = CubicalComplex([4, 4], spacing=spacing)
-    closed = np.array([[1.0 if cx.cell(1, i).axes == (0,) else 0.0] for i in range(cx.cell_count(1))])
+    closed = np.array([[1.0 if axes == (0,) else 0.0] for _, axes in cells_in_order(cx, 1)])
     with pytest.raises(SolverError, match="kernel"):
         solve_free(cx, REAL_SCALAR, 1, source=Cochain(cx, 1, REAL_SCALAR, closed))
 

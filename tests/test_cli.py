@@ -1129,8 +1129,16 @@ def test_field_csv_rejects_malformed_rows(tmp_path, topology, case):
     rows = path.read_text().splitlines()
     edit(rows)
     path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(FormlabError):
+    with pytest.raises(FormlabError) as info:
         load_field_csv(cx, 1, fiber, path)
+    if case in ("base_9", "base_-1"):
+        # the appended row, the file's last line, copies the first row: cell
+        # 0 of axes (0,), based at the origin
+        base = case[len("base_"):]
+        assert str(info.value) == (
+            f"field CSV {path}, line {len(rows)}: base ({base}, 0, 0) lies "
+            "outside the block of axes (0,)"
+        )
 
 
 @pytest.mark.parametrize("topology", ["torus", "box"])

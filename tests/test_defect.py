@@ -28,10 +28,12 @@ from formlab import (
     max_norm,
     named_cycle,
     so3,
-    so3_rotation,
     solve_free,
 )
 from formlab.algebra import adjoint_matrix
+from formlab.mesh import _unit_chain
+
+from helpers import rotation
 
 SO3_FIBER = algebra_fiber(so3())
 SO3_REP = GroupoidRep(SO3_FIBER)
@@ -177,7 +179,7 @@ def test_observable_is_linear_in_field_and_support(rng, torus444):
 def test_noncrossing_move_is_bit_identical(rng, torus444):
     psi = Cochain.random_gaussian(torus444, 1, SO3_FIBER, rng)
     op = ChargedOperator(x_loop(torus444, 0, 0), psi, 0)
-    g = so3_rotation(0, np.pi / 2)
+    g = rotation(0, np.pi / 2)
     src = y_loop(torus444, x=0, z=1)
     defect = DefectOperator(g, 0, src)
     move = DefectMove(defect, Cobordism(torus444, yz_sweep(torus444, 0, 1), src))
@@ -188,7 +190,7 @@ def test_noncrossing_move_is_bit_identical(rng, torus444):
 def test_single_crossing_applies_rep_once_and_flips_degree(rng, torus444):
     psi = Cochain.random_gaussian(torus444, 1, SO3_FIBER, rng)
     op = ChargedOperator(x_loop(torus444, 0, 0), psi, 0)
-    g = so3_rotation(0, np.pi / 2)
+    g = rotation(0, np.pi / 2)
     defect, move = crossing_move(torus444, g, 0)
     n = intersection_number(op.support, move.cobordism.filling)
     assert n == 1
@@ -202,7 +204,7 @@ def test_sweep_forward_then_backward_restores(rng, torus444):
     cx = torus444
     psi = Cochain.random_gaussian(cx, 1, SO3_FIBER, rng)
     op = ChargedOperator(x_loop(cx, 0, 0), psi, 0)
-    g = so3_rotation(2, 0.8)
+    g = rotation(2, 0.8)
     defect, move = crossing_move(cx, g, 0)
     swept = apply_defect(defect, op, move, SO3_REP)
     assert swept.degree == 1
@@ -234,7 +236,7 @@ def test_identity_defect_never_flips_degree(rng, torus444):
 def test_degree_mismatch_raises(rng, torus444):
     psi = Cochain.random_gaussian(torus444, 1, SO3_FIBER, rng)
     op = ChargedOperator(x_loop(torus444, 0, 0), psi, 0)
-    g = so3_rotation(0, np.pi / 2)
+    g = rotation(0, np.pi / 2)
     defect, move = crossing_move(torus444, g, 1)
     with pytest.raises(DegreeError):
         apply_defect(defect, op, move, SO3_REP)
@@ -251,7 +253,7 @@ def test_unsupported_geometry_raises(rng, torus444):
     psi2 = Cochain.random_gaussian(cx, 2, SO3_FIBER, rng)
     plane = named_cycle(cx, {"kind": "plane", "normal": 2, "offset": 0})
     op2 = ChargedOperator(plane, psi2, 0)  # p = 2: no complementary defect
-    g = so3_rotation(0, np.pi / 2)
+    g = rotation(0, np.pi / 2)
     src = y_loop(cx, 0, 1)
     defect = DefectOperator(g, 0, src)
     move = DefectMove(defect, Cobordism(cx, yz_sweep(cx, 0, 1), src))
@@ -263,7 +265,7 @@ def test_output_depends_only_on_crossing_number(rng, torus444):
     cx = torus444
     psi = Cochain.random_gaussian(cx, 1, SO3_FIBER, rng)
     op = ChargedOperator(x_loop(cx, 0, 0), psi, 0)
-    g = so3_rotation(1, 1.1)
+    g = rotation(1, 1.1)
     defect, move = crossing_move(cx, g, 0)
     # add a closed 2-chain the charged support does not cross
     extra = named_cycle(cx, {"kind": "plane", "normal": 1, "offset": 2})
@@ -299,6 +301,33 @@ def test_conservation_report_on_box_mesh():
     assert rep.dynamical_current_norm is None  # no reindexing star on a box
     assert rep.action is not None and rep.action > 0
     assert rep.charges == {}
+
+
+@pytest.mark.parametrize(
+    "shape,degree,keys",
+    [
+        ((3, 4, 2), 0, ["q_trivial_axes01", "q_trivial_axes02", "q_trivial_axes12"]),
+        ((3, 4, 2), 1, ["q_trivial_axes0", "q_trivial_axes1", "q_trivial_axes2"]),
+        ((3, 4, 2), 2, ["q_trivial_axes"]),
+        ((3, 4), 0, ["q_trivial_axes0", "q_trivial_axes1"]),
+        ((3, 4), 1, ["q_trivial_axes"]),
+    ],
+    ids=["3d-p0", "3d-p1", "3d-p2", "2d-p0", "2d-p1"],
+)
+def test_conservation_report_samples_the_trivial_charge_per_axis_subset(shape, degree, keys, rng):
+    # d psi over a closed sub-torus is zero by Stokes, so a report samples
+    # only the trivial charge: once per set B of d - p - 1 axes, over the
+    # coordinate sub-torus on B at offset 0, keyed by B's digits
+    cx = CubicalComplex(shape)
+    psi = Cochain.random_gaussian(cx, degree, SO3_FIBER, rng)
+    charges = conservation_report(psi).charges
+    subsets = cx.axis_subsets(cx.d - degree - 1)
+    assert list(charges) == keys == ["q_trivial_axes" + "".join(map(str, b)) for b in subsets]
+    for axes, value in zip(subsets, charges.values()):
+        support = _unit_chain(cx, axes, [0] * (cx.d - len(axes)), "offset 0")
+        assert value.tobytes() == charge_trivial(psi, support).tobytes()
+    box = CubicalComplex(shape, topology="box")
+    assert conservation_report(Cochain.random_gaussian(box, degree, SO3_FIBER, rng)).charges == {}
 
 
 def test_conservation_report(rng, torus444):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from formlab import GroupoidRep, algebra_fiber, identity, so3, so3_rotation
+from formlab import GroupoidRep, algebra_fiber, identity, so3
 from formlab.algebra import random_group_element
 from formlab.dsl import (
     Atom,
@@ -13,18 +13,20 @@ from formlab.dsl import (
     typecheck,
 )
 
+from helpers import rotation
+
 REP = GroupoidRep(algebra_fiber(so3()))
 
 
 @pytest.fixture
 def table():
-    g = so3_rotation(0, np.pi / 2)
+    g = rotation(0, np.pi / 2)
     return {
         "e": identity("SO3"),
         "g": g,
-        "h": so3_rotation(2, np.pi / 2),
+        "h": rotation(2, np.pi / 2),
         "ginv": g.inverse(),
-        "k": so3_rotation(1, 0.7),
+        "k": rotation(1, 0.7),
     }
 
 

@@ -14,12 +14,13 @@ from formlab import (
     inverse,
     primitive_morphism,
     so3,
-    so3_rotation,
     u2,
 )
 from formlab.algebra import GroupElement, adjoint_matrix, random_group_element
 from formlab.checks import groupoid_law_violations, quaternion_elements
 from formlab.graded import generator_shift
+
+from helpers import rotation
 
 SO3_REP = GroupoidRep(algebra_fiber(so3()))
 
@@ -107,8 +108,8 @@ def test_represent_identity_and_functoriality(rng):
 
 
 def test_noncommutativity_witness():
-    g = so3_rotation(0, np.pi / 2)
-    h = so3_rotation(2, np.pi / 2)
+    g = rotation(0, np.pi / 2)
+    h = rotation(2, np.pi / 2)
     gh = compose(primitive_morphism(g, 1), primitive_morphism(h, 0))
     hg = compose(primitive_morphism(h, 1), primitive_morphism(g, 0))
     assert np.linalg.norm(gh.g.matrix - hg.g.matrix, 2) > 0.1
@@ -116,7 +117,7 @@ def test_noncommutativity_witness():
 
 
 def test_products_inverses_and_identity_are_not_revalidated(monkeypatch):
-    g, h = so3_rotation(0, 0.7), so3_rotation(2, 1.1)
+    g, h = rotation(0, 0.7), rotation(2, 1.1)
     a, b = primitive_morphism(g, 0), primitive_morphism(h, 1)
     checked = []
     validate = GroupElement.__post_init__
@@ -140,7 +141,7 @@ def test_products_inverses_and_identity_are_not_revalidated(monkeypatch):
 def test_composites_and_inverses_are_not_rechecked(monkeypatch):
     # their degrees follow from operands already checked; the public
     # constructor still rejects a degree outside {0, 1}
-    a, b = primitive_morphism(so3_rotation(0, 0.7), 0), primitive_morphism(so3_rotation(2, 1.1), 1)
+    a, b = primitive_morphism(rotation(0, 0.7), 0), primitive_morphism(rotation(2, 1.1), 1)
     checked = []
     validate = GradedMorphism.__post_init__
 

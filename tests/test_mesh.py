@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from formlab import (
-    Cell,
     Chain,
     Cobordism,
     ConfigError,
@@ -19,6 +18,8 @@ from formlab import (
 from formlab.checks import run_checks
 from formlab.config import scenario_from_dict
 from formlab.mesh import perm_sign
+
+from helpers import cells_in_order
 
 
 def expected_cell_count(shape, topology, p):
@@ -51,32 +52,33 @@ def geometric_intersection(a, b):
         t = (x - lo) % period
         return 0.0 < t < 1.0
 
+    cells_a, cells_b = cells_in_order(cx, a.degree), cells_in_order(cx, b.degree)
     total = 0
     for ia, ca in zip(a.cells.tolist(), a.coefs.tolist()):
-        cell_a = cx.cell(a.degree, ia)
+        base_a, axes_a = cells_a[ia]
         for ib, cb in zip(b.cells.tolist(), b.coefs.tolist()):
-            cell_b = cx.cell(b.degree, ib)
-            if set(cell_a.axes) & set(cell_b.axes):
+            base_b, axes_b = cells_b[ib]
+            if set(axes_a) & set(axes_b):
                 continue
             hit = True
             for ax in range(cx.d):
-                if ax in cell_a.axes:
+                if ax in axes_a:
                     # a spans (base, base+1); shifted b sits at base_b + 0.5
                     if not in_open_unit_interval_mod(
-                        cell_b.base[ax] + 0.5, cell_a.base[ax], cx.shape[ax]
+                        base_b[ax] + 0.5, base_a[ax], cx.shape[ax]
                     ):
                         hit = False
                         break
                 else:
                     # shifted b spans (base_b + 0.5, base_b + 1.5); a sits at base_a
                     if not in_open_unit_interval_mod(
-                        cell_a.base[ax], cell_b.base[ax] + 0.5, cx.shape[ax]
+                        base_a[ax], base_b[ax] + 0.5, cx.shape[ax]
                     ):
                         hit = False
                         break
             if hit:
-                comp = tuple(i for i in range(cx.d) if i not in cell_a.axes)
-                total += ca * cb * perm_sign(list(cell_a.axes) + list(comp))
+                comp = tuple(i for i in range(cx.d) if i not in axes_a)
+                total += ca * cb * perm_sign(list(axes_a) + list(comp))
     return total
 
 
@@ -115,16 +117,15 @@ def test_boundary_matrix_matches_defining_formula(shape, topology):
     cx = CubicalComplex(shape, topology=topology)
     for p in range(1, cx.d + 1):
         entries = {}
-        for j in range(cx.cell_count(p)):
-            cell = cx.cell(p, j)
-            for t, a in enumerate(cell.axes):
-                sub = tuple(x for x in cell.axes if x != a)
+        for j, (base, axes) in enumerate(cells_in_order(cx, p)):
+            for t, a in enumerate(axes):
+                sub = tuple(x for x in axes if x != a)
                 sign = (-1) ** t
-                upper = list(cell.base)
+                upper = list(base)
                 upper[a] += 1
                 if topology == "torus":  # the upper face of the last slab sits at base 0
                     upper[a] %= shape[a]
-                for face, s in ((upper, sign), (cell.base, -sign)):
+                for face, s in ((upper, sign), (base, -sign)):
                     key = (cx.cell_index(p - 1, face, sub), j)
                     entries[key] = entries.get(key, 0) + s
         keys = sorted(k for k, v in entries.items() if v)
@@ -168,25 +169,25 @@ def test_cell_index_roundtrip():
         for topology in ("torus", "box"):
             cx = CubicalComplex(shape, topology=topology)
             for p in range(cx.d + 1):
-                for i in range(cx.cell_count(p)):
-                    c = cx.cell(p, i)
-                    assert cx.cell_index(c.degree, c.base, c.axes) == i
-                    assert cx.cell_indices(p, c.axes, np.array(c.base)[:, None]).tolist() == [i]
+                for i, (base, axes) in enumerate(cells_in_order(cx, p)):
+                    assert cx.cell_index(p, base, axes) == i
+                    assert cx.cell_indices(p, axes, np.array(base)[:, None]).tolist() == [i]
                     # a base out of range, of any size, is an error on a torus
                     # as on a box, whose blocks are one cell longer off their axes
                     for axis, n in enumerate(shape):
-                        edge = n + (topology == "box" and axis not in c.axes)
+                        edge = n + (topology == "box" and axis not in axes)
                         for b in (-1, edge, edge + n, 2**63, 10**30, -(10**30)):
-                            base = [*c.base[:axis], b, *c.base[axis + 1 :]]
+                            wrong = [*base[:axis], b, *base[axis + 1 :]]
                             with pytest.raises(DomainError, match="outside the block"):
-                                cx.cell_index(p, base, c.axes)
+                                cx.cell_index(p, wrong, axes)
+                assert cx.axis_subsets(p) == tuple(combinations(range(cx.d), p))
                 start = 0
                 for axes in cx.axis_subsets(p):
                     bases = cx.block_bases(p, axes)
                     cells = cx.cell_indices(p, axes, bases)
                     assert np.array_equal(cells, np.arange(start, start + bases.shape[1]))
-                    expected = [Cell(p, base, axes) for base in zip(*bases.tolist())]
-                    assert [cx.cell(p, j) for j in cells] == expected
+                    extents = [n + (topology == "box" and i not in axes) for i, n in enumerate(shape)]
+                    assert np.array_equal(bases, np.indices(extents).reshape(cx.d, -1))
                     start += bases.shape[1]
                 assert start == cx.cell_count(p)
 
@@ -197,9 +198,9 @@ def test_metric_is_the_per_cell_product_of_spacings(spacing, topology):
     # powers of two, so that every product and quotient is exact
     cx = CubicalComplex([2] * len(spacing), spacing=spacing, topology=topology)
     for p in range(cx.d + 1):
-        cells = [cx.cell(p, i) for i in range(cx.cell_count(p))]
-        volume = [math.prod(spacing[a] for a in c.axes) for c in cells]
-        dual = [math.prod(h for a, h in enumerate(spacing) if a not in c.axes) for c in cells]
+        cells = cells_in_order(cx, p)
+        volume = [math.prod(spacing[a] for a in axes) for _, axes in cells]
+        dual = [math.prod(h for a, h in enumerate(spacing) if a not in axes) for _, axes in cells]
         assert np.array_equal(cx.primal_volumes(p), volume)
         assert np.array_equal(cx.star_factors(p), np.divide(dual, volume))
 
@@ -383,17 +384,18 @@ def crossing_rule_intersection(a, b):
     cx = a.complex
     total = 0
     coeffs_b = dict(zip(b.cells.tolist(), b.coefs.tolist()))
+    cells_a = cells_in_order(cx, a.degree)
     for ia, ca in zip(a.cells.tolist(), a.coefs.tolist()):
-        cell = cx.cell(a.degree, ia)
-        comp = tuple(i for i in range(cx.d) if i not in cell.axes)
-        base = [v - 1 if i in comp else v for i, v in enumerate(cell.base)]
+        base, axes = cells_a[ia]
+        comp = tuple(i for i in range(cx.d) if i not in axes)
+        base = [v - 1 if i in comp else v for i, v in enumerate(base)]
         if cx.topology == "torus":  # base -1 names the cell at n - 1
             base = [v % n for v, n in zip(base, cx.shape)]
         try:
             ib = cx.cell_index(b.degree, base, comp)  # range-checked on a box
         except DomainError:
             continue
-        total += ca * coeffs_b.get(ib, 0) * perm_sign(cell.axes + comp)
+        total += ca * coeffs_b.get(ib, 0) * perm_sign(axes + comp)
     return total
 
 
@@ -405,10 +407,9 @@ def test_intersection_on_a_box_matches_crossing_rule(shape, rng):
         everywhere = random_chain(cx, q, rng, cells=cx.cell_count(q))
         if p < cx.d:
             # cells on a lower face: their crossing partner lies outside the box
-            all_cells = [cx.cell(p, j) for j in range(cx.cell_count(p))]
             lower = [
-                j for j, cell in enumerate(all_cells)
-                if any(cell.base[i] == 0 for i in range(cx.d) if i not in cell.axes)
+                j for j, (base, axes) in enumerate(cells_in_order(cx, p))
+                if any(base[i] == 0 for i in range(cx.d) if i not in axes)
             ]
             assert lower
             on_faces = Chain(cx, p, {j: 1 for j in lower})
@@ -507,8 +508,6 @@ def test_cobordism_validation():
 
 def test_cell_and_chain_validation():
     cx = CubicalComplex([3, 3])
-    with pytest.raises(DomainError):
-        Cell(2, (0, 0), (1, 0))  # axes not increasing
     with pytest.raises(DomainError):
         Chain(cx, 1, {999: 1})
     with pytest.raises(DomainError):

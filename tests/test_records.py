@@ -64,7 +64,7 @@ def test_keywords_are_refused():
 def test_every_record_refuses_assignment_and_deletion():
     classes = _formlab_records()
     names = {cls.__qualname__ for cls in classes}
-    assert {"Atom", "Cell", "Cobordism", "GradedMorphism", "ChargedOperator", "_Ctx"} <= names
+    assert {"Atom", "Cobordism", "GradedMorphism", "ChargedOperator", "_Ctx"} <= names
     assert Scenario not in classes  # a namespace, built by keyword and filled in later
     for cls in [*classes, Pair, Token]:
         blank = object.__new__(cls)  # no field values needed to try a write
