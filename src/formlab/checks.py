@@ -46,7 +46,7 @@ from .graded import (
     inverse,
     primitive_morphism,
 )
-from .mesh import Chain, Cobordism, _unit_chain, boundary
+from .mesh import Chain, Cobordism, _grid_chain, _unit_chain, boundary
 from .dsl import Diagnostic, parse, typecheck
 
 
@@ -199,7 +199,7 @@ def _check_stokes(ctx: _Ctx):
             psi = Cochain.random_gaussian(cx, p, REAL_SCALAR, rng)
             n = cx.cell_count(p + 1)
             cells = rng.choice(n, size=min(8, n), replace=False)
-            sigma = Chain(cx, p + 1, {int(c): int(rng.integers(1, 4)) for c in cells})
+            sigma = Chain(cx, p + 1, cells, [int(rng.integers(1, 4)) for _ in cells])
             lhs = integrate(d(psi), sigma)
             rhs = integrate(psi, boundary(sigma))
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
@@ -261,9 +261,8 @@ def _check_charge_homology(ctx: _Ctx):
     if not charges_apply(ctx.field) or p + 2 > cx.d:
         return None
     # the 2^(p+1) unit (p+1)-cells on axes 0..p, and the (p+2)-cell on axes 0..p+1
-    corners = [c + (0,) * (cx.d - p - 1) for c in np.ndindex((2,) * (p + 1))]
-    patch = Chain(cx, p + 1, {cx.cell_index(p + 1, c, range(p + 1)): 1 for c in corners})
-    bump = Chain(cx, p + 2, {cx.cell_index(p + 2, (0,) * cx.d, range(p + 2)): 1})
+    patch = _grid_chain(cx, range(p + 1), (2,) * (p + 1) + (1,) * (cx.d - p - 1))
+    bump = _grid_chain(cx, range(p + 2), (1,) * cx.d)
     moved = patch + boundary(bump)
     q0 = np.atleast_1d(charge_eom(ctx.field, patch))
     q1 = np.atleast_1d(charge_eom(ctx.field, moved))
@@ -275,10 +274,8 @@ def _check_flux_identity(ctx: _Ctx):
         return None
     cx, m = ctx.complex, ctx.complex.d - ctx.field.degree - 1
     # the sub-tori on axes 0..m-1 at offsets 0 and 1 on axis m, and the (m+1)-cells between
-    rest = (0,) * (cx.d - m - 1)
-    loop0, loop1 = (_unit_chain(cx, range(m), (k,) + rest, "offset") for k in (0, 1))
-    cells = [cx.cell_index(m + 1, c + (0,) + rest, range(m + 1)) for c in np.ndindex(cx.shape[:m])]
-    strip = Chain(cx, m + 1, {c: (-1) ** m for c in cells})
+    loop0, loop1 = (_unit_chain(cx, range(m), [k] + [0] * (cx.d - m - 1), "offset") for k in (0, 1))
+    strip = _grid_chain(cx, range(m + 1), cx.shape[:m] + (1,) * (cx.d - m), coef=(-1) ** m)
     assert boundary(strip) == loop1 - loop0
     delta = np.atleast_1d(charge_trivial(ctx.field, loop1) - charge_trivial(ctx.field, loop0))
     flux = np.atleast_1d(integrate(eom_residual(ctx.field), strip))
@@ -297,8 +294,7 @@ def _check_defect_gating(ctx: _Ctx):
     charged = ChargedOperator(_unit_chain(cx, range(p), [0] * (q + 1), "offset"), ctx.field, 0)
     z0 = 1 if cx.shape[-1] - 1 != 1 else 0  # sweep a q-torus along the last axis, away from it
     support = _unit_chain(cx, range(p, cx.d - 1), [0] * p + [z0], "offset")
-    cells = [cx.cell_index(q + 1, (0,) * p + c + (z0,), range(p, cx.d)) for c in np.ndindex(cx.shape[p:-1])]
-    filling = Chain(cx, q + 1, {c: 1 for c in cells})
+    filling = _grid_chain(cx, range(p, cx.d), (1,) * p + cx.shape[p:-1] + (1,), [0] * (cx.d - 1) + [z0])
     defect = DefectOperator(g, 0, support)
     move = DefectMove(defect, Cobordism(cx, filling, support))
     return 0.0 if apply_defect(defect, charged, move, rep) is charged else 1.0

@@ -112,8 +112,7 @@ def _cmd_compose(scenario: Scenario, args):
 
     if scenario.compose_source is None:
         raise ConfigError("the compose command needs a 'compose' expression in the config")
-    rep = representation_for(scenario)
-    outcome = compose_word(scenario.compose_source, scenario.group_elements, rep)
+    outcome = compose_word(scenario.compose_source, scenario.group_elements)
     if isinstance(outcome, Diagnostic):
         report = {
             "ok": False,

@@ -375,7 +375,7 @@ def _cell_values(cx: CubicalComplex, degree: int, fiber: FiberSpec, items, what:
         try:
             base = parse_integers(item["base"], "cell 'base'")
             axes = parse_integers(item["axes"], "cell 'axes'")
-            index = cx.cell_index(degree, base, axes)
+            index = int(cx.cell_indices(degree, axes, base))
         except FormlabError as exc:
             raise ConfigError(f"bad cell reference {item!r}: {exc}") from exc
         pairs.append((index, parse_fiber_value(fiber, item["value"])))

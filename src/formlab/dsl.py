@@ -120,22 +120,23 @@ class EvaluatedWord:
     morphism: GradedMorphism
 
 
-def evaluate(morphisms, rep: GroupoidRep) -> EvaluatedWord:
+def evaluate(morphisms) -> EvaluatedWord:
     """Fold a typechecked chain into one morphism, composed right to left;
-    cannot raise on a chain that typechecked.  `rep` is not read: the
-    word's matrix in it is `rep.matrix(word.morphism.g)`."""
+    cannot raise on a chain that typechecked.  The word's matrix in a
+    representation `rep` is `rep.matrix(word.morphism.g)`."""
     total = morphisms[-1]
     for m in reversed(morphisms[:-1]):
         total = compose(m, total)
     return EvaluatedWord(total)
 
 
-def compose_word(source: str, table, rep: GroupoidRep):
-    """Parse, typecheck and evaluate; returns EvaluatedWord or Diagnostic."""
+def compose_word(source: str, table, rep: GroupoidRep | None = None):
+    """Parse, typecheck and evaluate; returns EvaluatedWord or Diagnostic.
+    `rep` is not read: it stays only because perfbench/replay.py passes one."""
     expr = parse(source)
     if isinstance(expr, Diagnostic):
         return expr
     chain = typecheck(expr, table)
     if isinstance(chain, Diagnostic):
         return chain
-    return evaluate(chain, rep)
+    return evaluate(chain)

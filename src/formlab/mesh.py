@@ -9,8 +9,8 @@ degree is the one statement of this layout: it maps each axis subset to its
 block's index offset, its extents (on a box, one cell longer off its axes),
 and the primal volume and star factor that its cells share.  A cell's index
 is its block's offset plus the C-order rank of its base in the block's
-extents (`cell_indices`; `cell_index` calls it for one cell), and neither
-wraps a base: one outside its block is an error on a torus as on a box.
+extents, by `cell_indices` alone; no base wraps there, on a torus as on
+a box (the complement wraps a torus partner's base, its geometry, first).
 Indices, grid views, complement partners, the metric and the mesh rules
 all read the table.
 
@@ -25,9 +25,9 @@ benchmark's replay) read that table as it stands.  The complement is
 written as `complement(p, back)`, which serves the Hodge star (back 0) and
 the intersection pairing (back 1).  Only the scipy matrices need scipy.
 
-A chain is a sparse integer vector: read-only int64 arrays of its distinct
-cell indices, ascending, and of their nonzero coefficients.  The boundary,
-the intersection pairing and `calculus.integrate` read those arrays.
+A chain is a sparse integer vector, built from (cells, coefs) arrays and
+held as read-only int64 ones: distinct cells, ascending, nonzero coefs.
+The boundary, the intersection pairing and `calculus.integrate` read them.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -146,28 +146,22 @@ class CubicalComplex:
         except KeyError:
             raise DomainError(f"no degree-{degree} cells with axes {tuple(axes)}") from None
 
-    def cell_index(self, degree: int, base, axes) -> int:
-        """Index of the one cell (base, axes), by `cell_indices`: the base
-        lies in its block, on a torus as on a box."""
-        if len(base) != self.d:
-            raise DomainError(f"a cell base needs {self.d} coordinates, got {len(base)}")
-        try:
-            return int(self.cell_indices(degree, axes, base))
-        except DomainError as exc:
-            raise DomainError(f"base {tuple(base)}: {exc}") from None
-
     def cell_indices(self, degree: int, axes, bases) -> np.ndarray:
         """Indices of the cells spanning `axes` at the base coordinates given
         as the columns of a (d, m) integer array (one base as a (d,) array
-        gives one index).  Every base lies in the block's extents, on a
-        torus as on a box: nothing wraps, and a base outside, past int64
-        too, is a DomainError.
+        gives one index): the one rule that names a cell.  Nothing wraps, on
+        a torus as on a box: a base outside its block, past int64 too, is a
+        DomainError that names the first such base; so is a short or long base.
         """
         offset, extents, *_ = self._block(degree, axes)
+        if len(bases) != self.d:
+            raise DomainError(f"a cell base needs {self.d} coordinates, got {len(bases)}")
         try:
             return offset + np.ravel_multi_index(np.asarray(bases, dtype=np.int64), extents)
-        except (ValueError, OverflowError):
-            raise DomainError(f"bases lie outside the block of axes {tuple(axes)}") from None
+        except (ValueError, OverflowError):  # named in Python ints, past int64 too
+            columns = (tuple(map(int, b)) for b in np.asarray(bases, dtype=object).reshape(self.d, -1).T)
+            base = next(b for b in columns if not all(0 <= x < n for x, n in zip(b, extents)))
+            raise DomainError(f"base {base} lies outside the block of axes {tuple(axes)}") from None
 
     def block_bases(self, degree: int, axes) -> np.ndarray:
         """Base coordinates (d, count) of the cells spanning `axes`, in index order."""
@@ -317,18 +311,20 @@ class CubicalComplex:
         if (degree, back) not in self._complement:
             n = self.cell_count(degree)
             signs = np.empty(n, dtype=np.int8)
-            partner = np.empty(n, dtype=np.int64)
+            partner = np.full(n, -1, dtype=np.int64)
             for axes, (offset, extents, *_) in self._blocks[degree].items():
                 comp = tuple(i for i in range(self.d) if i not in axes)
-                comp_offset, comp_extents, *_ = self._blocks[self.d - degree][comp]
                 base = np.indices(extents).reshape(self.d, -1)
                 base[list(comp)] -= back
                 cols = slice(offset, offset + base.shape[1])
                 signs[cols] = perm_sign(axes + comp)
-                partner[cols] = comp_offset + np.ravel_multi_index(base, comp_extents, mode="wrap")
-                if self.topology == "box":
-                    outside = ((base < 0) | (base >= np.array(comp_extents)[:, None])).any(axis=0)
-                    partner[cols][outside] = -1
+                comp_extents = np.array(self._block(self.d - degree, comp)[1])[:, None]
+                if self.topology == "torus":  # geometry: v - 1 at v = 0 is the cell at n - 1
+                    base += comp_extents * (base < 0)
+                    partner[cols] = self.cell_indices(self.d - degree, comp, base)
+                else:  # a partner outside its block stays -1
+                    inside = ((base >= 0) & (base < comp_extents)).all(axis=0)
+                    partner[cols][inside] = self.cell_indices(self.d - degree, comp, base[:, inside])
             signs.setflags(write=False)
             partner.setflags(write=False)
             self._complement[degree, back] = (signs, partner)
@@ -336,26 +332,27 @@ class CubicalComplex:
 
 
 class Chain:
-    """An integer-weighted formal sum of cells of one degree, given as a
-    {cell index: coefficient} dict or as `cells` and `coefs` sequences, in
-    which repeated cells add up.  Held in normal form (module docstring); a
-    coefficient outside +-(2**63 - 1) is a DomainError, so negation never wraps.
+    """An integer-weighted formal sum of cells of one degree, given as
+    `cells` (from `CubicalComplex.cell_indices`) and one coefficient each in
+    `coefs`; repeated cells add up.  Held in normal form (module docstring);
+    a coefficient outside +-(2**63 - 1) is a DomainError, so negation never wraps.
     """
 
     __slots__ = ("complex", "degree", "cells", "coefs")
 
-    def __init__(self, complex: CubicalComplex, degree: int, coeffs=None, *, cells=(), coefs=()):
+    def __init__(self, complex: CubicalComplex, degree: int, cells=(), coefs=()):
         if not 0 <= degree <= complex.d:
             raise DomainError(f"no chains of degree {degree} in dimension {complex.d}")
-        if coeffs:
-            cells, coefs = list(coeffs), list(coeffs.values())
         try:
             cells = np.asarray(cells, dtype=np.int64).ravel()
+            coefs = np.asarray(coefs, dtype=np.int64).ravel()
+            if coefs.size != cells.size:
+                raise DomainError(f"{cells.size} cells need as many coefficients, got {coefs.size}")
             bad = cells[(cells < 0) | (cells >= complex.cell_count(degree))]
             if bad.size:
                 raise DomainError(f"cell index {bad[0]} out of range for degree {degree}")
             order = np.argsort(cells, kind="stable")
-            cells, coefs = cells[order], np.asarray(coefs, dtype=np.int64).ravel()[order]
+            cells, coefs = cells[order], coefs[order]
             starts = np.flatnonzero(np.diff(cells, prepend=-1))
             if starts.size < cells.size:
                 # Python-int sums, so that a sum past int64 raises
@@ -483,10 +480,17 @@ def named_cycle(complex: CubicalComplex, spec: dict) -> Chain:
                 raise DomainError("all cells of a chain must share one degree")
             base = parse_integers(item["base"], "chain item 'base'")
             axes = parse_integers(item["axes"], "chain item 'axes'")
-            cells.append(complex.cell_index(degrees[0], base, axes))
+            cells.append(complex.cell_indices(degrees[0], axes, base))
             coefs.append(parse_number(int, item.get("coef", 1), "chain item 'coef'"))
         return Chain(complex, degrees[0], cells=cells, coefs=coefs)
     raise ConfigError(f"unknown chain spec kind {kind!r}")
+
+
+def _grid_chain(complex: CubicalComplex, axes, extents, origin=0, coef=1) -> Chain:
+    """The cells on `axes` based at origin + np.indices(extents), each with coefficient `coef`."""
+    bases = np.indices(extents).reshape(complex.d, -1) + np.reshape(origin, (-1, 1))
+    cells = complex.cell_indices(len(axes), axes, bases)
+    return Chain(complex, len(axes), cells, np.full_like(cells, coef))
 
 
 def _unit_chain(complex: CubicalComplex, axes: tuple, offsets, what: str) -> Chain:
@@ -494,13 +498,12 @@ def _unit_chain(complex: CubicalComplex, axes: tuple, offsets, what: str) -> Cha
     order), each with coefficient 1.  The block table decides which offsets
     name cells; a ConfigError naming `what` where one does not."""
     extents = [n if i in axes else 1 for i, n in enumerate(complex.shape)]
-    bases = np.indices(extents).reshape(complex.d, -1)
+    origin = np.zeros(complex.d, dtype=np.int64)
     try:
-        bases[[i for i in range(complex.d) if i not in axes]] = np.array(offsets, dtype=np.int64)[:, None]
-        cells = complex.cell_indices(len(axes), axes, bases)
+        origin[[i for i in range(complex.d) if i not in axes]] = np.array(offsets, dtype=np.int64)
+        return _grid_chain(complex, axes, extents, origin)
     except (DomainError, OverflowError):  # OverflowError: an offset past int64
         raise ConfigError(f"{what} out of range") from None
-    return Chain(complex, len(axes), cells=cells, coefs=np.ones_like(cells))
 
 
 def intersection_number(a: Chain, b: Chain) -> int:

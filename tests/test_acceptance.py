@@ -97,7 +97,7 @@ def test_criterion_2_discrete_stokes():
         for _ in range(100):
             psi = Cochain.random_gaussian(cx, p, REAL_SCALAR, rng)
             picks = rng.choice(cx.cell_count(p + 1), size=10, replace=False)
-            sigma = Chain(cx, p + 1, {int(i): int(rng.integers(-3, 4)) or 1 for i in picks})
+            sigma = Chain(cx, p + 1, picks, [int(rng.integers(-3, 4)) or 1 for _ in picks])
             lhs = integrate(d(psi), sigma)
             rhs = integrate(psi, boundary(sigma))
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
@@ -127,8 +127,9 @@ def test_criterion_4_charge_topological_invariance():
     psi = Cochain.random_gaussian(cx, 1, fiber, rng)  # arbitrary, off shell
 
     # Q_eom: exactly homology invariant for any field
-    patch = Chain(cx, 2, {cx.cell_index(2, (i, j, 1), (0, 1)): 1 for i in range(3) for j in range(2)})
-    bump = Chain(cx, 3, {cx.cell_index(3, (1, 0, 0), (0, 1, 2)): 2, cx.cell_index(3, (0, 0, 1), (0, 1, 2)): -1})
+    squares = cx.cell_indices(2, (0, 1), np.indices((3, 2, 1)).reshape(3, -1) + [[0], [0], [1]])
+    patch = Chain(cx, 2, squares, np.ones_like(squares))
+    bump = Chain(cx, 3, cx.cell_indices(3, (0, 1, 2), [[1, 0], [0, 0], [0, 1]]), [2, -1])
     q0 = charge_eom(psi, patch)
     q1 = charge_eom(psi, patch + boundary(bump))
     assert np.max(np.abs(q1 - q0)) <= 1e-12 * (1 + np.max(np.abs(q0)))
@@ -150,7 +151,7 @@ def test_criterion_4_charge_topological_invariance():
     # off shell the difference equals the enclosed residual flux exactly
     loopa = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
     loopb = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [1, 0]})
-    strip = Chain(cx, 2, {cx.cell_index(2, (i, 0, 0), (0, 1)): -1 for i in range(6)})
+    strip = Chain(cx, 2, cx.cell_indices(2, (0, 1), [range(6), [0] * 6, [0] * 6]), [-1] * 6)
     assert boundary(strip) == loopb - loopa
     delta = charge_trivial(psi, loopb) - charge_trivial(psi, loopa)
     flux = integrate(eom_residual(psi), strip)
@@ -264,8 +265,8 @@ def test_criterion_8_noncommutative_defect_witness():
     h = rotation(2, np.pi / 2)
     rep = GroupoidRep(algebra_fiber(so3()))
     table = {"g": g, "h": h}
-    m1 = rep.matrix(evaluate(typecheck(parse("g[1] . h[0]"), table), rep).morphism.g)
-    m2 = rep.matrix(evaluate(typecheck(parse("h[1] . g[0]"), table), rep).morphism.g)
+    m1 = rep.matrix(evaluate(typecheck(parse("g[1] . h[0]"), table)).morphism.g)
+    m2 = rep.matrix(evaluate(typecheck(parse("h[1] . g[0]"), table)).morphism.g)
     # matrix-product oracle from the literal quarter-turn matrices
     rx = np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]])
     rz = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]])
@@ -289,7 +290,7 @@ def test_criterion_9_defect_topologicality():
 
     def sweep(z, coef=1):
         src = named_cycle(cx, {"kind": "loop", "axis": 1, "offsets": [0, z]})
-        filling = Chain(cx, 2, {cx.cell_index(2, (0, j, z), (1, 2)): coef for j in range(4)})
+        filling = Chain(cx, 2, cx.cell_indices(2, (1, 2), [[0] * 4, range(4), [z] * 4]), [coef] * 4)
         defect = DefectOperator(g, 0, src)
         return defect, DefectMove(defect, Cobordism(cx, filling, src))
 
@@ -376,7 +377,7 @@ def test_criterion_10_dsl_roundtrip_offsets_and_soundness():
         if isinstance(chain, Diagnostic):
             continue
         accepted += 1
-        out = evaluate(chain, rep)
+        out = evaluate(chain)
         assert rep.matrix(out.morphism.g).shape == (3, 3)
     assert accepted > 100
     report(10, "DSL round trip, offsets, soundness")

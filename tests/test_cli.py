@@ -1142,6 +1142,27 @@ def test_field_csv_rejects_malformed_rows(tmp_path, topology, case):
 
 
 @pytest.mark.parametrize("topology", ["torus", "box"])
+def test_field_csv_names_the_first_outside_row_in_file_order(tmp_path, topology):
+    # two blocks each hold one base outside: the reader looks the blocks up
+    # in turn, and must still name the row that comes first in the file
+    cx = CubicalComplex([3, 3, 3], topology=topology)
+    fiber = algebra_fiber(so3())
+    path = tmp_path / "field.csv"
+    emit_field_csv(Cochain.random_gaussian(cx, 1, fiber, np.random.default_rng(4)), path)
+    rows = path.read_text().splitlines()
+    early = next(row for row in rows[1:] if row.split(",")[4] == "2").split(",")  # cell 0 of axes (2,)
+    early[1] = "9"
+    late = rows[1].split(",")  # cell 0 of axes (0,)
+    late[1] = "-1"
+    rows.insert(1, ",".join(early))
+    rows.append(",".join(late))
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(FormlabError) as info:
+        load_field_csv(cx, 1, fiber, path)
+    assert str(info.value) == f"field CSV {path}, line 2: base (9, 0, 0) lies outside the block of axes (2,)"
+
+
+@pytest.mark.parametrize("topology", ["torus", "box"])
 def test_field_csv_accepted_variants(tmp_path, topology):
     cx = CubicalComplex([3, 3, 3], topology=topology)
     fiber = algebra_fiber(so3())

@@ -49,9 +49,8 @@ def y_loop(cx, x=0, z=0):
 
 def yz_sweep(cx, x, z, coef=1):
     """Squares swept when a y-loop at (x, z) moves one step in z."""
-    return Chain(
-        cx, 2, {cx.cell_index(2, (x, j, z), (1, 2)): coef for j in range(cx.shape[1])}
-    )
+    n = cx.shape[1]
+    return Chain(cx, 2, cx.cell_indices(2, (1, 2), [[x] * n, range(n), [z] * n]), [coef] * n)
 
 
 def crossing_move(cx, g, degree, gamma_offsets=(0, 0)):
@@ -69,13 +68,14 @@ def crossing_move(cx, g, degree, gamma_offsets=(0, 0)):
 
 def test_charge_eom_constant_field(torus444):
     psi = Cochain(torus444, 1, SO3_FIBER, np.ones((torus444.cell_count(1), 3)))
-    patch = Chain(torus444, 2, {0: 1, 5: 2})
+    patch = Chain(torus444, 2, [0, 5], [1, 2])
     assert np.array_equal(charge_eom(psi, patch), np.zeros(3))
 
 
 def test_charge_eom_vanishes_on_boundaries(rng, torus444):
     psi = Cochain.random_gaussian(torus444, 1, SO3_FIBER, rng)
-    volume = Chain(torus444, 3, {int(i): 2 for i in rng.choice(torus444.cell_count(3), 5)})
+    cubes = np.unique(rng.choice(torus444.cell_count(3), 5))
+    volume = Chain(torus444, 3, cubes, np.full(cubes.size, 2))
     q = charge_eom(psi, boundary(volume))
     assert np.max(np.abs(q)) <= 1e-12
 
@@ -84,11 +84,9 @@ def test_charge_eom_two_summation_routes_agree(torus444):
     # one nonzero edge value; a bounded plane patch next to it
     cx = torus444
     vals = np.zeros((cx.cell_count(1), 3))
-    vals[cx.cell_index(1, (0, 0, 0), (0,))] = [0.7, -0.2, 1.5]  # on the patch perimeter
+    vals[cx.cell_indices(1, (0,), (0, 0, 0))] = [0.7, -0.2, 1.5]  # on the patch perimeter
     psi = Cochain(cx, 1, SO3_FIBER, vals)
-    patch = Chain(
-        cx, 2, {cx.cell_index(2, (i, j, 0), (0, 1)): 1 for i in range(2) for j in range(2)}
-    )
+    patch = Chain(cx, 2, cx.cell_indices(2, (0, 1), np.indices((2, 2, 1)).reshape(3, -1)), [1] * 4)
     direct = charge_eom(psi, patch)  # coordinate route: sum d(psi) over the patch
     stokes = integrate(psi, boundary(patch))  # boundary route
     assert np.array_equal(direct, stokes)
@@ -105,7 +103,7 @@ def test_charge_trivial_constant_field(torus444):
 
 def test_charge_trivial_requires_cycle(torus444):
     psi = Cochain.zeros(torus444, 1, SO3_FIBER)
-    open_chain = Chain(torus444, 1, {0: 1})
+    open_chain = Chain(torus444, 1, [0], [1])
     with pytest.raises(DomainError):
         charge_trivial(psi, open_chain)
 
@@ -126,7 +124,7 @@ def test_charge_trivial_off_shell_difference_is_enclosed_flux(rng, torus444):
     psi = Cochain.random_gaussian(cx, 1, SO3_FIBER, rng)
     loop0 = x_loop(cx, 0, 0)
     loop1 = x_loop(cx, 1, 0)
-    strip = Chain(cx, 2, {cx.cell_index(2, (i, 0, 0), (0, 1)): -1 for i in range(4)})
+    strip = Chain(cx, 2, cx.cell_indices(2, (0, 1), [range(4), [0] * 4, [0] * 4]), [-1] * 4)
     assert boundary(strip) == loop1 - loop0
     delta = charge_trivial(psi, loop1) - charge_trivial(psi, loop0)
     flux = integrate(eom_residual(psi), strip)
@@ -136,10 +134,10 @@ def test_charge_trivial_off_shell_difference_is_enclosed_flux(rng, torus444):
 def test_charge_argument_validation(torus444):
     psi2d = Cochain.zeros(CubicalComplex([4, 4]), 1, SO3_FIBER)
     with pytest.raises(DomainError):
-        charge_eom(psi2d, Chain(psi2d.complex, 1, {}))
+        charge_eom(psi2d, Chain(psi2d.complex, 1))
     psi = Cochain.zeros(torus444, 2, SO3_FIBER)
     with pytest.raises(DomainError):
-        charge_eom(psi, Chain(torus444, 2, {}))
+        charge_eom(psi, Chain(torus444, 2))
 
 
 # -- defect actions ----------------------------------------------------------
@@ -150,7 +148,7 @@ def test_charged_operator_caches_observable(rng, torus444):
     gamma = x_loop(torus444)
     op = ChargedOperator(gamma, psi, 0)
     assert np.max(np.abs(op.observable - integrate(psi, gamma))) <= 1e-13
-    open_chain = Chain(torus444, 1, {0: 1})
+    open_chain = Chain(torus444, 1, [0], [1])
     with pytest.raises(DomainError):
         ChargedOperator(open_chain, psi, 0)
 

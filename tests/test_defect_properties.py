@@ -69,12 +69,9 @@ def _loop(cx, axis, point):
 def _strip(cx, b, c, y, coef):
     """The 2-chain that sweeps the loop along axis b through y one step along
     axis c, each face with coefficient coef."""
-    faces = {}
-    for j in range(cx.shape[b]):
-        base = list(y)
-        base[b] = j
-        faces[cx.cell_index(2, base, sorted((b, c)))] = coef
-    return Chain(cx, 2, faces)
+    bases = np.repeat(np.array(y)[:, None], cx.shape[b], axis=1)
+    bases[b] = range(cx.shape[b])
+    return Chain(cx, 2, cx.cell_indices(2, sorted((b, c)), bases), [coef] * cx.shape[b])
 
 
 def _torus(draw, fibers=FIBERS):
@@ -110,8 +107,8 @@ def sweeps(draw):
     )
     volume = draw(st.dictionaries(near, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=4))
     # a base at v - 1 = -1 names the cube at n - 1: the torus's periodicity, stated here
-    cubes = {cx.cell_index(3, [v % n for v, n in zip(base, shape)], (0, 1, 2)): k for base, k in volume.items()}
-    bump = boundary(Chain(cx, 3, cubes))
+    bases = np.array(list(volume)).T % np.array(shape)[:, None]
+    bump = boundary(Chain(cx, 3, cx.cell_indices(3, (0, 1, 2), bases), list(volume.values())))
     return GroupoidRep(fiber), charged, defect, strip, bump
 
 
@@ -164,11 +161,12 @@ def closed_fields(draw):
     for axis in range(3):
         values[cx.cell_indices(1, (axis,), every)] += rng.choice([-3, -2, -1, 1, 2, 3], k)
     loops = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=3))
-    cycle = Chain(cx, 1, {})
+    cycle = Chain(cx, 1)
     for axis, coef in loops:
         cycle = cycle + coef * _loop(cx, axis, [int(rng.integers(n)) for n in cx.shape])
     faces = rng.integers(cx.cell_count(2), size=draw(st.integers(1, 8)))
-    surface = Chain(cx, 2, {int(f): int(rng.choice([-2, -1, 1, 2])) for f in faces})
+    coefs = {int(f): int(rng.choice([-2, -1, 1, 2])) for f in faces}  # a repeated face keeps its last draw
+    surface = Chain(cx, 2, list(coefs), list(coefs.values()))
     return Cochain(cx, 1, fiber, values), cycle, cycle + boundary(surface)
 
 

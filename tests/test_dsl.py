@@ -167,6 +167,6 @@ def test_typechecked_words_never_fail_evaluation(rng):
             assert source[chain.offset] in "eabc"
             continue
         accepted += 1
-        out = evaluate(chain, REP)
+        out = evaluate(chain)
         assert out.morphism.target == (out.morphism.source + out.morphism.shift) % 2
     assert accepted > 0

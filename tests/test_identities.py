@@ -161,7 +161,7 @@ def _operations(psi) -> dict:
     if p < cx.d and cx.topology == "torus":
         ops.update(star_d=lambda f: star(d(f)), eom_residual=eom_residual)
         # a (p+1)-chain and a (d-p-1)-cycle: one cell, and the boundary of one
-        cell, cycle = Chain(cx, p + 1, {0: 1}), boundary(Chain(cx, cx.d - p, {0: 1}))
+        cell, cycle = Chain(cx, p + 1, [0], [1]), boundary(Chain(cx, cx.d - p, [0], [1]))
         ops.update(
             charge_eom=lambda f: charge_eom(f, cell), charge_trivial=lambda f: charge_trivial(f, cycle)
         )

@@ -38,7 +38,7 @@ def expected_cell_count(shape, topology, p):
 def random_chain(cx, degree, rng, cells=4):
     n = cx.cell_count(degree)
     picks = rng.choice(n, size=min(cells, n), replace=False)
-    return Chain(cx, degree, {int(i): int(rng.integers(-3, 4)) or 1 for i in picks})
+    return Chain(cx, degree, picks, [int(rng.integers(-3, 4)) or 1 for _ in picks])
 
 
 def geometric_intersection(a, b):
@@ -126,7 +126,7 @@ def test_boundary_matrix_matches_defining_formula(shape, topology):
                 if topology == "torus":  # the upper face of the last slab sits at base 0
                     upper[a] %= shape[a]
                 for face, s in ((upper, sign), (base, -sign)):
-                    key = (cx.cell_index(p - 1, face, sub), j)
+                    key = (int(cx.cell_indices(p - 1, sub, face)), j)
                     entries[key] = entries.get(key, 0) + s
         keys = sorted(k for k, v in entries.items() if v)
         indptr = np.zeros(cx.cell_count(p - 1) + 1, dtype=np.int64)
@@ -170,7 +170,7 @@ def test_cell_index_roundtrip():
             cx = CubicalComplex(shape, topology=topology)
             for p in range(cx.d + 1):
                 for i, (base, axes) in enumerate(cells_in_order(cx, p)):
-                    assert cx.cell_index(p, base, axes) == i
+                    assert cx.cell_indices(p, axes, base) == i
                     assert cx.cell_indices(p, axes, np.array(base)[:, None]).tolist() == [i]
                     # a base out of range, of any size, is an error on a torus
                     # as on a box, whose blocks are one cell longer off their axes
@@ -179,7 +179,7 @@ def test_cell_index_roundtrip():
                         for b in (-1, edge, edge + n, 2**63, 10**30, -(10**30)):
                             wrong = [*base[:axis], b, *base[axis + 1 :]]
                             with pytest.raises(DomainError, match="outside the block"):
-                                cx.cell_index(p, wrong, axes)
+                                cx.cell_indices(p, axes, wrong)
                 assert cx.axis_subsets(p) == tuple(combinations(range(cx.d), p))
                 start = 0
                 for axes in cx.axis_subsets(p):
@@ -245,17 +245,10 @@ def test_boundary_squared_check_catches_a_flipped_sign(monkeypatch, degree):
 
 def test_unit_square_boundary_orientation():
     cx = CubicalComplex([3, 3])
-    square = Chain(cx, 2, {cx.cell_index(2, (0, 0), (0, 1)): 1})
-    expected = Chain(
-        cx,
-        1,
-        {
-            cx.cell_index(1, (1, 0), (1,)): 1,
-            cx.cell_index(1, (0, 0), (1,)): -1,
-            cx.cell_index(1, (0, 1), (0,)): -1,
-            cx.cell_index(1, (0, 0), (0,)): 1,
-        },
-    )
+    square = Chain(cx, 2, [cx.cell_indices(2, (0, 1), (0, 0))], [1])
+    # the edges along axis 1 at x = 1 and x = 0, then those along axis 0 at y = 1 and y = 0
+    edges = [cx.cell_indices(1, (1,), [[1, 0], [0, 0]]), cx.cell_indices(1, (0,), [[0, 0], [1, 0]])]
+    expected = Chain(cx, 1, np.concatenate(edges), [1, -1, -1, 1])
     assert boundary(square) == expected
     assert is_cycle(boundary(square))
 
@@ -278,7 +271,7 @@ def test_is_cycle_cases(rng):
     cx = CubicalComplex([3, 3, 3])
     plane = named_cycle(cx, {"kind": "plane", "normal": 2, "offset": 1})
     assert is_cycle(plane)
-    edge = Chain(cx, 1, {cx.cell_index(1, (0, 0, 0), (0,)): 1})
+    edge = Chain(cx, 1, [cx.cell_indices(1, (0,), (0, 0, 0))], [1])
     assert not is_cycle(edge)
     volume = random_chain(cx, 3, rng)
     assert is_cycle(boundary(volume))
@@ -303,20 +296,20 @@ def test_named_cycles_match_per_cell_construction(shape):
     for axis in range(cx.d):
         others = [i for i in range(cx.d) if i != axis]
         for offsets in np.ndindex(*[shape[i] for i in others]):
-            expected = {}
+            expected = []
             for k in range(shape[axis]):
                 base = [0] * cx.d
                 base[axis] = k
                 for i, off in zip(others, offsets):
                     base[i] = off
-                expected[cx.cell_index(1, base, (axis,))] = 1
+                expected.append(cx.cell_indices(1, (axis,), base))
             spec = {"kind": "loop", "axis": axis, "offsets": list(offsets)}
-            assert named_cycle(cx, spec) == Chain(cx, 1, expected)
+            assert named_cycle(cx, spec) == Chain(cx, 1, expected, [1] * len(expected))
         for offset in range(shape[axis]):
             ranges = [(offset,) if i == axis else range(n) for i, n in enumerate(shape)]
-            expected = {cx.cell_index(cx.d - 1, base, tuple(others)): 1 for base in product(*ranges)}
+            expected = [cx.cell_indices(cx.d - 1, others, base) for base in product(*ranges)]
             spec = {"kind": "plane", "normal": axis, "offset": offset}
-            assert named_cycle(cx, spec) == Chain(cx, cx.d - 1, expected)
+            assert named_cycle(cx, spec) == Chain(cx, cx.d - 1, expected, [1] * len(expected))
 
 
 def test_named_cycle_rejects_bad_specs():
@@ -392,7 +385,7 @@ def crossing_rule_intersection(a, b):
         if cx.topology == "torus":  # base -1 names the cell at n - 1
             base = [v % n for v, n in zip(base, cx.shape)]
         try:
-            ib = cx.cell_index(b.degree, base, comp)  # range-checked on a box
+            ib = cx.cell_indices(b.degree, comp, base)  # range-checked on a box
         except DomainError:
             continue
         total += ca * coeffs_b.get(ib, 0) * perm_sign(axes + comp)
@@ -412,7 +405,7 @@ def test_intersection_on_a_box_matches_crossing_rule(shape, rng):
                 if any(base[i] == 0 for i in range(cx.d) if i not in axes)
             ]
             assert lower
-            on_faces = Chain(cx, p, {j: 1 for j in lower})
+            on_faces = Chain(cx, p, lower, [1] * len(lower))
             assert intersection_number(on_faces, everywhere) == 0
             assert crossing_rule_intersection(on_faces, everywhere) == 0
         for cells in (1, 4, cx.cell_count(p)):
@@ -463,7 +456,7 @@ def test_intersection_vanishes_on_boundaries_exhaustively():
     cx = CubicalComplex([3, 3])
     cycles1 = all_basis_loops(cx)
     for j in range(cx.cell_count(2)):
-        a = boundary(Chain(cx, 2, {j: 1}))
+        a = boundary(Chain(cx, 2, [j], [1]))
         for z in cycles1:
             assert intersection_number(a, z) == 0
             assert intersection_number(z, a) == 0
@@ -475,12 +468,12 @@ def test_intersection_vanishes_on_boundaries_exhaustively():
         for o in range(2)
     ]
     for j in range(cx.cell_count(2)):
-        a = boundary(Chain(cx, 2, {j: 1}))  # 1-boundary vs 2-cycles
+        a = boundary(Chain(cx, 2, [j], [1]))  # 1-boundary vs 2-cycles
         for z in planes:
             assert intersection_number(a, z) == 0
     loops = all_basis_loops(cx)
     for j in range(cx.cell_count(3)):
-        a = boundary(Chain(cx, 3, {j: 1}))  # 2-boundary vs 1-cycles
+        a = boundary(Chain(cx, 3, [j], [1]))  # 2-boundary vs 1-cycles
         for z in loops:
             assert intersection_number(z, a) == 0
 
@@ -496,12 +489,12 @@ def test_intersection_homology_invariance_random(rng):
 def test_cobordism_validation():
     cx = CubicalComplex([4, 4, 4])
     source = named_cycle(cx, {"kind": "loop", "axis": 0, "offsets": [0, 0]})
-    filling = Chain(cx, 2, {cx.cell_index(2, (i, 0, 0), (0, 1)): -1 for i in range(4)})
+    filling = Chain(cx, 2, cx.cell_indices(2, (0, 1), [range(4), [0] * 4, [0] * 4]), [-1] * 4)
     cob = Cobordism(cx, filling, source)
     assert boundary(cob.filling) == cob.target - cob.source
     assert is_cycle(cob.target)
     # the filling must be one degree above the source
-    wrong_degree = Chain(cx, 3, {cx.cell_index(3, (0, 0, 0), (0, 1, 2)): 1})
+    wrong_degree = Chain(cx, 3, [cx.cell_indices(3, (0, 1, 2), (0, 0, 0))], [1])
     with pytest.raises(DomainError):
         Cobordism(cx, wrong_degree, source)
 
@@ -509,9 +502,9 @@ def test_cobordism_validation():
 def test_cell_and_chain_validation():
     cx = CubicalComplex([3, 3])
     with pytest.raises(DomainError):
-        Chain(cx, 1, {999: 1})
+        Chain(cx, 1, [999], [1])
     with pytest.raises(DomainError):
-        boundary(Chain(cx, 0, {0: 1}))
+        boundary(Chain(cx, 0, [0], [1]))
     with pytest.raises(ConfigError):
         CubicalComplex([1, 4])
     with pytest.raises(ConfigError):
@@ -532,24 +525,42 @@ def test_cell_and_chain_validation():
 
 
 def test_torus_base_reduction():
-    # a caller reduces a torus base itself: cell_index takes a base in its
+    # a caller reduces a torus base itself: cell_indices takes a base in its
     # block on a torus as on a box, and wraps none
     cx = CubicalComplex([3, 3])
-    assert cx.cell_index(0, (4 % 3, -1 % 3), ()) == cx.cell_index(0, (1, 2), ()) == 5
+    assert cx.cell_indices(0, (), (4 % 3, -1 % 3)) == cx.cell_indices(0, (), (1, 2)) == 5
     for base in ((4, -1), (4, 0), (0, -1)):
         with pytest.raises(DomainError, match="outside the block"):
-            cx.cell_index(0, base, ())
+            cx.cell_indices(0, (), base)
     box = CubicalComplex([3, 3], topology="box")
     with pytest.raises(DomainError):
-        box.cell_index(0, (4, 0), ())
+        box.cell_indices(0, (), (4, 0))
     for base in ((1,), (1, 2, 0)):  # one coordinate per axis, no more, no fewer
-        with pytest.raises(DomainError):
-            cx.cell_index(1, base, (0,))
+        with pytest.raises(DomainError, match="a cell base needs 2 coordinates"):
+            cx.cell_indices(1, (0,), base)
     # the one block lookup rejects an axis subset that names no block
     with pytest.raises(DomainError, match="no degree-1 cells with axes"):
-        cx.cell_index(1, (0, 0), (2,))
+        cx.cell_indices(1, (2,), (0, 0))
     with pytest.raises(DomainError, match="no degree-1 cells with axes"):
         cx.block_bases(1, [2])
+
+
+def test_cell_indices_needs_one_coordinate_per_axis():
+    # the count is checked before the extents: a short base is not "outside"
+    cx = CubicalComplex([4, 4, 4])
+    for bases in ([0, 0], [0, 0, 0, 0], np.zeros((2, 5), dtype=np.int64)):
+        with pytest.raises(DomainError, match=f"^a cell base needs 3 coordinates, got {len(bases)}$"):
+            cx.cell_indices(1, (0,), bases)
+
+
+def test_cell_indices_names_the_first_base_outside():
+    cx = CubicalComplex([4, 4, 4])
+    with pytest.raises(DomainError) as info:
+        cx.cell_indices(1, (0,), [[0, 5, -1], [0, 1, 0], [0, 0, 0]])
+    assert str(info.value) == "base (5, 1, 0) lies outside the block of axes (0,)"
+    with pytest.raises(DomainError) as info:  # past int64, named as given
+        cx.cell_indices(0, (), (2**63, 0, 0))
+    assert str(info.value) == f"base ({2**63}, 0, 0) lies outside the block of axes ()"
 
 
 def test_chain_normal_form():
@@ -557,30 +568,36 @@ def test_chain_normal_form():
     chain = Chain(cx, 1, cells=[5, 2, 5, 7, 2, 0], coefs=[1, 4, 2, 3, -4, 0])
     assert chain.cells.tolist() == [5, 7]  # sorted, distinct, repeats added up
     assert chain.coefs.tolist() == [3, 3]  # zero sums dropped
-    assert chain == Chain(cx, 1, {7: 3, 5: 3})
+    assert chain == Chain(cx, 1, [7, 5], [3, 3])
     for arr in (chain.cells, chain.coefs):
         assert arr.dtype == np.int64
         with pytest.raises(ValueError):
             arr[0] = 1  # read-only
     empty = chain - chain
     assert not empty and empty.cells.size == 0 and empty.coefs.size == 0
-    assert empty == Chain(cx, 1, {})
+    assert empty == Chain(cx, 1)
     spec = {"kind": "cells", "items": [{"degree": 1, "base": [0, 0], "axes": [0], "coef": c} for c in (1, 2)]}
-    assert named_cycle(cx, spec) == Chain(cx, 1, {0: 3})
+    assert named_cycle(cx, spec) == Chain(cx, 1, [0], [3])
     for cells in ([18], [-1], [2**63]):
         with pytest.raises(DomainError):
             Chain(cx, 1, cells=cells, coefs=[1])
+    # one coefficient per cell, and no {cell: coefficient} form
+    for coefs in ([1], [1, 2, 3]):
+        with pytest.raises(DomainError, match="need as many coefficients"):
+            Chain(cx, 1, [0, 1], coefs)
+    with pytest.raises(TypeError):
+        Chain(cx, 1, {0: 1})
     # coefficients within +-(2**63 - 1), as given and after +, - and *
     top = 2**63 - 1
-    assert (-1 * Chain(cx, 1, {0: top})).coefs.tolist() == [-top]
-    big = Chain(cx, 1, {0: 2**62})
+    assert (-1 * Chain(cx, 1, [0], [top])).coefs.tolist() == [-top]
+    big = Chain(cx, 1, [0], [2**62])
     overflows = [
         lambda: big + big,
         lambda: big - (-1 * big),
         lambda: 2 * big,
-        lambda: -(2**62) * Chain(cx, 1, {0: 3}),
-        lambda: Chain(cx, 1, {0: 2**63}),
-        lambda: Chain(cx, 1, {0: -(2**63)}),
+        lambda: -(2**62) * Chain(cx, 1, [0], [3]),
+        lambda: Chain(cx, 1, [0], [2**63]),
+        lambda: Chain(cx, 1, [0], [-(2**63)]),
         lambda: Chain(cx, 1, cells=[0] * 4, coefs=[2**62] * 4),  # 2**64 wraps to 0 in int64
     ]
     for make in overflows:

@@ -47,7 +47,7 @@ def _solve_so3(axis_spacing):
     """configs/solve_so3.json (so(3) 1-forms on a 6^3 torus, two fixed
     cells) with one long or short axis."""
     cx = CubicalComplex([6, 6, 6], spacing=[axis_spacing, 1.0, 1.0])
-    fixed = [cx.cell_index(1, (0, 0, 0), (0,)), cx.cell_index(1, (3, 3, 3), (1,))]
+    fixed = [int(cx.cell_indices(1, (0,), (0, 0, 0))), int(cx.cell_indices(1, (1,), (3, 3, 3)))]
     return cx, 1, FIBERS[2], fixed, False, 0
 
 
